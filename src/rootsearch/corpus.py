@@ -159,12 +159,6 @@ class CorpusManifest:
             for j, sp in enumerate(self.superpeer_ids())
         }
 
-    def superpeer_of(self, peer_id: str) -> str:
-        for sp, children in self.superpeer_children().items():
-            if peer_id in children:
-                return sp
-        raise KeyError(peer_id)
-
 
 def _select_roots(spec: CorpusSpec, pool: tuple[str, ...], rng: random.Random) -> list[str]:
     if spec.root_count > len(pool):

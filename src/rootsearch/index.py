@@ -3,12 +3,18 @@
 SIMPLE indexes each document under exactly one key: the word it contains.
 ADVANCED indexes each document under every vocabulary word that shares the
 document word's root, so an exact lookup of any root-mate retrieves the
-whole root group. Keys are normalized words in both modes; lookups never
-expand anything themselves.
+whole root group; all root-mate keys share one posting set. Keys of
+``entries`` are normalized words in both modes; lookups never expand
+anything themselves.
+
+Both modes also keep ``root_postings``: each root of the indexed documents
+mapped to the sorted ids of those documents. It answers a root-aware query
+with one lookup per root instead of one per root-mate.
 """
 from __future__ import annotations
 
 import pickle
+from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -19,7 +25,7 @@ from .errors import UnknownRoot
 from .morphology import RootLexicon
 
 _SNAPSHOT_MAGIC = "rootsearch-index"
-_SNAPSHOT_VERSION = 1
+_SNAPSHOT_VERSION = 2
 
 
 class IndexMode(Enum):
@@ -29,11 +35,11 @@ class IndexMode(Enum):
 
 @dataclass(eq=False)
 class InvertedIndex:
-    """Keyword -> doc_id postings, plus the root groups the build used."""
+    """Keyword -> doc_id postings, plus root -> sorted doc_id postings."""
 
     mode: IndexMode
     entries: dict[str, set[str]]
-    root_groups: dict[str, frozenset[str]]
+    root_postings: dict[str, tuple[str, ...]]
     doc_count: int
 
     def lookup(self, key: str) -> list[str]:
@@ -49,39 +55,35 @@ def build_index(
 ) -> InvertedIndex:
     """Build an index over ``docs`` in the given mode.
 
+    In SIMPLE mode, documents whose word is not in the lexicon are indexed
+    by word only and have no root posting.
+
     Raises:
         UnknownRoot: in ADVANCED mode, a document word is not in the lexicon.
     """
     docs = sorted(docs, key=lambda d: d.doc_id)
     entries: dict[str, set[str]] = {}
-    root_groups: dict[str, frozenset[str]] = {}
-
-    if mode is IndexMode.SIMPLE:
-        for doc in docs:
-            entries.setdefault(doc.word, set()).add(doc.doc_id)
-            root = lexicon.root_of(doc.word)
-            if root is not None and root not in root_groups:
-                root_groups[root] = lexicon.words_of(root)
-        return InvertedIndex(mode, entries, root_groups, len(docs))
-
-    by_root: dict[str, set[str]] = {}
+    by_root: defaultdict[str, list[str]] = defaultdict(list)
     for doc in docs:
         root = lexicon.root_of(doc.word)
-        if root is None:
+        if mode is IndexMode.SIMPLE:
+            entries.setdefault(doc.word, set()).add(doc.doc_id)
+        elif root is None:
             raise UnknownRoot(f"document word {doc.word!r} not in lexicon")
-        by_root.setdefault(root, set()).add(doc.doc_id)
-    for root in sorted(by_root):
-        ids = by_root[root]
-        root_groups[root] = lexicon.words_of(root)
-        for word in sorted(root_groups[root]):
+        if root is not None:
+            by_root[root].append(doc.doc_id)
+    # ids arrive sorted; dict.fromkeys drops a repeated id, as a set would
+    root_postings = {root: tuple(dict.fromkeys(ids)) for root, ids in by_root.items()}
+
+    if mode is IndexMode.ADVANCED:
+        for root in sorted(root_postings):
             # One shared posting set per root: every root-mate key retrieves
-            # the same documents, and the index is immutable once built.
-            existing = entries.get(word)
-            if existing is None:
+            # the same documents, and the index is immutable once built. The
+            # lexicon maps each word to one root, so no key is written twice.
+            ids = set(root_postings[root])
+            for word in lexicon.words_of(root):
                 entries[word] = ids
-            else:
-                existing.update(ids)
-    return InvertedIndex(mode, entries, root_groups, len(docs))
+    return InvertedIndex(mode, entries, root_postings, len(docs))
 
 
 def save_index(index: InvertedIndex, path: str | Path) -> None:
@@ -91,8 +93,8 @@ def save_index(index: InvertedIndex, path: str | Path) -> None:
         "version": _SNAPSHOT_VERSION,
         "mode": index.mode.value,
         "entries": {key: sorted(ids) for key, ids in sorted(index.entries.items())},
-        "root_groups": {
-            root: sorted(words) for root, words in sorted(index.root_groups.items())
+        "root_postings": {
+            root: list(ids) for root, ids in sorted(index.root_postings.items())
         },
         "doc_count": index.doc_count,
     }
@@ -100,14 +102,19 @@ def save_index(index: InvertedIndex, path: str | Path) -> None:
 
 
 def load_index(path: str | Path) -> InvertedIndex:
+    """Read a snapshot written by ``save_index`` of the same format version.
+
+    Raises:
+        ValueError: the file is not a snapshot of this format version.
+    """
     payload = pickle.loads(Path(path).read_bytes())
     if payload.get("format") != _SNAPSHOT_MAGIC or payload.get("version") != _SNAPSHOT_VERSION:
         raise ValueError(f"not a rootsearch index snapshot: {path}")
     return InvertedIndex(
         mode=IndexMode(payload["mode"]),
         entries={key: set(ids) for key, ids in payload["entries"].items()},
-        root_groups={
-            root: frozenset(words) for root, words in payload["root_groups"].items()
+        root_postings={
+            root: tuple(ids) for root, ids in payload["root_postings"].items()
         },
         doc_count=payload["doc_count"],
     )

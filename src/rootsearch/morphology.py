@@ -16,7 +16,7 @@ import re
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .errors import ArityMismatch, UnknownRoot
 from .normalize import is_normalized
@@ -152,12 +152,15 @@ class RootLexicon:
     """Bidirectional word/root maps over a corpus vocabulary.
 
     Written once while the corpus is generated, read-only afterwards; the
-    two internal maps are kept mutually consistent by construction.
+    two internal maps are kept mutually consistent by construction. Each
+    root's sorted word tuple is computed on first use and dropped whenever
+    ``add`` changes that root.
     """
 
     def __init__(self) -> None:
         self._root_of: dict[str, str] = {}
         self._words_of: dict[str, set[str]] = {}
+        self._sorted_words: dict[str, tuple[str, ...]] = {}
 
     def add(self, word: str, root: str) -> None:
         existing = self._root_of.get(word)
@@ -165,12 +168,23 @@ class RootLexicon:
             raise ValueError(f"word {word!r} already mapped to root {existing!r}")
         self._root_of[word] = root
         self._words_of.setdefault(root, set()).add(word)
+        self._sorted_words.pop(root, None)
 
     def root_of(self, word: str) -> str | None:
         return self._root_of.get(word)
 
-    def words_of(self, root: str) -> frozenset[str]:
-        return frozenset(self._words_of.get(root, ()))
+    def roots_of(self, words: Iterable[str]) -> set[str | None]:
+        """The distinct roots of ``words``, in one pass; None for unknown words."""
+        return set(map(self._root_of.get, words))
+
+    def words_of(self, root: str) -> tuple[str, ...]:
+        """Every vocabulary word with this root, sorted; () for unknown roots."""
+        words = self._sorted_words.get(root)
+        if words is None:
+            words = tuple(sorted(self._words_of.get(root, ())))
+            if root in self._words_of:
+                self._sorted_words[root] = words
+        return words
 
     def has_root(self, root: str) -> bool:
         return root in self._words_of

@@ -17,10 +17,13 @@ Routing for one query, all on a deterministic FIFO message queue:
    ids; super-peers gather their children's and siblings' answers before
    replying, and the union arrives back at the origin
 
-In ADVANCED mode a summary holds roots, so the super-peer resolves the
-incoming terms to their root through the shared lexicon before matching;
-all terms of one query share a root, which is why the default block
-assignment forwards to exactly one peer.
+In ADVANCED mode the payload still carries every root-mate term, but
+super-peers and peers both work on roots: each resolves the incoming term
+set to its distinct roots in one pass through the shared lexicon. The
+super-peer matches those roots against its summaries, and the peer unions
+one root posting of its local index per root. All terms of one query share
+a root, which is why the default block assignment forwards to exactly one
+peer.
 """
 from __future__ import annotations
 
@@ -73,11 +76,18 @@ class PeerNode:
     parent: str
     shard: tuple[Document, ...]
     index: InvertedIndex
+    lexicon: RootLexicon
 
     def execute(self, terms: tuple[str, ...]) -> set[str]:
+        """Local documents matching any term: by word in SIMPLE mode, by the
+        terms' roots in ADVANCED mode."""
+        if self.index.mode is IndexMode.ADVANCED:
+            postings, keys = self.index.root_postings, self.lexicon.roots_of(terms)
+        else:
+            postings, keys = self.index.entries, terms
         found: set[str] = set()
-        for term in terms:
-            found.update(self.index.entries.get(term, ()))
+        for key in keys:
+            found.update(postings.get(key, ()))
         return found
 
     def handle(self, message: OverlayMessage, transport: Transport) -> None:
@@ -98,8 +108,7 @@ class SuperPeer:
         if overlay.mode is IndexMode.SIMPLE:
             keys = set(terms)
         else:
-            keys = {overlay.lexicon.root_of(term) for term in terms}
-            keys.discard(None)
+            keys = overlay.lexicon.roots_of(terms)
         return [child for child in self.children if keys & self.summary[child]]
 
     def handle(
@@ -179,7 +188,7 @@ def build_overlay(manifest: CorpusManifest, mode: IndexMode) -> Overlay:
                     f"{peer_id} holds {len(shard)} documents, spec says {shard_size}"
                 )
             peers[peer_id] = PeerNode(
-                peer_id, sp_id, shard, build_index(shard, mode, lexicon)
+                peer_id, sp_id, shard, build_index(shard, mode, lexicon), lexicon
             )
             if mode is IndexMode.SIMPLE:
                 summary[peer_id] = frozenset(doc.word for doc in shard)
@@ -213,8 +222,7 @@ def p2p_search(
     origin_node = overlay.peers[origin]
 
     if overlay.mode is IndexMode.ADVANCED:
-        term_list, degraded = expansion_terms(query, overlay.lexicon)
-        terms = tuple(term_list)
+        terms, degraded = expansion_terms(query, overlay.lexicon)
     else:
         terms, degraded = (query.normalized,), False
 

@@ -1,9 +1,10 @@
 """Centralized search engines: exact surface match and root expansion.
 
 ``search_exact`` is the baseline: one exact lookup of the normalized query
-word. ``search_expanded`` wraps the same unmodified lookup with a query
-expansion layer that replaces the word by all of its root-mates in the
-corpus vocabulary and unions the per-term results. A query whose root
+word. ``search_expanded`` resolves the word to its root and answers from
+the same index's root postings with one lookup: exactly the documents
+whose word is a root-mate of the query in the corpus vocabulary, reported
+together with those root-mates as the expanded terms. A query whose root
 cannot be resolved degrades to exact search instead of failing.
 """
 from __future__ import annotations
@@ -55,13 +56,13 @@ def search_exact(query: Query, index: InvertedIndex) -> SearchResult:
     return SearchResult(query.query_id, BASELINE, tuple(index.lookup(query.normalized)))
 
 
-def expansion_terms(query: Query, lexicon: RootLexicon) -> tuple[list[str], bool]:
-    """Expansion terms plus a degraded flag (True when no root resolves)."""
+def expansion_terms(query: Query, lexicon: RootLexicon) -> tuple[tuple[str, ...], bool]:
+    """Sorted expansion terms plus a degraded flag (True when no root resolves)."""
     try:
         root = extract_root(query.normalized, lexicon)
     except UnknownRoot:
-        return [query.normalized], True
-    return sorted(lexicon.words_of(root)), False
+        return (query.normalized,), True
+    return lexicon.words_of(root), False
 
 
 def expand_query(query: Query, lexicon: RootLexicon) -> list[str]:
@@ -70,21 +71,30 @@ def expand_query(query: Query, lexicon: RootLexicon) -> list[str]:
     Falls back to ``[query.normalized]`` when no root resolves, so the
     caller degrades to exact search.
     """
-    return expansion_terms(query, lexicon)[0]
+    return list(expansion_terms(query, lexicon)[0])
 
 
 def search_expanded(
     query: Query, index: InvertedIndex, lexicon: RootLexicon
 ) -> SearchResult:
-    """Union of exact lookups over the expanded term set."""
-    terms, degraded = expansion_terms(query, lexicon)
-    found: set[str] = set()
-    for term in terms:
-        found.update(index.entries.get(term, ()))
+    """Every indexed document whose word shares the query's root.
+
+    One root-postings lookup; a query with no resolvable root degrades to
+    an exact lookup of the query word.
+    """
+    try:
+        root = extract_root(query.normalized, lexicon)
+    except UnknownRoot:
+        return SearchResult(
+            query.query_id,
+            EXPANDED,
+            tuple(index.lookup(query.normalized)),
+            (query.normalized,),
+            degraded=True,
+        )
     return SearchResult(
         query.query_id,
         EXPANDED,
-        tuple(sorted(found)),
-        tuple(terms),
-        degraded=degraded,
+        index.root_postings.get(root, ()),
+        lexicon.words_of(root),
     )

@@ -6,6 +6,7 @@ from rootsearch.corpus import Document, relevant_set
 from rootsearch.errors import UnknownRoot
 from rootsearch.index import IndexMode, build_index, load_index, save_index
 from rootsearch.morphology import RootLexicon
+from rootsearch.search import Query, search_exact, search_expanded
 
 
 class TestSimpleBuild:
@@ -47,8 +48,10 @@ class TestAdvancedBuild:
     def test_root_groups_restricted_to_shard(self, manifest):
         shard = manifest.docs_by_peer["peer-3"]
         index = build_index(shard, IndexMode.ADVANCED, manifest.lexicon)
-        assert set(index.root_groups) == {d.root for d in shard}
-        assert len(index.root_groups) == 25
+        assert set(index.root_postings) == {d.root for d in shard}
+        assert len(index.root_postings) == 25
+        for root, ids in index.root_postings.items():
+            assert ids == tuple(sorted(d.doc_id for d in shard if d.root == root))
 
 
 class TestEmptyIndex:
@@ -120,7 +123,35 @@ class TestSnapshot:
         assert loaded.mode is IndexMode.ADVANCED
         assert loaded.doc_count == index.doc_count
         assert loaded.entries == index.entries
-        assert loaded.root_groups == index.root_groups
+        assert loaded.root_postings == index.root_postings
+
+    @pytest.mark.parametrize("mode", [IndexMode.SIMPLE, IndexMode.ADVANCED])
+    def test_loaded_index_answers_like_built(self, manifest, mode, tmp_path):
+        index = build_index(manifest.documents, mode, manifest.lexicon)
+        path = tmp_path / "index.bin"
+        save_index(index, path)
+        loaded = load_index(path)
+        for entry in manifest.queries:
+            query = Query.parse(entry.query_id, entry.word)
+            assert search_exact(query, loaded) == search_exact(query, index)
+            assert search_expanded(query, loaded, manifest.lexicon) == search_expanded(
+                query, index, manifest.lexicon
+            )
+
+    def test_rejects_version_1_snapshot(self, tmp_path):
+        import pickle
+
+        path = tmp_path / "v1.bin"
+        path.write_bytes(pickle.dumps({
+            "format": "rootsearch-index",
+            "version": 1,
+            "mode": "simple",
+            "entries": {"يلعبون": ["d00001"]},
+            "root_groups": {"لعب": ["يلعبون"]},
+            "doc_count": 1,
+        }))
+        with pytest.raises(ValueError, match="not a rootsearch index snapshot"):
+            load_index(path)
 
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "junk.bin"

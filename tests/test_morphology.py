@@ -179,6 +179,22 @@ class TestRootLexicon:
         assert len(lex) == 1
 
 
+    def test_words_of_is_sorted_and_sees_later_adds(self):
+        lex = RootLexicon()
+        lex.add("يلعبون", "لعب")
+        assert lex.words_of("لعب") == ("يلعبون",)
+        lex.add("لاعب", "لعب")
+        lex.add("ياكلون", "اكل")
+        assert lex.words_of("لعب") == ("لاعب", "يلعبون")
+        assert lex.words_of("زخرف") == ()
+
+    def test_roots_of_resolves_distinct_roots(self):
+        lex = RootLexicon()
+        for word in ("يلعبون", "لاعب"):
+            lex.add(word, "لعب")
+        assert lex.roots_of(("يلعبون", "لاعب", "زخرف")) == {"لعب", None}
+
+
 class TestRoundTripAndPartition:
     def test_round_trip_full_corpus(self, manifest):
         lex = manifest.lexicon

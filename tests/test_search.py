@@ -2,8 +2,9 @@
 
 import pytest
 
-from rootsearch.corpus import CorpusSpec, generate_corpus, relevant_set
+from rootsearch.corpus import CorpusSpec, Document, generate_corpus, relevant_set
 from rootsearch.index import IndexMode, build_index
+from rootsearch.morphology import RootLexicon
 from rootsearch.search import (
     BASELINE,
     EXPANDED,
@@ -96,6 +97,13 @@ class TestSearchExpanded:
         assert result.degraded
         assert result.expanded_terms == ("فه",)
         assert result.found == search_exact(query, simple_index).found
+
+    def test_degraded_query_finds_indexed_word_outside_lexicon(self):
+        index = build_index([Document("d0", "فه", "فه", "peer-1")], IndexMode.SIMPLE, RootLexicon())
+        result = search_expanded(Query.parse("q", "فه"), index, RootLexicon())
+        assert result.degraded
+        assert result.found == ("d0",)
+        assert index.root_postings == {}
 
     def test_singleton_root_group_equals_exact(self, tmp_path):
         spec = CorpusSpec(
