@@ -9,10 +9,10 @@ __version__ = "0.1.0"
 
 from .corpus import CorpusSpec, generate_corpus, load_manifest, relevant_set
 from .index import IndexMode, build_index
-from .morphology import RootLexicon, derive, extract_root, load_patterns, same_root
+from .morphology import RootLexicon, derive, extract_root, load_patterns
 from .normalize import normalize
 from .p2p import build_overlay, p2p_search
-from .search import Query, expand_query, search_exact, search_expanded
+from .search import Query, search_exact, search_expanded
 
 __all__ = [
     "CorpusSpec",
@@ -22,7 +22,6 @@ __all__ = [
     "build_index",
     "build_overlay",
     "derive",
-    "expand_query",
     "extract_root",
     "generate_corpus",
     "load_manifest",
@@ -30,7 +29,6 @@ __all__ = [
     "normalize",
     "p2p_search",
     "relevant_set",
-    "same_root",
     "search_exact",
     "search_expanded",
 ]

@@ -21,13 +21,14 @@ from .corpus import (
     manifest_digest,
 )
 from .errors import RootSearchError
-from .evaluation import build_engines, fixed4, run_evaluation, write_report
-from .index import IndexMode, build_index, save_index
+from .evaluation import build_engines, run_evaluation, summary_lines, write_report
+from .index import IndexMode, build_index
 from .p2p import build_overlay, format_message_log, p2p_search
 from .search import (
     BASELINE,
     ENGINES,
     EXPANDED,
+    P2P_ADVANCED,
     Query,
     search_exact,
     search_expanded,
@@ -77,16 +78,6 @@ def cmd_gen_corpus(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_build_index(args: argparse.Namespace) -> int:
-    manifest = load_manifest(args.corpus)
-    mode = IndexMode(args.mode)
-    index = build_index(manifest.documents, mode, manifest.lexicon)
-    out = args.out or f"index-{mode.value}.bin"
-    save_index(index, out)
-    print(f"built {mode.value} index: {len(index)} keys, {index.doc_count} documents -> {out}")
-    return EXIT_OK
-
-
 def cmd_query(args: argparse.Namespace) -> int:
     manifest = load_manifest(args.corpus)
     query = Query.parse("cli", args.word)
@@ -114,6 +105,11 @@ def cmd_query(args: argparse.Namespace) -> int:
             " degraded to exact search",
             file=sys.stderr,
         )
+    elif args.engine in (EXPANDED, P2P_ADVANCED) and not result.expanded_terms:
+        print(
+            f"warning: the root of {query.normalized!r} has no words in the corpus",
+            file=sys.stderr,
+        )
     if result.expanded_terms:
         print(f"expanded terms ({len(result.expanded_terms)}): "
               + " ".join(result.expanded_terms))
@@ -134,14 +130,7 @@ def cmd_run_eval(args: argparse.Namespace) -> int:
     report = run_evaluation(manifest, engines, corpus_digest=digest)
     write_report(report, args.out)
     print(f"corpus digest: {digest}")
-    print("engine\tqueries\tmean_precision\tmean_recall\tfailures")
-    for engine in report.engine_names:
-        print(
-            f"{engine}\t{len(report.records[engine])}"
-            f"\t{fixed4(report.mean_precision(engine))}"
-            f"\t{fixed4(report.mean_recall(engine))}"
-            f"\t{report.failures(engine)}"
-        )
+    print("\n".join(summary_lines(report)))
     print(f"results written to {args.out}")
     return EXIT_OK
 
@@ -198,12 +187,6 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--peers", type=int, default=None)
     gen.add_argument("--super-peers", type=int, default=None)
     gen.set_defaults(handler=cmd_gen_corpus)
-
-    build = sub.add_parser("build-index", help="build and snapshot an index")
-    build.add_argument("--corpus", default=DEFAULT_CORPUS_DIR)
-    build.add_argument("--mode", choices=[m.value for m in IndexMode], default="simple")
-    build.add_argument("--out", default=None, help="snapshot file path")
-    build.set_defaults(handler=cmd_build_index)
 
     query = sub.add_parser("query", help="run one query word")
     query.add_argument("word")

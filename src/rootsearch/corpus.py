@@ -286,21 +286,34 @@ def _write_corpus(manifest: CorpusManifest, out_dir: Path) -> None:
         )
 
 
-def _parse_header(line: str, magic: str) -> dict[str, str]:
-    if not line.startswith(magic):
-        raise ValueError(f"expected header {magic!r}, got {line[:40]!r}")
+def _parse_header(lines: list[str], path: Path, magic: str) -> dict[str, str]:
+    if not lines:
+        raise CorpusSpecError(f"{path}:1: empty file, expected header {magic!r}")
+    if not lines[0].startswith(magic):
+        raise ValueError(f"expected header {magic!r}, got {lines[0][:40]!r}")
     fields = {}
-    for part in line.split("\t")[1:]:
+    for part in lines[0].split("\t")[1:]:
         key, _, value = part.partition("=")
         fields[key] = value
     return fields
 
 
+def _bad_row(path: Path, lineno: int, line: str, width: int) -> CorpusSpecError:
+    got = line.count("\t") + 1
+    return CorpusSpecError(f"{path}:{lineno}: expected {width} tab-separated fields, got {got}")
+
+
 def load_manifest(corpus_dir: str | Path) -> CorpusManifest:
-    """Reload a generated corpus from its manifest and query files."""
+    """Reload a generated corpus from its manifest and query files.
+
+    Raises:
+        CorpusSpecError: a file is empty or a row has the wrong field count;
+            the message names the file and the 1-based line.
+    """
     corpus_dir = Path(corpus_dir)
-    manifest_lines = (corpus_dir / MANIFEST_NAME).read_text("utf-8").splitlines()
-    fields = _parse_header(manifest_lines[0], _MANIFEST_MAGIC)
+    manifest_path = corpus_dir / MANIFEST_NAME
+    manifest_lines = manifest_path.read_text("utf-8").splitlines()
+    fields = _parse_header(manifest_lines, manifest_path, _MANIFEST_MAGIC)
     spec = CorpusSpec(
         root_count=int(fields["roots"]),
         words_per_root=int(fields["words_per_root"]),
@@ -310,19 +323,26 @@ def load_manifest(corpus_dir: str | Path) -> CorpusManifest:
         seed=int(fields["seed"]),
     )
     documents = []
-    for line in manifest_lines[1:]:
+    for lineno, line in enumerate(manifest_lines[1:], 2):
         if not line.strip():
             continue
-        doc_id, word, root, peer_id = line.split("\t")
+        try:
+            doc_id, word, root, peer_id = line.split("\t")
+        except ValueError:
+            raise _bad_row(manifest_path, lineno, line, 4) from None
         documents.append(Document(doc_id, word, root, peer_id))
 
-    query_lines = (corpus_dir / QUERIES_NAME).read_text("utf-8").splitlines()
-    _parse_header(query_lines[0], _QUERIES_MAGIC)
+    queries_path = corpus_dir / QUERIES_NAME
+    query_lines = queries_path.read_text("utf-8").splitlines()
+    _parse_header(query_lines, queries_path, _QUERIES_MAGIC)
     queries = []
-    for line in query_lines[1:]:
+    for lineno, line in enumerate(query_lines[1:], 2):
         if not line.strip():
             continue
-        query_id, word, root = line.split("\t")
+        try:
+            query_id, word, root = line.split("\t")
+        except ValueError:
+            raise _bad_row(queries_path, lineno, line, 3) from None
         queries.append(QueryEntry(query_id, word, root))
 
     return CorpusManifest(

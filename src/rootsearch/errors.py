@@ -30,4 +30,4 @@ class CorpusSpecError(RootSearchError):
 
 
 class OverlayMismatch(RootSearchError):
-    """Overlay topology or index mode does not match the manifest or caller."""
+    """Overlay topology does not match the manifest's spec."""

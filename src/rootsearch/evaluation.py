@@ -74,7 +74,6 @@ class EvalRecord:
     s_relevant: frozenset[str]
     precision: Fraction
     recall: Fraction
-    expanded_terms_count: int
     peers_contacted: int | None
     empty_found: bool
     empty_relevant: bool
@@ -87,7 +86,6 @@ def make_record(
     engine: str,
     s_found: Iterable[str],
     s_relevant: Iterable[str],
-    expanded_terms_count: int = 0,
     peers_contacted: int | None = None,
     error: str | None = None,
 ) -> EvalRecord:
@@ -101,7 +99,6 @@ def make_record(
         s_relevant=relevant,
         precision=precision(found, relevant),
         recall=recall(found, relevant),
-        expanded_terms_count=expanded_terms_count,
         peers_contacted=peers_contacted,
         empty_found=not found,
         empty_relevant=not relevant,
@@ -132,7 +129,6 @@ class EvalReport:
 @dataclass(frozen=True)
 class EngineResult:
     found: frozenset[str]
-    expanded_terms_count: int = 0
     peers_contacted: int | None = None
 
 
@@ -166,7 +162,7 @@ class ExpandedEngine:
 
     def run(self, query: Query) -> EngineResult:
         result = search_expanded(query, self.index, self.lexicon)
-        return EngineResult(frozenset(result.found), len(result.expanded_terms))
+        return EngineResult(frozenset(result.found))
 
 
 class P2PEngine:
@@ -181,11 +177,7 @@ class P2PEngine:
 
     def run(self, query: Query) -> EngineResult:
         outcome = p2p_search(query, self.overlay, self.origin)
-        return EngineResult(
-            frozenset(outcome.result.found),
-            len(outcome.result.expanded_terms),
-            outcome.peers_contacted,
-        )
+        return EngineResult(frozenset(outcome.result.found), outcome.peers_contacted)
 
 
 def build_engines(
@@ -240,7 +232,6 @@ def run_evaluation(
                         engine.name,
                         out.found,
                         relevant[entry.query_id],
-                        out.expanded_terms_count,
                         out.peers_contacted,
                     )
                 )
@@ -263,6 +254,19 @@ def run_evaluation(
         seed=manifest.spec.seed,
         patterns_version=manifest.patterns_version,
     )
+
+
+def summary_lines(report: EvalReport) -> list[str]:
+    """The summary table: a header, then one row of means per engine."""
+    lines = ["engine\tqueries\tmean_precision\tmean_recall\tfailures"]
+    for engine in report.engine_names:
+        lines.append(
+            f"{engine}\t{len(report.records[engine])}"
+            f"\t{fixed4(report.mean_precision(engine))}"
+            f"\t{fixed4(report.mean_recall(engine))}"
+            f"\t{report.failures(engine)}"
+        )
+    return lines
 
 
 def write_report(report: EvalReport, out_dir: str | Path) -> None:
@@ -288,44 +292,6 @@ def write_report(report: EvalReport, out_dir: str | Path) -> None:
             )
         (out_dir / f"{engine}.tsv").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
-    lines = [f"{_SUMMARY_MAGIC}\t{meta}"]
-    lines.append("engine\tqueries\tmean_precision\tmean_recall\tfailures")
-    for engine in report.engine_names:
-        lines.append(
-            f"{engine}\t{len(report.records[engine])}"
-            f"\t{fixed4(report.mean_precision(engine))}"
-            f"\t{fixed4(report.mean_recall(engine))}"
-            f"\t{report.failures(engine)}"
-        )
+    lines = [f"{_SUMMARY_MAGIC}\t{meta}", *summary_lines(report)]
     (out_dir / "summary.tsv").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
-
-def render_report(report: EvalReport) -> str:
-    """Side-by-side per-query table with a closing mean row per engine."""
-    engines = report.engine_names
-    header = ["query_id", "word"] + [f"{e} P\t{e} R" for e in engines]
-    lines = ["\t".join(header)]
-    by_query: dict[str, dict[str, EvalRecord]] = {}
-    order: list[tuple[str, str]] = []
-    for engine in engines:
-        for rec in report.records[engine]:
-            if rec.query_id not in by_query:
-                order.append((rec.query_id, rec.word))
-            by_query.setdefault(rec.query_id, {})[engine] = rec
-    for query_id, word in order:
-        cells = [query_id, word]
-        for engine in engines:
-            rec = by_query[query_id].get(engine)
-            if rec is None:
-                cells.append("-\t-")
-            else:
-                cells.append(f"{fixed4(rec.precision)}\t{fixed4(rec.recall)}")
-        lines.append("\t".join(cells))
-    cells = ["ALL", "-"]
-    for engine in engines:
-        cells.append(
-            f"{fixed4(report.mean_precision(engine))}"
-            f"\t{fixed4(report.mean_recall(engine))}"
-        )
-    lines.append("\t".join(cells))
-    return "\n".join(lines) + "\n"

@@ -13,19 +13,14 @@ with one lookup per root instead of one per root-mate.
 """
 from __future__ import annotations
 
-import pickle
 from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
-from pathlib import Path
 from typing import Iterable
 
 from .corpus import Document
 from .errors import UnknownRoot
 from .morphology import RootLexicon
-
-_SNAPSHOT_MAGIC = "rootsearch-index"
-_SNAPSHOT_VERSION = 2
 
 
 class IndexMode(Enum):
@@ -84,37 +79,3 @@ def build_index(
             for word in lexicon.words_of(root):
                 entries[word] = ids
     return InvertedIndex(mode, entries, root_postings, len(docs))
-
-
-def save_index(index: InvertedIndex, path: str | Path) -> None:
-    """Write a snapshot (convenience only; rebuilding is cheap)."""
-    payload = {
-        "format": _SNAPSHOT_MAGIC,
-        "version": _SNAPSHOT_VERSION,
-        "mode": index.mode.value,
-        "entries": {key: sorted(ids) for key, ids in sorted(index.entries.items())},
-        "root_postings": {
-            root: list(ids) for root, ids in sorted(index.root_postings.items())
-        },
-        "doc_count": index.doc_count,
-    }
-    Path(path).write_bytes(pickle.dumps(payload, protocol=4))
-
-
-def load_index(path: str | Path) -> InvertedIndex:
-    """Read a snapshot written by ``save_index`` of the same format version.
-
-    Raises:
-        ValueError: the file is not a snapshot of this format version.
-    """
-    payload = pickle.loads(Path(path).read_bytes())
-    if payload.get("format") != _SNAPSHOT_MAGIC or payload.get("version") != _SNAPSHOT_VERSION:
-        raise ValueError(f"not a rootsearch index snapshot: {path}")
-    return InvertedIndex(
-        mode=IndexMode(payload["mode"]),
-        entries={key: set(ids) for key, ids in payload["entries"].items()},
-        root_postings={
-            root: tuple(ids) for root, ids in payload["root_postings"].items()
-        },
-        doc_count=payload["doc_count"],
-    )

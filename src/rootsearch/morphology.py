@@ -254,8 +254,3 @@ def extract_root(word: str, lexicon: RootLexicon) -> str:
     if 3 <= len(stem) <= 4:
         return stem
     raise UnknownRoot(word)
-
-
-def same_root(a: str, b: str, lexicon: RootLexicon) -> bool:
-    """True iff both normalized words resolve to the same root."""
-    return extract_root(a, lexicon) == extract_root(b, lexicon)

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from pathlib import Path
 
 from .corpus import CorpusManifest, Document
 from .errors import OverlayMismatch
@@ -198,25 +197,15 @@ def build_overlay(manifest: CorpusManifest, mode: IndexMode) -> Overlay:
     return Overlay(mode, peers, superpeers, lexicon)
 
 
-def p2p_search(
-    query: Query,
-    overlay: Overlay,
-    origin: str,
-    mode: IndexMode | None = None,
-) -> P2PSearchOutcome:
+def p2p_search(query: Query, overlay: Overlay, origin: str) -> P2PSearchOutcome:
     """Run one query from ``origin`` through the overlay.
 
     The found set is independent of the origin peer; the message log is
     deterministic for a fixed (overlay, query, origin).
 
     Raises:
-        OverlayMismatch: ``mode`` differs from the overlay's build mode.
         ValueError: ``origin`` is not a peer of the overlay.
     """
-    if mode is not None and mode is not overlay.mode:
-        raise OverlayMismatch(
-            f"overlay built in {overlay.mode.value}, search requested {mode.value}"
-        )
     if origin not in overlay.peers:
         raise ValueError(f"unknown origin peer {origin!r}")
     origin_node = overlay.peers[origin]
@@ -256,7 +245,3 @@ def format_message_log(messages: tuple[OverlayMessage, ...]) -> str:
     return "".join(
         f"{m.seq}\t{m.kind}\t{m.src}\t{m.dst}\t{len(m.payload)}\n" for m in messages
     )
-
-
-def write_message_log(messages: tuple[OverlayMessage, ...], path: str | Path) -> None:
-    Path(path).write_text(format_message_log(messages), encoding="utf-8")

@@ -65,15 +65,6 @@ def expansion_terms(query: Query, lexicon: RootLexicon) -> tuple[tuple[str, ...]
     return lexicon.words_of(root), False
 
 
-def expand_query(query: Query, lexicon: RootLexicon) -> list[str]:
-    """All corpus-vocabulary words sharing the query's root, sorted.
-
-    Falls back to ``[query.normalized]`` when no root resolves, so the
-    caller degrades to exact search.
-    """
-    return list(expansion_terms(query, lexicon)[0])
-
-
 def search_expanded(
     query: Query, index: InvertedIndex, lexicon: RootLexicon
 ) -> SearchResult:

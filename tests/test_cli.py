@@ -4,7 +4,6 @@ import pytest
 
 from rootsearch.cli import EXIT_OK, EXIT_VALIDATION, main
 from rootsearch.corpus import tree_digest
-from rootsearch.index import IndexMode, load_index
 
 
 @pytest.fixture()
@@ -51,17 +50,12 @@ class TestGenCorpus:
         assert tree_digest(tmp_path / "a") == tree_digest(tmp_path / "b")
 
 
-class TestBuildIndex:
-    def test_snapshot_roundtrip(self, micro_args, tmp_path, capsys):
-        out = tmp_path / "snap.bin"
-        code = main(
-            ["build-index", "--corpus", str(micro_args), "--mode", "advanced",
-             "--out", str(out)]
-        )
-        assert code == EXIT_OK
-        index = load_index(out)
-        assert index.mode is IndexMode.ADVANCED
-        assert index.doc_count == 6
+class TestParser:
+    def test_build_index_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["build-index"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'build-index'" in capsys.readouterr().err
 
 
 class TestQuery:
@@ -103,6 +97,19 @@ class TestQuery:
         assert "warning" in captured.err
         assert "found (0):" in captured.out
 
+    @pytest.mark.parametrize(
+        "engine,warns",
+        [("baseline", False), ("expanded", True), ("p2p-simple", False), ("p2p-advanced", True)],
+    )
+    def test_absent_root_warns_root_aware_engines(self, micro_args, capsys, engine, warns):
+        # زخرف resolves to a root (by light stemming) that no corpus word has
+        code = main(["query", "زخرف", "--corpus", str(micro_args), "--engine", engine])
+        captured = capsys.readouterr()
+        assert code == EXIT_OK
+        warning = "warning: the root of 'زخرف' has no words in the corpus\n"
+        assert captured.err == (warning if warns else "")
+        assert "found (0):" in captured.out
+
     def test_multi_word_query_rejected(self, micro_args, capsys):
         code = main(["query", "كتاب جديد", "--corpus", str(micro_args)])
         assert code == EXIT_VALIDATION
@@ -124,6 +131,15 @@ class TestRunEvalAndReport:
         }
         assert "baseline\t2\t1.0000\t0.3333\t0" in out
         assert "expanded\t2\t1.0000\t1.0000\t0" in out
+
+    def test_stdout_table_is_summary_body(self, micro_args, tmp_path, capsys):
+        results = tmp_path / "results"
+        assert main(["run-eval", "--corpus", str(micro_args), "--out", str(results)]) == EXIT_OK
+        out = capsys.readouterr().out.splitlines()
+        summary = (results / "summary.tsv").read_text("utf-8").splitlines()
+        assert out[0].startswith("corpus digest: ")
+        assert out[1:-1] == summary[1:]
+        assert out[-1] == f"results written to {results}"
 
     def test_engine_selection(self, micro_args, tmp_path):
         results = tmp_path / "results"
@@ -150,8 +166,32 @@ class TestRunEvalAndReport:
         assert code == EXIT_OK
         lines = out.splitlines()
         assert lines[0].startswith("query_id\tword")
-        assert lines[-1].startswith("ALL\t")
+        assert len(lines) == 1 + 2 + 1
+        summary = (results / "summary.tsv").read_text("utf-8").splitlines()[2:]
+        means = [cell for row in summary for cell in row.split("\t")[2:4]]
+        assert lines[-1].split("\t") == ["ALL", "-", *means]
 
     def test_missing_corpus_is_infrastructure_error(self, tmp_path, capsys):
         code = main(["run-eval", "--corpus", str(tmp_path / "nope")])
         assert code == 2
+
+
+class TestCorpusLoadErrors:
+    @pytest.mark.parametrize("name", ["manifest.tsv", "queries.tsv"])
+    def test_empty_file_names_line(self, micro_args, tmp_path, capsys, name):
+        (micro_args / name).write_text("", encoding="utf-8")
+        code = main(["run-eval", "--corpus", str(micro_args), "--out", str(tmp_path / "r")])
+        err = capsys.readouterr().err
+        assert code == EXIT_VALIDATION
+        assert f"{micro_args / name}:1: empty file" in err
+
+    @pytest.mark.parametrize("name,width", [("manifest.tsv", 4), ("queries.tsv", 3)])
+    def test_short_row_names_line(self, micro_args, tmp_path, capsys, name, width):
+        path = micro_args / name
+        lines = path.read_text("utf-8").splitlines()
+        lines[2] = lines[2].rsplit("\t", 1)[0]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code = main(["run-eval", "--corpus", str(micro_args), "--out", str(tmp_path / "r")])
+        err = capsys.readouterr().err
+        assert code == EXIT_VALIDATION
+        assert f"{path}:3: expected {width} tab-separated fields, got {width - 1}" in err

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from rootsearch.cli import EXIT_OK, main
 from rootsearch.corpus import manifest_digest
 from rootsearch.errors import UnknownRoot
 from rootsearch.evaluation import (
@@ -14,7 +15,6 @@ from rootsearch.evaluation import (
     make_record,
     precision,
     recall,
-    render_report,
     run_evaluation,
     write_report,
 )
@@ -201,12 +201,23 @@ class TestWriteReport:
 
 
 class TestRenderReport:
-    def test_side_by_side_with_mean_row(self, micro_report):
-        text = render_report(micro_report)
-        lines = text.splitlines()
+    def test_side_by_side_with_mean_row(self, micro_report, tmp_path, capsys):
+        write_report(micro_report, tmp_path)
+        capsys.readouterr()
+        assert main(["report", "--results", str(tmp_path)]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
         assert lines[0].split("\t")[:2] == ["query_id", "word"]
         assert lines[-1].startswith("ALL\t")
         assert "1.0000" in lines[-1]
+        means = [
+            fixed4(mean)
+            for engine in micro_report.engine_names
+            for mean in (
+                micro_report.mean_precision(engine),
+                micro_report.mean_recall(engine),
+            )
+        ]
+        assert lines[-1].split("\t") == ["ALL", "-", *means]
 
 
 class TestEngineResultShape:

@@ -14,7 +14,6 @@ from rootsearch.p2p import (
     build_overlay,
     format_message_log,
     p2p_search,
-    write_message_log,
 )
 from rootsearch.search import P2P_ADVANCED, P2P_SIMPLE, Query, search_exact, search_expanded
 
@@ -114,10 +113,6 @@ class TestP2PSearch:
         assert outcome.result.found == ()
         assert outcome.peers_contacted == 0
 
-    def test_mode_mismatch_rejected(self, overlay_simple):
-        with pytest.raises(OverlayMismatch):
-            p2p_search(Query.parse("q", "لعب"), overlay_simple, "peer-1", IndexMode.ADVANCED)
-
     def test_unknown_origin_rejected(self, overlay_simple):
         with pytest.raises(ValueError):
             p2p_search(Query.parse("q", "لعب"), overlay_simple, "peer-9")
@@ -203,7 +198,7 @@ class TestMessageLog:
             if msg.kind == KIND_QUERY_FORWARD:
                 assert msg.dst in overlay_advanced.superpeers[msg.src].children
 
-    def test_export_format(self, outcome, tmp_path):
+    def test_export_format(self, outcome):
         text = format_message_log(outcome.messages)
         lines = text.splitlines()
         assert len(lines) == len(outcome.messages)
@@ -211,6 +206,3 @@ class TestMessageLog:
             seq, kind, src, dst, size = line.split("\t")
             assert seq.isdigit() and size.isdigit()
             assert kind in (KIND_QUERY_UP, KIND_QUERY_FORWARD, KIND_RESULTS_BACK)
-        path = tmp_path / "log.tsv"
-        write_message_log(outcome.messages, path)
-        assert path.read_text("utf-8") == text

@@ -9,7 +9,7 @@ from rootsearch.search import (
     BASELINE,
     EXPANDED,
     Query,
-    expand_query,
+    expansion_terms,
     search_exact,
     search_expanded,
 )
@@ -55,17 +55,18 @@ class TestSearchExact:
 
 class TestExpandQuery:
     def test_corpus_word_expands_to_whole_group(self, manifest, lexicon):
-        terms = expand_query(Query.parse("q", "يلعبون"), lexicon)
+        terms, degraded = expansion_terms(Query.parse("q", "يلعبون"), lexicon)
+        assert not degraded
         assert len(terms) == 100
-        assert terms == sorted(terms)
+        assert list(terms) == sorted(terms)
         assert set(terms) == set(lexicon.words_of("لعب"))
         assert "يلعبون" in terms
 
     def test_unresolvable_degrades_to_itself(self, lexicon):
-        assert expand_query(Query.parse("q", "فه"), lexicon) == ["فه"]
+        assert expansion_terms(Query.parse("q", "فه"), lexicon) == (("فه",), True)
 
     def test_resolved_but_absent_root_expands_to_nothing(self, lexicon):
-        assert expand_query(Query.parse("q", "زخرف"), lexicon) == []
+        assert expansion_terms(Query.parse("q", "زخرف"), lexicon) == ((), False)
 
 
 class TestSearchExpanded:
