@@ -20,7 +20,7 @@ from .corpus import (
     load_manifest,
     manifest_digest,
 )
-from .errors import RootSearchError
+from .errors import CorpusSpecError, RootSearchError
 from .evaluation import build_engines, run_evaluation, summary_lines, write_report
 from .index import IndexMode, build_index
 from .p2p import build_overlay, format_message_log, p2p_search
@@ -52,6 +52,9 @@ def _resolve_spec(args: argparse.Namespace) -> CorpusSpec:
     peers = args.peers
     if peers is None:
         peers = max(k for k in range(1, _DEFAULT_PEERS + 1) if args.roots % k == 0)
+    elif peers < 1:
+        # checked here: roots_per_peer below divides by it
+        raise CorpusSpecError(f"--peers must be at least 1, got {peers}")
     super_peers = args.super_peers
     if super_peers is None:
         super_peers = max(m for m in range(1, _DEFAULT_SUPERPEERS + 1) if peers % m == 0)

@@ -298,6 +298,17 @@ def _parse_header(lines: list[str], path: Path, magic: str) -> dict[str, str]:
     return fields
 
 
+def _header_field(fields: dict[str, str], name: str, path: Path, convert=str):
+    try:
+        return convert(fields[name])
+    except KeyError:
+        raise CorpusSpecError(f"{path}:1: header has no {name!r} field") from None
+    except ValueError:
+        raise CorpusSpecError(
+            f"{path}:1: header field {name}={fields[name]!r} is not an integer"
+        ) from None
+
+
 def _bad_row(path: Path, lineno: int, line: str, width: int) -> CorpusSpecError:
     got = line.count("\t") + 1
     return CorpusSpecError(f"{path}:{lineno}: expected {width} tab-separated fields, got {got}")
@@ -307,20 +318,22 @@ def load_manifest(corpus_dir: str | Path) -> CorpusManifest:
     """Reload a generated corpus from its manifest and query files.
 
     Raises:
-        CorpusSpecError: a file is empty or a row has the wrong field count;
-            the message names the file and the 1-based line.
+        CorpusSpecError: a file is empty, the manifest header lacks a field
+            or holds a non-integer count, a row has the wrong field count,
+            or ``queries.tsv`` holds no queries; the message names the file,
+            and the 1-based line where there is one.
     """
     corpus_dir = Path(corpus_dir)
     manifest_path = corpus_dir / MANIFEST_NAME
     manifest_lines = manifest_path.read_text("utf-8").splitlines()
     fields = _parse_header(manifest_lines, manifest_path, _MANIFEST_MAGIC)
     spec = CorpusSpec(
-        root_count=int(fields["roots"]),
-        words_per_root=int(fields["words_per_root"]),
-        peer_count=int(fields["peers"]),
-        superpeer_count=int(fields["super_peers"]),
-        roots_per_peer=int(fields["roots_per_peer"]),
-        seed=int(fields["seed"]),
+        root_count=_header_field(fields, "roots", manifest_path, int),
+        words_per_root=_header_field(fields, "words_per_root", manifest_path, int),
+        peer_count=_header_field(fields, "peers", manifest_path, int),
+        superpeer_count=_header_field(fields, "super_peers", manifest_path, int),
+        roots_per_peer=_header_field(fields, "roots_per_peer", manifest_path, int),
+        seed=_header_field(fields, "seed", manifest_path, int),
     )
     documents = []
     for lineno, line in enumerate(manifest_lines[1:], 2):
@@ -344,13 +357,15 @@ def load_manifest(corpus_dir: str | Path) -> CorpusManifest:
         except ValueError:
             raise _bad_row(queries_path, lineno, line, 3) from None
         queries.append(QueryEntry(query_id, word, root))
+    if not queries:
+        raise CorpusSpecError(f"{queries_path}: no queries after the header line")
 
     return CorpusManifest(
         spec=spec,
         documents=tuple(documents),
         roots=tuple(sorted({d.root for d in documents})),
         queries=tuple(queries),
-        patterns_version=fields["patterns"],
+        patterns_version=_header_field(fields, "patterns", manifest_path),
     )
 
 

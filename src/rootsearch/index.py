@@ -10,6 +10,10 @@ anything themselves.
 Both modes also keep ``root_postings``: each root of the indexed documents
 mapped to the sorted ids of those documents. It answers a root-aware query
 with one lookup per root instead of one per root-mate.
+
+The centralized engines search one SIMPLE index over the whole corpus.
+Overlay peers build no index here: each keeps one key map of its own (see
+``p2p``).
 """
 from __future__ import annotations
 

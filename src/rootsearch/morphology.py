@@ -189,9 +189,6 @@ class RootLexicon:
     def has_root(self, root: str) -> bool:
         return root in self._words_of
 
-    def roots(self) -> frozenset[str]:
-        return frozenset(self._words_of)
-
     def vocabulary(self) -> frozenset[str]:
         return frozenset(self._root_of)
 

@@ -1,38 +1,38 @@
 """Simulated super-peer overlay with full message accounting.
 
-Peers hold document shards with local indexes; each super-peer keeps one
-summary per child (SIMPLE: the child's surface words; ADVANCED: the roots
-of its shard) and routes queries by matching against those summaries.
+Each peer holds one postings map from key to the doc ids of its shard, and
+each super-peer keeps one summary per child: the keys of that child's map.
+The overlay's mode picks the key once, for every node: a document's word in
+SIMPLE mode, its root in ADVANCED mode. ``Overlay.keys_of`` is the one
+resolver from a payload's words to those keys, and the origin, super-peers
+and peers all call it.
 
 Routing for one query, all on a deterministic FIFO message queue:
 
-1. the origin peer answers from its local index, then sends QUERY_UP to
-   its super-peer with the query's key set (the single word in SIMPLE
+1. the origin peer answers from its own postings, then sends QUERY_UP to
+   its super-peer with the query's term set (the single word in SIMPLE
    mode; every root-mate term in ADVANCED mode, expanded at the origin)
 2. the super-peer forwards (QUERY_FORWARD) to each child whose summary
-   matches the key set, and passes the query on (QUERY_UP) to its sibling
-   super-peers so the other half of the network is reachable; siblings
-   match their own children but do not re-flood
+   holds one of the payload's keys, and passes the query on (QUERY_UP) to
+   its sibling super-peers so the other half of the network is reachable;
+   siblings match their own children but do not re-flood
 3. every request is answered by exactly one RESULTS_BACK carrying doc
    ids; super-peers gather their children's and siblings' answers before
    replying, and the union arrives back at the origin
 
-In ADVANCED mode the payload still carries every root-mate term, but
-super-peers and peers both work on roots: each resolves the incoming term
-set to its distinct roots in one pass through the shared lexicon. The
-super-peer matches those roots against its summaries, and the peer unions
-one root posting of its local index per root. All terms of one query share
-a root, which is why the default block assignment forwards to exactly one
-peer.
+In ADVANCED mode the payload still carries every root-mate term; each node
+resolves it to its distinct roots in one pass through the shared lexicon.
+All terms of one query share a root, which is why the default block
+assignment forwards to exactly one peer.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
+from typing import Iterable
 
-from .corpus import CorpusManifest, Document
+from .corpus import CorpusManifest
 from .errors import OverlayMismatch
-from .index import IndexMode, InvertedIndex, build_index
+from .index import IndexMode
 from .morphology import RootLexicon
 from .search import P2P_ADVANCED, P2P_SIMPLE, Query, SearchResult, expansion_terms
 
@@ -51,47 +51,31 @@ class OverlayMessage:
 
 
 class Transport:
-    """FIFO in-process delivery with a complete send log."""
+    """In-process delivery; the send log doubles as the FIFO queue."""
 
     def __init__(self) -> None:
-        self._queue: deque[OverlayMessage] = deque()
         self.log: list[OverlayMessage] = []
 
     def send(self, kind: str, src: str, dst: str, payload: tuple[str, ...]) -> None:
-        message = OverlayMessage(len(self.log) + 1, kind, src, dst, tuple(payload))
-        self.log.append(message)
-        self._queue.append(message)
-
-    def pop(self) -> OverlayMessage:
-        return self._queue.popleft()
-
-    def pending(self) -> bool:
-        return bool(self._queue)
+        self.log.append(OverlayMessage(len(self.log) + 1, kind, src, dst, tuple(payload)))
 
 
 @dataclass(eq=False)
 class PeerNode:
     peer_id: str
     parent: str
-    shard: tuple[Document, ...]
-    index: InvertedIndex
-    lexicon: RootLexicon
+    postings: dict[str, list[str]]
 
-    def execute(self, terms: tuple[str, ...]) -> set[str]:
-        """Local documents matching any term: by word in SIMPLE mode, by the
-        terms' roots in ADVANCED mode."""
-        if self.index.mode is IndexMode.ADVANCED:
-            postings, keys = self.index.root_postings, self.lexicon.roots_of(terms)
-        else:
-            postings, keys = self.index.entries, terms
+    def execute(self, keys: Iterable[str | None]) -> set[str]:
+        """Local documents filed under any of ``keys``."""
         found: set[str] = set()
         for key in keys:
-            found.update(postings.get(key, ()))
+            found.update(self.postings.get(key, ()))
         return found
 
-    def handle(self, message: OverlayMessage, transport: Transport) -> None:
+    def handle(self, message: OverlayMessage, transport: Transport, overlay: "Overlay") -> None:
         # Peers only ever receive query forwards; they answer the sender.
-        found = self.execute(message.payload)
+        found = self.execute(overlay.keys_of(message.payload))
         transport.send(
             KIND_RESULTS_BACK, self.peer_id, message.src, tuple(sorted(found))
         )
@@ -103,11 +87,7 @@ class SuperPeer:
     children: tuple[str, ...]
     summary: dict[str, frozenset[str]]
 
-    def matching_children(self, terms: tuple[str, ...], overlay: "Overlay") -> list[str]:
-        if overlay.mode is IndexMode.SIMPLE:
-            keys = set(terms)
-        else:
-            keys = overlay.lexicon.roots_of(terms)
+    def matching_children(self, keys: set[str | None]) -> list[str]:
         return [child for child in self.children if keys & self.summary[child]]
 
     def handle(
@@ -132,7 +112,7 @@ class SuperPeer:
 
         # QUERY_UP: from the origin peer, or flooded over from a sibling.
         from_peer = message.src in overlay.peers
-        targets = self.matching_children(message.payload, overlay)
+        targets = self.matching_children(overlay.keys_of(message.payload))
         siblings = (
             [sp for sp in sorted(overlay.superpeers) if sp != self.superpeer_id]
             if from_peer
@@ -158,6 +138,14 @@ class Overlay:
     superpeers: dict[str, SuperPeer]
     lexicon: RootLexicon
 
+    def keys_of(self, words: Iterable[str]) -> set[str | None]:
+        """The distinct keys of ``words``: the words themselves in SIMPLE
+        mode, their roots in ADVANCED mode (None for a word outside the
+        lexicon, which no peer files anything under)."""
+        if self.mode is IndexMode.ADVANCED:
+            return self.lexicon.roots_of(words)
+        return set(words)
+
 
 @dataclass(frozen=True)
 class P2PSearchOutcome:
@@ -167,15 +155,18 @@ class P2PSearchOutcome:
 
 
 def build_overlay(manifest: CorpusManifest, mode: IndexMode) -> Overlay:
-    """Build peers, local indexes and super-peer summaries from the manifest.
+    """Build peers, their postings and super-peer summaries from the manifest.
+
+    Each document is filed under its word (SIMPLE) or its root (ADVANCED);
+    the manifest's lexicon maps every word to that root by construction.
 
     Raises:
         OverlayMismatch: the manifest's peer assignment does not match its
             own spec (missing peer or wrong shard size).
     """
     spec = manifest.spec
-    lexicon = manifest.lexicon
     shard_size = spec.roots_per_peer * spec.words_per_root
+    by_root = mode is IndexMode.ADVANCED
     peers: dict[str, PeerNode] = {}
     superpeers: dict[str, SuperPeer] = {}
     for sp_id, children in manifest.superpeer_children().items():
@@ -186,15 +177,13 @@ def build_overlay(manifest: CorpusManifest, mode: IndexMode) -> Overlay:
                 raise OverlayMismatch(
                     f"{peer_id} holds {len(shard)} documents, spec says {shard_size}"
                 )
-            peers[peer_id] = PeerNode(
-                peer_id, sp_id, shard, build_index(shard, mode, lexicon), lexicon
-            )
-            if mode is IndexMode.SIMPLE:
-                summary[peer_id] = frozenset(doc.word for doc in shard)
-            else:
-                summary[peer_id] = frozenset(doc.root for doc in shard)
+            postings: dict[str, list[str]] = {}
+            for doc in shard:
+                postings.setdefault(doc.root if by_root else doc.word, []).append(doc.doc_id)
+            peers[peer_id] = PeerNode(peer_id, sp_id, postings)
+            summary[peer_id] = frozenset(postings)
         superpeers[sp_id] = SuperPeer(sp_id, children, summary)
-    return Overlay(mode, peers, superpeers, lexicon)
+    return Overlay(mode, peers, superpeers, manifest.lexicon)
 
 
 def p2p_search(query: Query, overlay: Overlay, origin: str) -> P2PSearchOutcome:
@@ -212,29 +201,26 @@ def p2p_search(query: Query, overlay: Overlay, origin: str) -> P2PSearchOutcome:
 
     if overlay.mode is IndexMode.ADVANCED:
         terms, degraded = expansion_terms(query, overlay.lexicon)
+        engine, expanded = P2P_ADVANCED, terms
     else:
         terms, degraded = (query.normalized,), False
+        engine, expanded = P2P_SIMPLE, ()
 
-    found = origin_node.execute(terms)
+    found = origin_node.execute(overlay.keys_of(terms))
     transport = Transport()
     transport.send(KIND_QUERY_UP, origin, origin_node.parent, terms)
     gather: dict[str, dict] = {}
-    while transport.pending():
-        message = transport.pop()
+    # handlers append to the log while it is walked, so this drains the queue
+    for message in transport.log:
         if message.dst == origin and message.kind == KIND_RESULTS_BACK:
             found.update(message.payload)
         elif message.dst in overlay.peers:
-            overlay.peers[message.dst].handle(message, transport)
+            overlay.peers[message.dst].handle(message, transport, overlay)
         else:
             overlay.superpeers[message.dst].handle(message, transport, overlay, gather)
 
-    engine = P2P_ADVANCED if overlay.mode is IndexMode.ADVANCED else P2P_SIMPLE
     result = SearchResult(
-        query.query_id,
-        engine,
-        tuple(sorted(found)),
-        terms if overlay.mode is IndexMode.ADVANCED else (),
-        degraded=degraded,
+        query.query_id, engine, tuple(sorted(found)), expanded, degraded=degraded
     )
     contacted = {m.dst for m in transport.log if m.kind == KIND_QUERY_FORWARD}
     return P2PSearchOutcome(result, tuple(transport.log), len(contacted))

@@ -1,6 +1,8 @@
 """Shared fixtures: one default 10,000-document corpus per session, plus
-the indexes, overlays and evaluation report built from it, and a small
-scaled-down corpus for cheap unit tests."""
+the indexes, overlays and evaluation report built from it, seeded noisy
+query words, and a small scaled-down corpus for cheap unit tests."""
+
+import random
 
 import pytest
 
@@ -65,6 +67,28 @@ def overlay_simple(manifest):
 @pytest.fixture(scope="session")
 def overlay_advanced(manifest):
     return build_overlay(manifest, IndexMode.ADVANCED)
+
+
+_PREFIXES = ("", "و", "ف", "ال", "وال", "بال", "لل")
+_SUFFIXES = ("", "ها", "هم", "كم", "نا", "ه", "ات", "ون")
+_DIACRITICS = ("َ", "ُ", "ِ", "ْ", "ّ", "ـ")
+
+
+@pytest.fixture(scope="session")
+def noisy_words(lexicon):
+    """2,000 seeded noisy variants of vocabulary words, and two edge cases.
+
+    Each variant wraps a word in clitics and sprinkles diacritics and
+    tatweel over it. Of the variants, 20 degrade to exact search and 100
+    resolve to a root absent from the corpus.
+    """
+    rng = random.Random(2011)
+    noisy = []
+    for word in rng.sample(sorted(lexicon.vocabulary()), 2000):
+        wrapped = rng.choice(_PREFIXES) + word + rng.choice(_SUFFIXES)
+        noisy.append("".join(ch + rng.choice(("",) + _DIACRITICS) for ch in wrapped))
+    # فه resolves to no root (degraded); زخرف resolves to a root absent from the corpus
+    return noisy + ["فه", "زخرف"]
 
 
 @pytest.fixture(scope="session")

@@ -41,6 +41,13 @@ class TestGenCorpus:
         assert code == EXIT_VALIDATION
         assert "root_count must equal peer_count * roots_per_peer" in err
 
+    def test_zero_peers_is_a_spec_error(self, tmp_path, capsys):
+        code = main(["gen-corpus", "--peers", "0", "--out", str(tmp_path / "c")])
+        err = capsys.readouterr().err
+        assert code == EXIT_VALIDATION
+        assert err == "error: --peers must be at least 1, got 0\n"
+        assert not (tmp_path / "c").exists()
+
     def test_rerun_same_seed_byte_identical(self, tmp_path):
         for name in ("a", "b"):
             assert main(
@@ -195,3 +202,34 @@ class TestCorpusLoadErrors:
         err = capsys.readouterr().err
         assert code == EXIT_VALIDATION
         assert f"{path}:3: expected {width} tab-separated fields, got {width - 1}" in err
+
+    def test_header_only_queries_file_is_rejected(self, micro_args, tmp_path, capsys):
+        path = micro_args / "queries.tsv"
+        path.write_text(path.read_text("utf-8").splitlines()[0] + "\n", encoding="utf-8")
+        code = main(["run-eval", "--corpus", str(micro_args), "--out", str(tmp_path / "r")])
+        err = capsys.readouterr().err
+        assert code == EXIT_VALIDATION
+        assert err == f"error: {path}: no queries after the header line\n"
+
+    @pytest.mark.parametrize(
+        "field,replacement,message",
+        [
+            ("roots", "", "header has no 'roots' field"),
+            ("peers", "peers=four", "header field peers='four' is not an integer"),
+            ("patterns", "", "header has no 'patterns' field"),
+        ],
+        ids=["missing-roots", "non-integer-peers", "missing-patterns"],
+    )
+    def test_bad_manifest_header_names_line_and_field(
+        self, micro_args, tmp_path, capsys, field, replacement, message
+    ):
+        path = micro_args / "manifest.tsv"
+        lines = path.read_text("utf-8").splitlines()
+        header = lines[0].split("\t")
+        header = [replacement if cell.startswith(f"{field}=") else cell for cell in header]
+        lines[0] = "\t".join(cell for cell in header if cell)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code = main(["run-eval", "--corpus", str(micro_args), "--out", str(tmp_path / "r")])
+        err = capsys.readouterr().err
+        assert code == EXIT_VALIDATION
+        assert err == f"error: {path}:1: {message}\n"

@@ -1,6 +1,7 @@
 """Overlay topology, routing behavior and message accounting."""
 
 import dataclasses
+from operator import attrgetter
 
 import pytest
 
@@ -11,6 +12,7 @@ from rootsearch.p2p import (
     KIND_QUERY_FORWARD,
     KIND_QUERY_UP,
     KIND_RESULTS_BACK,
+    PeerNode,
     build_overlay,
     format_message_log,
     p2p_search,
@@ -25,32 +27,41 @@ class TestBuildOverlay:
         assert overlay_simple.superpeers["sp-1"].children == ("peer-1", "peer-2")
         assert overlay_simple.superpeers["sp-2"].children == ("peer-3", "peer-4")
         for peer in overlay_simple.peers.values():
-            assert len(peer.shard) == 2500
+            assert sum(map(len, peer.postings.values())) == 2500
 
-    def test_simple_summaries_are_word_sets(self, overlay_simple):
+    def test_simple_summaries_are_word_sets(self, manifest, overlay_simple):
         for sp in overlay_simple.superpeers.values():
             for child, summary in sp.summary.items():
-                assert summary == {d.word for d in overlay_simple.peers[child].shard}
+                assert summary == {d.word for d in manifest.docs_by_peer[child]}
                 assert len(summary) == 2500
 
-    def test_advanced_summaries_are_root_sets(self, overlay_advanced):
+    def test_advanced_summaries_are_root_sets(self, manifest, overlay_advanced):
         for sp in overlay_advanced.superpeers.values():
             union = set()
             for child, summary in sp.summary.items():
                 assert len(summary) == 25
-                assert summary == {
-                    d.root for d in overlay_advanced.peers[child].shard
-                }
+                assert summary == {d.root for d in manifest.docs_by_peer[child]}
                 union |= summary
             assert len(union) == 50
 
-    def test_local_indexes_match_mode(self, overlay_simple, overlay_advanced):
-        assert all(
-            p.index.mode is IndexMode.SIMPLE for p in overlay_simple.peers.values()
-        )
-        assert all(
-            p.index.mode is IndexMode.ADVANCED for p in overlay_advanced.peers.values()
-        )
+    def test_peer_postings_file_each_document_once(
+        self, manifest, overlay_simple, overlay_advanced
+    ):
+        assert [f.name for f in dataclasses.fields(PeerNode)] == [
+            "peer_id", "parent", "postings"
+        ]
+        for overlay, key in (
+            (overlay_simple, attrgetter("word")),
+            (overlay_advanced, attrgetter("root")),
+        ):
+            for peer_id, peer in overlay.peers.items():
+                filed = sorted(
+                    (k, doc_id) for k, ids in peer.postings.items() for doc_id in ids
+                )
+                expected = sorted(
+                    (key(d), d.doc_id) for d in manifest.docs_by_peer[peer_id]
+                )
+                assert filed == expected, (overlay.mode, peer_id)
 
     def test_shard_mismatch_rejected(self, micro_corpus):
         _, manifest = micro_corpus
@@ -136,6 +147,22 @@ class TestCentralizedEquivalence:
             routed = p2p_search(query, overlay_advanced, "peer-1").result.found
             central = search_expanded(query, simple_index, lexicon).found
             assert routed == central
+
+    def test_noisy_words_cross_both_overlays_unchanged(
+        self, noisy_words, overlay_simple, overlay_advanced, simple_index, lexicon
+    ):
+        origins = sorted(overlay_simple.peers)
+        for i, word in enumerate(noisy_words):
+            query = Query.parse(f"n{i}", word)
+            origin = origins[i % len(origins)]
+            assert (
+                p2p_search(query, overlay_simple, origin).result.found
+                == search_exact(query, simple_index).found
+            ), word
+            assert (
+                p2p_search(query, overlay_advanced, origin).result.found
+                == search_expanded(query, simple_index, lexicon).found
+            ), word
 
 
 class TestDegenerateTopology:

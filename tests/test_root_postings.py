@@ -3,21 +3,17 @@
 The reference below is the pre-root-postings retrieval: expand the query
 to its sorted root-mates, then union one exact-key posting per term.
 Root-mates are regrouped here from the raw vocabulary, independently of
-the lexicon's cached word tuples.
+the lexicon's cached word tuples. Overlay peers are checked against the
+same union over an index built from their shard in the test itself.
 """
-
-import random
 
 import pytest
 
 from rootsearch.errors import UnknownRoot
+from rootsearch.index import IndexMode, build_index
 from rootsearch.morphology import extract_root
 from rootsearch.p2p import KIND_QUERY_FORWARD, KIND_QUERY_UP, p2p_search
 from rootsearch.search import Query, expansion_terms, search_expanded
-
-_PREFIXES = ("", "و", "ف", "ال", "وال", "بال", "لل")
-_SUFFIXES = ("", "ها", "هم", "كم", "نا", "ه", "ات", "ون")
-_DIACRITICS = ("َ", "ُ", "ِ", "ْ", "ّ", "ـ")
 
 
 @pytest.fixture(scope="module")
@@ -29,20 +25,18 @@ def mates_by_root(lexicon):
 
 
 @pytest.fixture(scope="module")
-def probe_words(lexicon):
-    """Every vocabulary word, 2,000 seeded noisy variants, and two edge cases.
+def probe_words(lexicon, noisy_words):
+    """Every vocabulary word, then the seeded noisy words and edge cases."""
+    return sorted(lexicon.vocabulary()) + noisy_words
 
-    Of the noisy variants, 20 degrade to exact search and 100 resolve to a
-    root absent from the corpus.
-    """
+
+@pytest.fixture(scope="module")
+def mixed_payloads(lexicon):
+    """Payloads mixing roots and unknown words, which one query never sends."""
     vocabulary = sorted(lexicon.vocabulary())
-    rng = random.Random(2011)
-    noisy = []
-    for word in rng.sample(vocabulary, 2000):
-        wrapped = rng.choice(_PREFIXES) + word + rng.choice(_SUFFIXES)
-        noisy.append("".join(ch + rng.choice(("",) + _DIACRITICS) for ch in wrapped))
-    # فه resolves to no root (degraded); زخرف resolves to a root absent from the corpus
-    return vocabulary + noisy + ["فه", "زخرف"]
+    return [
+        ("فه", vocabulary[k], vocabulary[-1 - k]) for k in range(0, len(vocabulary), 97)
+    ]
 
 
 def union_of_terms(terms, index):
@@ -84,22 +78,35 @@ def test_search_expanded_equals_per_term_union(
         ), word
 
 
+def assert_peers_answer_like_shard_index(overlay, mode, term_sets, manifest, lexicon):
+    for peer_id, peer in overlay.peers.items():
+        index = build_index(manifest.docs_by_peer[peer_id], mode, lexicon)
+        for terms in term_sets:
+            assert peer.execute(overlay.keys_of(terms)) == union_of_terms(terms, index), (
+                terms,
+                peer_id,
+            )
+
+
 def test_advanced_peer_execute_equals_per_term_union(
-    probe_words, overlay_advanced, lexicon
+    probe_words, mixed_payloads, manifest, overlay_advanced, lexicon
 ):
-    peers = list(overlay_advanced.peers.values())
     term_sets = [
         expansion_terms(Query.parse(f"q{i}", word), lexicon)[0]
         for i, word in enumerate(probe_words)
     ]
-    # payloads mixing roots and unknown words, which one query never sends
-    vocabulary = sorted(lexicon.vocabulary())
-    term_sets += [
-        ("فه", vocabulary[k], vocabulary[-1 - k]) for k in range(0, len(vocabulary), 97)
-    ]
-    for terms in term_sets:
-        for peer in peers:
-            assert peer.execute(terms) == union_of_terms(terms, peer.index), (terms, peer.peer_id)
+    assert_peers_answer_like_shard_index(
+        overlay_advanced, IndexMode.ADVANCED, term_sets + mixed_payloads, manifest, lexicon
+    )
+
+
+def test_simple_peer_execute_equals_per_term_union(
+    probe_words, mixed_payloads, manifest, overlay_simple, lexicon
+):
+    term_sets = [(Query.parse(f"q{i}", word).normalized,) for i, word in enumerate(probe_words)]
+    assert_peers_answer_like_shard_index(
+        overlay_simple, IndexMode.SIMPLE, term_sets + mixed_payloads, manifest, lexicon
+    )
 
 
 def test_advanced_query_payloads_carry_all_sorted_root_mates(
