@@ -23,7 +23,7 @@ from .corpus import (
 from .errors import CorpusSpecError, RootSearchError
 from .evaluation import build_engines, run_evaluation, summary_lines, write_report
 from .index import IndexMode, build_index
-from .p2p import build_overlay, format_message_log, p2p_search
+from .p2p import ENGINE_MODES, build_overlay, format_message_log, p2p_search
 from .search import (
     BASELINE,
     ENGINES,
@@ -95,8 +95,7 @@ def cmd_query(args: argparse.Namespace) -> int:
         else:
             result = search_expanded(query, index, manifest.lexicon)
     else:
-        mode = IndexMode.SIMPLE if args.engine == "p2p-simple" else IndexMode.ADVANCED
-        overlay = build_overlay(manifest, mode)
+        overlay = build_overlay(manifest, ENGINE_MODES[args.engine])
         outcome = p2p_search(query, overlay, args.origin)
         result = outcome.result
         messages = outcome.messages

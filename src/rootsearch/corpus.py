@@ -314,14 +314,35 @@ def _bad_row(path: Path, lineno: int, line: str, width: int) -> CorpusSpecError:
     return CorpusSpecError(f"{path}:{lineno}: expected {width} tab-separated fields, got {got}")
 
 
+def _repeated_doc_id(path: Path, lines: list[str]) -> CorpusSpecError:
+    """The error naming the first repeated doc id of manifest ``lines``.
+
+    Walked only once a repeat is known, so loading a sound manifest costs
+    one set of its ids, not a lookup per row.
+    """
+    first_line: dict[str, int] = {}
+    for lineno, line in enumerate(lines[1:], 2):
+        if not line.strip():
+            continue
+        doc_id = line.split("\t", 1)[0]
+        if doc_id in first_line:
+            return CorpusSpecError(
+                f"{path}:{lineno}: doc id {doc_id!r} repeats line {first_line[doc_id]}"
+            )
+        first_line[doc_id] = lineno
+    raise AssertionError("unreachable")
+
+
 def load_manifest(corpus_dir: str | Path) -> CorpusManifest:
     """Reload a generated corpus from its manifest and query files.
 
     Raises:
         CorpusSpecError: a file is empty, the manifest header lacks a field
             or holds a non-integer count, a row has the wrong field count,
-            or ``queries.tsv`` holds no queries; the message names the file,
-            and the 1-based line where there is one.
+            a doc id repeats, the manifest holds no documents or a number
+            other than ``roots x words_per_root``, or ``queries.tsv`` holds
+            no queries; the message names the file, and the 1-based line
+            where there is one.
     """
     corpus_dir = Path(corpus_dir)
     manifest_path = corpus_dir / MANIFEST_NAME
@@ -344,6 +365,16 @@ def load_manifest(corpus_dir: str | Path) -> CorpusManifest:
         except ValueError:
             raise _bad_row(manifest_path, lineno, line, 4) from None
         documents.append(Document(doc_id, word, root, peer_id))
+    if not documents:
+        raise CorpusSpecError(f"{manifest_path}: no documents after the header line")
+    if len({doc.doc_id for doc in documents}) != len(documents):
+        raise _repeated_doc_id(manifest_path, manifest_lines)
+    if len(documents) != spec.total_documents:
+        raise CorpusSpecError(
+            f"{manifest_path}: {len(documents)} documents, header says"
+            f" roots={spec.root_count} x words_per_root={spec.words_per_root}"
+            f" = {spec.total_documents}"
+        )
 
     queries_path = corpus_dir / QUERIES_NAME
     query_lines = queries_path.read_text("utf-8").splitlines()

@@ -19,6 +19,7 @@ Output files, all UTF-8 TSV:
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -27,17 +28,8 @@ from typing import Iterable, Protocol
 from .corpus import CorpusManifest, relevant_set
 from .errors import RootSearchError
 from .index import IndexMode, InvertedIndex, build_index
-from .p2p import Overlay, build_overlay, p2p_search
-from .search import (
-    BASELINE,
-    ENGINES,
-    EXPANDED,
-    P2P_ADVANCED,
-    P2P_SIMPLE,
-    Query,
-    search_exact,
-    search_expanded,
-)
+from .p2p import ENGINE_MODES, Overlay, build_overlay, p2p_search
+from .search import BASELINE, ENGINES, EXPANDED, Query, search_exact, search_expanded
 
 _RESULTS_MAGIC = "# rootsearch-results v1"
 _SUMMARY_MAGIC = "# rootsearch-summary v1"
@@ -60,8 +52,8 @@ def recall(s_found: Iterable[str], s_relevant: Iterable[str]) -> Fraction:
 
 
 def fixed4(value: Fraction) -> str:
-    """Render an exact fraction with 4 decimal places."""
-    scaled = round(value * 10000)
+    """Render an exact fraction with 4 decimal places, halves rounded up."""
+    scaled = math.floor(value * 10000 + Fraction(1, 2))
     return f"{scaled // 10000}.{scaled % 10000:04d}"
 
 
@@ -171,9 +163,7 @@ class P2PEngine:
     def __init__(self, overlay: Overlay, origin: str):
         self.overlay = overlay
         self.origin = origin
-        self.name = (
-            P2P_ADVANCED if overlay.mode is IndexMode.ADVANCED else P2P_SIMPLE
-        )
+        self.name = overlay.engine
 
     def run(self, query: Query) -> EngineResult:
         outcome = p2p_search(query, self.overlay, self.origin)
@@ -199,10 +189,8 @@ def build_engines(
             engines.append(BaselineEngine(simple_index))
         elif name == EXPANDED:
             engines.append(ExpandedEngine(simple_index, manifest))
-        elif name == P2P_SIMPLE:
-            engines.append(P2PEngine(build_overlay(manifest, IndexMode.SIMPLE), origin))
-        elif name == P2P_ADVANCED:
-            engines.append(P2PEngine(build_overlay(manifest, IndexMode.ADVANCED), origin))
+        else:
+            engines.append(P2PEngine(build_overlay(manifest, ENGINE_MODES[name]), origin))
     return engines
 
 

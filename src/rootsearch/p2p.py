@@ -17,8 +17,12 @@ Routing for one query, all on a deterministic FIFO message queue:
    its sibling super-peers so the other half of the network is reachable;
    siblings match their own children but do not re-flood
 3. every request is answered by exactly one RESULTS_BACK carrying doc
-   ids; super-peers gather their children's and siblings' answers before
-   replying, and the union arrives back at the origin
+   ids as a sorted, duplicate-free tuple; super-peers gather their
+   children's and siblings' answers before replying, and the union arrives
+   back at the origin. A peer replies with its stored posting tuple, and a
+   gather (at a super-peer or the origin) passes a single non-empty answer
+   through unchanged: only a gather of two or more non-empty answers
+   merges and sorts
 
 In ADVANCED mode the payload still carries every root-mate term; each node
 resolves it to its distinct roots in one pass through the shared lexicon.
@@ -39,6 +43,24 @@ from .search import P2P_ADVANCED, P2P_SIMPLE, Query, SearchResult, expansion_ter
 KIND_QUERY_UP = "QUERY_UP"
 KIND_QUERY_FORWARD = "QUERY_FORWARD"
 KIND_RESULTS_BACK = "RESULTS_BACK"
+
+# The one map between a P2P engine's name and the key mode of its overlay.
+ENGINE_MODES = {P2P_SIMPLE: IndexMode.SIMPLE, P2P_ADVANCED: IndexMode.ADVANCED}
+_ENGINE_OF_MODE = {mode: engine for engine, mode in ENGINE_MODES.items()}
+
+DocIds = tuple[str, ...]
+
+
+def merge(parts: Iterable[DocIds]) -> DocIds:
+    """The union of sorted, duplicate-free doc-id tuples, sorted.
+
+    At most one non-empty part is returned as it is; only two or more
+    non-empty parts are merged and sorted.
+    """
+    nonempty = [part for part in parts if part]
+    if len(nonempty) > 1:
+        return tuple(sorted(set().union(*nonempty)))
+    return nonempty[0] if nonempty else ()
 
 
 @dataclass(frozen=True)
@@ -64,21 +86,17 @@ class Transport:
 class PeerNode:
     peer_id: str
     parent: str
-    postings: dict[str, list[str]]
+    postings: dict[str, DocIds]
 
-    def execute(self, keys: Iterable[str | None]) -> set[str]:
-        """Local documents filed under any of ``keys``."""
-        found: set[str] = set()
-        for key in keys:
-            found.update(self.postings.get(key, ()))
-        return found
+    def execute(self, keys: Iterable[str | None]) -> DocIds:
+        """Local documents filed under any of ``keys``, sorted; a single
+        matching key yields its stored posting tuple itself."""
+        return merge([self.postings.get(key, ()) for key in keys])
 
     def handle(self, message: OverlayMessage, transport: Transport, overlay: "Overlay") -> None:
         # Peers only ever receive query forwards; they answer the sender.
         found = self.execute(overlay.keys_of(message.payload))
-        transport.send(
-            KIND_RESULTS_BACK, self.peer_id, message.src, tuple(sorted(found))
-        )
+        transport.send(KIND_RESULTS_BACK, self.peer_id, message.src, found)
 
 
 @dataclass(eq=False)
@@ -99,14 +117,14 @@ class SuperPeer:
     ) -> None:
         if message.kind == KIND_RESULTS_BACK:
             state = gather[self.superpeer_id]
-            state["found"].update(message.payload)
+            state["parts"].append(message.payload)
             state["pending"] -= 1
             if state["pending"] == 0:
                 transport.send(
                     KIND_RESULTS_BACK,
                     self.superpeer_id,
                     state["requester"],
-                    tuple(sorted(state["found"])),
+                    merge(state["parts"]),
                 )
             return
 
@@ -121,7 +139,7 @@ class SuperPeer:
         gather[self.superpeer_id] = {
             "requester": message.src,
             "pending": len(targets) + len(siblings),
-            "found": set(),
+            "parts": [],
         }
         for child in targets:
             transport.send(KIND_QUERY_FORWARD, self.superpeer_id, child, message.payload)
@@ -137,6 +155,11 @@ class Overlay:
     peers: dict[str, PeerNode]
     superpeers: dict[str, SuperPeer]
     lexicon: RootLexicon
+
+    @property
+    def engine(self) -> str:
+        """The name of the P2P engine that searches this overlay."""
+        return _ENGINE_OF_MODE[self.mode]
 
     def keys_of(self, words: Iterable[str]) -> set[str | None]:
         """The distinct keys of ``words``: the words themselves in SIMPLE
@@ -177,9 +200,15 @@ def build_overlay(manifest: CorpusManifest, mode: IndexMode) -> Overlay:
                 raise OverlayMismatch(
                     f"{peer_id} holds {len(shard)} documents, spec says {shard_size}"
                 )
-            postings: dict[str, list[str]] = {}
+            postings: dict = {}
             for doc in shard:
                 postings.setdefault(doc.root if by_root else doc.word, []).append(doc.doc_id)
+            for key, ids in postings.items():
+                # sorted, each id once: a lone id (any word key of a generated
+                # corpus) already is
+                postings[key] = (
+                    tuple(ids) if len(ids) == 1 else tuple(dict.fromkeys(sorted(ids)))
+                )
             peers[peer_id] = PeerNode(peer_id, sp_id, postings)
             summary[peer_id] = frozenset(postings)
         superpeers[sp_id] = SuperPeer(sp_id, children, summary)
@@ -201,26 +230,26 @@ def p2p_search(query: Query, overlay: Overlay, origin: str) -> P2PSearchOutcome:
 
     if overlay.mode is IndexMode.ADVANCED:
         terms, degraded = expansion_terms(query, overlay.lexicon)
-        engine, expanded = P2P_ADVANCED, terms
+        expanded = terms
     else:
         terms, degraded = (query.normalized,), False
-        engine, expanded = P2P_SIMPLE, ()
+        expanded = ()
 
-    found = origin_node.execute(overlay.keys_of(terms))
+    parts = [origin_node.execute(overlay.keys_of(terms))]
     transport = Transport()
     transport.send(KIND_QUERY_UP, origin, origin_node.parent, terms)
     gather: dict[str, dict] = {}
     # handlers append to the log while it is walked, so this drains the queue
     for message in transport.log:
         if message.dst == origin and message.kind == KIND_RESULTS_BACK:
-            found.update(message.payload)
+            parts.append(message.payload)
         elif message.dst in overlay.peers:
             overlay.peers[message.dst].handle(message, transport, overlay)
         else:
             overlay.superpeers[message.dst].handle(message, transport, overlay, gather)
 
     result = SearchResult(
-        query.query_id, engine, tuple(sorted(found)), expanded, degraded=degraded
+        query.query_id, overlay.engine, merge(parts), expanded, degraded=degraded
     )
     contacted = {m.dst for m in transport.log if m.kind == KIND_QUERY_FORWARD}
     return P2PSearchOutcome(result, tuple(transport.log), len(contacted))

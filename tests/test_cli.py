@@ -211,6 +211,45 @@ class TestCorpusLoadErrors:
         assert code == EXIT_VALIDATION
         assert err == f"error: {path}: no queries after the header line\n"
 
+    def test_header_only_manifest_is_rejected(self, micro_args, tmp_path, capsys):
+        path = micro_args / "manifest.tsv"
+        path.write_text(path.read_text("utf-8").splitlines()[0] + "\n", encoding="utf-8")
+        code = main(
+            ["run-eval", "--corpus", str(micro_args), "--out", str(tmp_path / "r"),
+             "--engines", "baseline", "expanded"]
+        )
+        err = capsys.readouterr().err
+        assert code == EXIT_VALIDATION
+        assert err == f"error: {path}: no documents after the header line\n"
+
+    def test_document_count_must_match_header(self, micro_args, tmp_path, capsys):
+        path = micro_args / "manifest.tsv"
+        lines = path.read_text("utf-8").splitlines()
+        path.write_text("\n".join(lines[:-1]) + "\n", encoding="utf-8")
+        code = main(
+            ["run-eval", "--corpus", str(micro_args), "--out", str(tmp_path / "r"),
+             "--engines", "baseline", "expanded"]
+        )
+        err = capsys.readouterr().err
+        assert code == EXIT_VALIDATION
+        assert err == (
+            f"error: {path}: 5 documents, header says roots=2 x words_per_root=3 = 6\n"
+        )
+
+    def test_repeated_doc_id_names_its_line(self, micro_args, tmp_path, capsys):
+        path = micro_args / "manifest.tsv"
+        lines = path.read_text("utf-8").splitlines()
+        doc_id = lines[1].split("\t")[0]
+        lines[4] = "\t".join([doc_id, *lines[4].split("\t")[1:]])
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code = main(
+            ["run-eval", "--corpus", str(micro_args), "--out", str(tmp_path / "r"),
+             "--engines", "baseline", "expanded"]
+        )
+        err = capsys.readouterr().err
+        assert code == EXIT_VALIDATION
+        assert err == f"error: {path}:5: doc id {doc_id!r} repeats line 2\n"
+
     @pytest.mark.parametrize(
         "field,replacement,message",
         [

@@ -73,6 +73,9 @@ class TestFixed4:
             (Fraction(2, 3), "0.6667"),
             (Fraction(1, 20), "0.0500"),
             (Fraction(3, 93), "0.0323"),
+            (Fraction(1, 32), "0.0313"),
+            (Fraction(3, 32), "0.0938"),
+            (Fraction(1, 160), "0.0063"),
         ],
     )
     def test_rendering(self, value, rendered):

@@ -1,6 +1,7 @@
 """Overlay topology, routing behavior and message accounting."""
 
 import dataclasses
+import hashlib
 from operator import attrgetter
 
 import pytest
@@ -15,6 +16,7 @@ from rootsearch.p2p import (
     PeerNode,
     build_overlay,
     format_message_log,
+    merge,
     p2p_search,
 )
 from rootsearch.search import P2P_ADVANCED, P2P_SIMPLE, Query, search_exact, search_expanded
@@ -233,3 +235,72 @@ class TestMessageLog:
             seq, kind, src, dst, size = line.split("\t")
             assert seq.isdigit() and size.isdigit()
             assert kind in (KIND_QUERY_UP, KIND_QUERY_FORWARD, KIND_RESULTS_BACK)
+
+
+def _message_line(*fields):
+    return ("\t".join(fields) + "\n").encode("utf-8")
+
+
+@pytest.fixture(scope="module")
+def routed_outcomes(manifest, noisy_words, overlay_simple, overlay_advanced):
+    """Every manifest query and noisy word, through both overlays from every origin."""
+    words = [entry.word for entry in manifest.queries] + noisy_words
+    return [
+        p2p_search(Query.parse(f"w{i}", word), overlay, origin)
+        for overlay in (overlay_simple, overlay_advanced)
+        for origin in sorted(overlay.peers)
+        for i, word in enumerate(words)
+    ]
+
+
+class TestGoldenMessageLog:
+    # SHA-256 over every message's (kind, src, dst, payload) and every found
+    # tuple of ``routed_outcomes``: a change to any message or answer of
+    # either overlay, from any origin, changes it
+    GOLDEN_DIGEST = "b23983384fb29a8724f5cec1553d2e2261d8107a6acd26a32229a3207f17ed86"
+
+    def test_messages_and_answers_match_the_pinned_digest(self, routed_outcomes):
+        digest = hashlib.sha256()
+        for outcome in routed_outcomes:
+            for m in outcome.messages:
+                digest.update(_message_line(m.kind, m.src, m.dst, " ".join(m.payload)))
+            digest.update(_message_line("found", " ".join(outcome.result.found)))
+        assert digest.hexdigest() == self.GOLDEN_DIGEST
+
+
+class TestSortedAnswers:
+    def test_every_answer_is_strictly_increasing(self, routed_outcomes):
+        for outcome in routed_outcomes:
+            answers = [m.payload for m in outcome.messages if m.kind == KIND_RESULTS_BACK]
+            for ids in answers + [outcome.result.found]:
+                assert all(a < b for a, b in zip(ids, ids[1:])), ids
+
+    def test_repeated_doc_id_in_a_shard_is_answered_once(self, micro_corpus):
+        _, manifest = micro_corpus
+        documents = list(manifest.documents)
+        documents[1] = documents[0]  # same shard, so the shard size holds
+        repeated = dataclasses.replace(manifest, documents=tuple(documents))
+        first = documents[0]
+        root_mates = tuple(sorted({d.doc_id for d in documents if d.root == first.root}))
+        for mode, key, found in (
+            (IndexMode.SIMPLE, first.word, (first.doc_id,)),
+            (IndexMode.ADVANCED, first.root, root_mates),
+        ):
+            overlay = build_overlay(repeated, mode)
+            assert overlay.peers[first.peer_id].postings[key] == found
+            for origin in overlay.peers:
+                outcome = p2p_search(Query.parse("q", first.word), overlay, origin)
+                assert outcome.result.found == found, (mode, origin)
+                for message in outcome.messages:
+                    assert len(set(message.payload)) == len(message.payload)
+
+
+class TestMerge:
+    def test_a_single_answer_passes_through(self):
+        part = ("d1", "d3")
+        assert merge([(), part, ()]) is part
+        assert merge([part]) is part
+        assert merge([]) == merge([(), ()]) == ()
+
+    def test_several_answers_are_unioned_and_sorted(self):
+        assert merge([("d2", "d4"), ("d1", "d2"), (), ("d3",)]) == ("d1", "d2", "d3", "d4")

@@ -4,7 +4,8 @@ The reference below is the pre-root-postings retrieval: expand the query
 to its sorted root-mates, then union one exact-key posting per term.
 Root-mates are regrouped here from the raw vocabulary, independently of
 the lexicon's cached word tuples. Overlay peers are checked against the
-same union over an index built from their shard in the test itself.
+same union, sorted, over an index built from their shard in the test
+itself.
 """
 
 import pytest
@@ -82,10 +83,8 @@ def assert_peers_answer_like_shard_index(overlay, mode, term_sets, manifest, lex
     for peer_id, peer in overlay.peers.items():
         index = build_index(manifest.docs_by_peer[peer_id], mode, lexicon)
         for terms in term_sets:
-            assert peer.execute(overlay.keys_of(terms)) == union_of_terms(terms, index), (
-                terms,
-                peer_id,
-            )
+            expected = tuple(sorted(union_of_terms(terms, index)))
+            assert peer.execute(overlay.keys_of(terms)) == expected, (terms, peer_id)
 
 
 def test_advanced_peer_execute_equals_per_term_union(
