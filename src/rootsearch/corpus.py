@@ -24,6 +24,7 @@ import random
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import CorpusSpecError, InsufficientRoots, PatternCollision
 from .morphology import PatternInventory, RootLexicon, derive, extract_root, load_patterns
@@ -92,16 +93,14 @@ class CorpusSpec:
             )
 
 
-@dataclass(frozen=True)
-class Document:
+class Document(NamedTuple):
     doc_id: str
     word: str
     root: str
     peer_id: str
 
 
-@dataclass(frozen=True)
-class QueryEntry:
+class QueryEntry(NamedTuple):
     query_id: str
     word: str
     root: str
@@ -290,7 +289,7 @@ def _parse_header(lines: list[str], path: Path, magic: str) -> dict[str, str]:
     if not lines:
         raise CorpusSpecError(f"{path}:1: empty file, expected header {magic!r}")
     if not lines[0].startswith(magic):
-        raise ValueError(f"expected header {magic!r}, got {lines[0][:40]!r}")
+        raise CorpusSpecError(f"{path}:1: expected header {magic!r}, got {lines[0][:40]!r}")
     fields = {}
     for part in lines[0].split("\t")[1:]:
         key, _, value = part.partition("=")
@@ -309,9 +308,20 @@ def _header_field(fields: dict[str, str], name: str, path: Path, convert=str):
         ) from None
 
 
-def _bad_row(path: Path, lineno: int, line: str, width: int) -> CorpusSpecError:
-    got = line.count("\t") + 1
-    return CorpusSpecError(f"{path}:{lineno}: expected {width} tab-separated fields, got {got}")
+def _rows(path: Path, lines: list[str], row_type: type[tuple]) -> list:
+    """A ``row_type`` per non-blank line after the header. The line with the
+    wrong field count is looked for only once a row failed to build."""
+    try:
+        return [row_type(*line.split("\t")) for line in lines[1:] if line.strip()]
+    except TypeError:
+        width = len(row_type._fields)
+    for lineno, line in enumerate(lines[1:], 2):
+        got = line.count("\t") + 1
+        if line.strip() and got != width:
+            raise CorpusSpecError(
+                f"{path}:{lineno}: expected {width} tab-separated fields, got {got}"
+            )
+    raise AssertionError("unreachable")
 
 
 def _repeated_doc_id(path: Path, lines: list[str]) -> CorpusSpecError:
@@ -337,7 +347,8 @@ def load_manifest(corpus_dir: str | Path) -> CorpusManifest:
     """Reload a generated corpus from its manifest and query files.
 
     Raises:
-        CorpusSpecError: a file is empty, the manifest header lacks a field
+        CorpusSpecError: a file is empty or does not start with its
+            header line, the manifest header lacks a field
             or holds a non-integer count, a row has the wrong field count,
             a doc id repeats, the manifest holds no documents or a number
             other than ``roots x words_per_root``, or ``queries.tsv`` holds
@@ -356,15 +367,7 @@ def load_manifest(corpus_dir: str | Path) -> CorpusManifest:
         roots_per_peer=_header_field(fields, "roots_per_peer", manifest_path, int),
         seed=_header_field(fields, "seed", manifest_path, int),
     )
-    documents = []
-    for lineno, line in enumerate(manifest_lines[1:], 2):
-        if not line.strip():
-            continue
-        try:
-            doc_id, word, root, peer_id = line.split("\t")
-        except ValueError:
-            raise _bad_row(manifest_path, lineno, line, 4) from None
-        documents.append(Document(doc_id, word, root, peer_id))
+    documents = _rows(manifest_path, manifest_lines, Document)
     if not documents:
         raise CorpusSpecError(f"{manifest_path}: no documents after the header line")
     if len({doc.doc_id for doc in documents}) != len(documents):
@@ -379,15 +382,7 @@ def load_manifest(corpus_dir: str | Path) -> CorpusManifest:
     queries_path = corpus_dir / QUERIES_NAME
     query_lines = queries_path.read_text("utf-8").splitlines()
     _parse_header(query_lines, queries_path, _QUERIES_MAGIC)
-    queries = []
-    for lineno, line in enumerate(query_lines[1:], 2):
-        if not line.strip():
-            continue
-        try:
-            query_id, word, root = line.split("\t")
-        except ValueError:
-            raise _bad_row(queries_path, lineno, line, 3) from None
-        queries.append(QueryEntry(query_id, word, root))
+    queries = _rows(queries_path, query_lines, QueryEntry)
     if not queries:
         raise CorpusSpecError(f"{queries_path}: no queries after the header line")
 

@@ -67,8 +67,6 @@ class EvalRecord:
     precision: Fraction
     recall: Fraction
     peers_contacted: int | None
-    empty_found: bool
-    empty_relevant: bool
     error: str | None = None
 
 
@@ -92,8 +90,6 @@ def make_record(
         precision=precision(found, relevant),
         recall=recall(found, relevant),
         peers_contacted=peers_contacted,
-        empty_found=not found,
-        empty_relevant=not relevant,
         error=error,
     )
 

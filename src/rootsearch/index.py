@@ -3,7 +3,7 @@
 SIMPLE indexes each document under exactly one key: the word it contains.
 ADVANCED indexes each document under every vocabulary word that shares the
 document word's root, so an exact lookup of any root-mate retrieves the
-whole root group; all root-mate keys share one posting set. Keys of
+whole root group; all root-mate keys share one posting tuple. Keys of
 ``entries`` are normalized words in both modes; lookups never expand
 anything themselves.
 
@@ -11,20 +11,22 @@ Both modes also keep ``root_postings``: each root of the indexed documents
 mapped to the sorted ids of those documents. It answers a root-aware query
 with one lookup per root instead of one per root-mate.
 
-The centralized engines search one SIMPLE index over the whole corpus.
-Overlay peers build no index here: each keeps one key map of its own (see
-``p2p``).
+``postings`` builds every key -> sorted doc-id tuple map: this index's and
+each overlay peer's (see ``p2p``). The centralized engines search one
+SIMPLE index over the whole corpus.
 """
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
+from operator import attrgetter
+from typing import Callable, Iterable
 
 from .corpus import Document
 from .errors import UnknownRoot
 from .morphology import RootLexicon
+
+DocIds = tuple[str, ...]
 
 
 class IndexMode(Enum):
@@ -32,21 +34,43 @@ class IndexMode(Enum):
     ADVANCED = "advanced"
 
 
+def postings(
+    docs: Iterable[Document], key: Callable[[Document], str | None]
+) -> dict[str, DocIds]:
+    """``key(doc)`` -> sorted, duplicate-free doc ids; a None key files nothing.
+
+    A key's first id is a 1-tuple and only its second makes a list, so one-id
+    keys (all word keys of a generated corpus) leave no list for the collector.
+    """
+    grouped: dict = {}
+    for doc in docs:
+        k = key(doc)
+        if k is None:
+            continue
+        ids = grouped.get(k)
+        if ids is None:
+            grouped[k] = (doc.doc_id,)
+        elif type(ids) is tuple:
+            grouped[k] = [ids[0], doc.doc_id]
+        else:
+            ids.append(doc.doc_id)
+    for k, ids in grouped.items():
+        if type(ids) is list:
+            grouped[k] = tuple(dict.fromkeys(sorted(ids)))
+    return grouped
+
+
 @dataclass(eq=False)
 class InvertedIndex:
-    """Keyword -> doc_id postings, plus root -> sorted doc_id postings."""
+    """Keyword -> sorted doc_ids, plus root -> sorted doc_ids."""
 
     mode: IndexMode
-    entries: dict[str, set[str]]
-    root_postings: dict[str, tuple[str, ...]]
-    doc_count: int
+    entries: dict[str, DocIds]
+    root_postings: dict[str, DocIds]
 
-    def lookup(self, key: str) -> list[str]:
-        """Exact-key postings, sorted by doc_id; absent keys yield []."""
-        return sorted(self.entries.get(key, ()))
-
-    def __len__(self) -> int:
-        return len(self.entries)
+    def lookup(self, key: str) -> DocIds:
+        """The stored, sorted postings of an exact key; absent keys yield ()."""
+        return self.entries.get(key, ())
 
 
 def build_index(
@@ -60,26 +84,18 @@ def build_index(
     Raises:
         UnknownRoot: in ADVANCED mode, a document word is not in the lexicon.
     """
-    docs = sorted(docs, key=lambda d: d.doc_id)
-    entries: dict[str, set[str]] = {}
-    by_root: defaultdict[str, list[str]] = defaultdict(list)
-    for doc in docs:
-        root = lexicon.root_of(doc.word)
-        if mode is IndexMode.SIMPLE:
-            entries.setdefault(doc.word, set()).add(doc.doc_id)
-        elif root is None:
-            raise UnknownRoot(f"document word {doc.word!r} not in lexicon")
-        if root is not None:
-            by_root[root].append(doc.doc_id)
-    # ids arrive sorted; dict.fromkeys drops a repeated id, as a set would
-    root_postings = {root: tuple(dict.fromkeys(ids)) for root, ids in by_root.items()}
+    docs = tuple(docs)
+    root_of = lexicon.root_of
+    root_postings = postings(docs, lambda doc: root_of(doc.word))
+    if mode is IndexMode.SIMPLE:
+        return InvertedIndex(mode, postings(docs, attrgetter("word")), root_postings)
 
-    if mode is IndexMode.ADVANCED:
-        for root in sorted(root_postings):
-            # One shared posting set per root: every root-mate key retrieves
-            # the same documents, and the index is immutable once built. The
-            # lexicon maps each word to one root, so no key is written twice.
-            ids = set(root_postings[root])
-            for word in lexicon.words_of(root):
-                entries[word] = ids
-    return InvertedIndex(mode, entries, root_postings, len(docs))
+    for doc in docs:
+        if doc.word not in lexicon:
+            raise UnknownRoot(f"document word {doc.word!r} not in lexicon")
+    # every root-mate key shares its root's posting tuple; the lexicon maps
+    # each word to one root, so no key is written twice
+    entries = {
+        word: ids for root, ids in root_postings.items() for word in lexicon.words_of(root)
+    }
+    return InvertedIndex(mode, entries, root_postings)

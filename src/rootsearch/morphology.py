@@ -13,6 +13,7 @@ which is heuristic by design.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -166,7 +167,8 @@ class RootLexicon:
         existing = self._root_of.get(word)
         if existing is not None and existing != root:
             raise ValueError(f"word {word!r} already mapped to root {existing!r}")
-        self._root_of[word] = root
+        # one str per root, not one per manifest row: root-mates resolve to one object
+        self._root_of[word] = root = sys.intern(root)
         self._words_of.setdefault(root, set()).add(word)
         self._sorted_words.pop(root, None)
 

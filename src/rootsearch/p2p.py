@@ -1,11 +1,11 @@
 """Simulated super-peer overlay with full message accounting.
 
-Each peer holds one postings map from key to the doc ids of its shard, and
-each super-peer keeps one summary per child: the keys of that child's map.
-The overlay's mode picks the key once, for every node: a document's word in
-SIMPLE mode, its root in ADVANCED mode. ``Overlay.keys_of`` is the one
-resolver from a payload's words to those keys, and the origin, super-peers
-and peers all call it.
+Each peer holds one postings map from key to the doc ids of its shard,
+built by ``index.postings``, and each super-peer keeps one summary per
+child: the keys of that child's map. The overlay's mode picks the key
+once, for every node: a document's word in SIMPLE mode, its root in
+ADVANCED mode. ``Overlay.keys_of`` is the one resolver from a payload's
+words to those keys, and the origin, super-peers and peers all call it.
 
 Routing for one query, all on a deterministic FIFO message queue:
 
@@ -32,11 +32,12 @@ assignment forwards to exactly one peer.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterable
 
 from .corpus import CorpusManifest
 from .errors import OverlayMismatch
-from .index import IndexMode
+from .index import DocIds, IndexMode, postings
 from .morphology import RootLexicon
 from .search import P2P_ADVANCED, P2P_SIMPLE, Query, SearchResult, expansion_terms
 
@@ -47,8 +48,6 @@ KIND_RESULTS_BACK = "RESULTS_BACK"
 # The one map between a P2P engine's name and the key mode of its overlay.
 ENGINE_MODES = {P2P_SIMPLE: IndexMode.SIMPLE, P2P_ADVANCED: IndexMode.ADVANCED}
 _ENGINE_OF_MODE = {mode: engine for engine, mode in ENGINE_MODES.items()}
-
-DocIds = tuple[str, ...]
 
 
 def merge(parts: Iterable[DocIds]) -> DocIds:
@@ -189,7 +188,7 @@ def build_overlay(manifest: CorpusManifest, mode: IndexMode) -> Overlay:
     """
     spec = manifest.spec
     shard_size = spec.roots_per_peer * spec.words_per_root
-    by_root = mode is IndexMode.ADVANCED
+    key = attrgetter("root" if mode is IndexMode.ADVANCED else "word")
     peers: dict[str, PeerNode] = {}
     superpeers: dict[str, SuperPeer] = {}
     for sp_id, children in manifest.superpeer_children().items():
@@ -200,17 +199,9 @@ def build_overlay(manifest: CorpusManifest, mode: IndexMode) -> Overlay:
                 raise OverlayMismatch(
                     f"{peer_id} holds {len(shard)} documents, spec says {shard_size}"
                 )
-            postings: dict = {}
-            for doc in shard:
-                postings.setdefault(doc.root if by_root else doc.word, []).append(doc.doc_id)
-            for key, ids in postings.items():
-                # sorted, each id once: a lone id (any word key of a generated
-                # corpus) already is
-                postings[key] = (
-                    tuple(ids) if len(ids) == 1 else tuple(dict.fromkeys(sorted(ids)))
-                )
-            peers[peer_id] = PeerNode(peer_id, sp_id, postings)
-            summary[peer_id] = frozenset(postings)
+            peer_postings = postings(shard, key)
+            peers[peer_id] = PeerNode(peer_id, sp_id, peer_postings)
+            summary[peer_id] = frozenset(peer_postings)
         superpeers[sp_id] = SuperPeer(sp_id, children, summary)
     return Overlay(mode, peers, superpeers, manifest.lexicon)
 

@@ -53,7 +53,7 @@ class SearchResult:
 
 def search_exact(query: Query, index: InvertedIndex) -> SearchResult:
     """Exact lookup of the query word; no expansion."""
-    return SearchResult(query.query_id, BASELINE, tuple(index.lookup(query.normalized)))
+    return SearchResult(query.query_id, BASELINE, index.lookup(query.normalized))
 
 
 def expansion_terms(query: Query, lexicon: RootLexicon) -> tuple[tuple[str, ...], bool]:
@@ -79,7 +79,7 @@ def search_expanded(
         return SearchResult(
             query.query_id,
             EXPANDED,
-            tuple(index.lookup(query.normalized)),
+            index.lookup(query.normalized),
             (query.normalized,),
             degraded=True,
         )

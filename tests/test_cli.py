@@ -203,6 +203,29 @@ class TestCorpusLoadErrors:
         assert code == EXIT_VALIDATION
         assert f"{path}:3: expected {width} tab-separated fields, got {width - 1}" in err
 
+    @pytest.mark.parametrize("name", ["manifest.tsv", "queries.tsv"])
+    def test_bad_header_names_file_and_line(self, micro_args, tmp_path, capsys, name):
+        path = micro_args / name
+        magic = f"# rootsearch-{name.removesuffix('.tsv')} v1"
+        lines = path.read_text("utf-8").splitlines()
+        lines[0] = "# not-a-manifest"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code = main(["run-eval", "--corpus", str(micro_args), "--out", str(tmp_path / "r")])
+        err = capsys.readouterr().err
+        assert code == EXIT_VALIDATION
+        assert err == f"error: {path}:1: expected header {magic!r}, got '# not-a-manifest'\n"
+
+    def test_long_row_after_a_blank_line_names_its_line(self, micro_args, tmp_path, capsys):
+        path = micro_args / "manifest.tsv"
+        lines = path.read_text("utf-8").splitlines()
+        lines[3] += "\textra"
+        lines.insert(2, "")
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code = main(["run-eval", "--corpus", str(micro_args), "--out", str(tmp_path / "r")])
+        err = capsys.readouterr().err
+        assert code == EXIT_VALIDATION
+        assert err == f"error: {path}:5: expected 4 tab-separated fields, got 5\n"
+
     def test_header_only_queries_file_is_rejected(self, micro_args, tmp_path, capsys):
         path = micro_args / "queries.tsv"
         path.write_text(path.read_text("utf-8").splitlines()[0] + "\n", encoding="utf-8")

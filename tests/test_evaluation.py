@@ -85,10 +85,10 @@ class TestFixed4:
 class TestRecords:
     def test_flags_and_values(self):
         rec = make_record("q0", "لعب", BASELINE, set(), {"d1"})
-        assert rec.empty_found and not rec.empty_relevant
+        assert not rec.s_found and rec.s_relevant
         assert rec.precision == Fraction(0) and rec.recall == Fraction(0)
         rec = make_record("q0", "لعب", BASELINE, {"d1"}, set())
-        assert rec.empty_relevant and not rec.empty_found
+        assert rec.s_found and not rec.s_relevant
         assert rec.recall == Fraction(1)
 
     def test_stored_values_recompute_exactly(self, micro_report):
