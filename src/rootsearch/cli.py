@@ -21,18 +21,17 @@ from .corpus import (
     manifest_digest,
 )
 from .errors import CorpusSpecError, RootSearchError
-from .evaluation import build_engines, run_evaluation, summary_lines, write_report
-from .index import IndexMode, build_index
-from .p2p import ENGINE_MODES, build_overlay, format_message_log, p2p_search
-from .search import (
-    BASELINE,
-    ENGINES,
-    EXPANDED,
-    P2P_ADVANCED,
-    Query,
-    search_exact,
-    search_expanded,
+from .evaluation import (
+    RESULTS_MAGIC,
+    SUMMARY_MAGIC,
+    build_engines,
+    read_table,
+    run_evaluation,
+    summary_lines,
+    write_report,
 )
+from .p2p import format_message_log
+from .search import BASELINE, ENGINES, EXPANDED, P2P_ADVANCED, Query
 
 DEFAULT_CORPUS_DIR = "corpus"
 DEFAULT_RESULTS_DIR = "results"
@@ -85,21 +84,9 @@ def cmd_query(args: argparse.Namespace) -> int:
     manifest = load_manifest(args.corpus)
     query = Query.parse("cli", args.word)
     print(f"query: {args.word} -> {query.normalized}")
-
-    messages = None
-    peers_contacted = None
-    if args.engine in (BASELINE, EXPANDED):
-        index = build_index(manifest.documents, IndexMode.SIMPLE, manifest.lexicon)
-        if args.engine == BASELINE:
-            result = search_exact(query, index)
-        else:
-            result = search_expanded(query, index, manifest.lexicon)
-    else:
-        overlay = build_overlay(manifest, ENGINE_MODES[args.engine])
-        outcome = p2p_search(query, overlay, args.origin)
-        result = outcome.result
-        messages = outcome.messages
-        peers_contacted = outcome.peers_contacted
+    (engine,) = build_engines(manifest, [args.engine], origin=args.origin)
+    outcome = engine.run(query)
+    result = outcome.result
 
     if result.degraded:
         print(
@@ -118,10 +105,10 @@ def cmd_query(args: argparse.Namespace) -> int:
     print(f"found ({len(result.found)}):")
     for doc_id in result.found:
         print(doc_id)
-    if peers_contacted is not None:
-        print(f"peers contacted: {peers_contacted}")
+    if outcome.peers_contacted is not None:
+        print(f"peers contacted: {outcome.peers_contacted}")
         print("messages:")
-        print(format_message_log(messages), end="")
+        print(format_message_log(outcome.messages), end="")
     return EXIT_OK
 
 
@@ -139,19 +126,16 @@ def cmd_run_eval(args: argparse.Namespace) -> int:
 
 def cmd_report(args: argparse.Namespace) -> int:
     results_dir = Path(args.results)
-    summary = (results_dir / "summary.tsv").read_text("utf-8").splitlines()
-    engines = [line.split("\t")[0] for line in summary[2:] if line.strip()]
-    means = {line.split("\t")[0]: line.split("\t")[2:4] for line in summary[2:] if line.strip()}
+    summary = read_table(results_dir / "summary.tsv", SUMMARY_MAGIC)
+    engines = [row[0] for row in summary]
+    means = {row[0]: row[2:4] for row in summary}
 
     per_query: dict[str, dict[str, tuple[str, str]]] = {}
     words: dict[str, str] = {}
     order: list[str] = []
     for engine in engines:
-        lines = (results_dir / f"{engine}.tsv").read_text("utf-8").splitlines()
-        for line in lines[2:]:
-            if not line.strip():
-                continue
-            query_id, word, _found, _relevant, prec, rec, _peers = line.split("\t")
+        for row in read_table(results_dir / f"{engine}.tsv", RESULTS_MAGIC):
+            query_id, word, _found, _relevant, prec, rec, _peers = row
             if query_id not in per_query:
                 per_query[query_id] = {}
                 words[query_id] = word

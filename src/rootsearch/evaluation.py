@@ -29,10 +29,24 @@ from .corpus import CorpusManifest, relevant_set
 from .errors import RootSearchError
 from .index import IndexMode, InvertedIndex, build_index
 from .p2p import ENGINE_MODES, Overlay, build_overlay, p2p_search
-from .search import BASELINE, ENGINES, EXPANDED, Query, search_exact, search_expanded
+from .search import (
+    BASELINE,
+    ENGINES,
+    EXPANDED,
+    Query,
+    SearchOutcome,
+    search_exact,
+    search_expanded,
+)
 
-_RESULTS_MAGIC = "# rootsearch-results v1"
-_SUMMARY_MAGIC = "# rootsearch-summary v1"
+RESULTS_MAGIC = "# rootsearch-results v1"
+SUMMARY_MAGIC = "# rootsearch-summary v1"
+# the column line that follows each magic line
+_COLUMNS = {
+    RESULTS_MAGIC: "query_id\tquery_word\tfound_count\trelevant_count"
+    "\tprecision\trecall\tpeers_contacted",
+    SUMMARY_MAGIC: "engine\tqueries\tmean_precision\tmean_recall\tfailures",
+}
 
 
 def precision(s_found: Iterable[str], s_relevant: Iterable[str]) -> Fraction:
@@ -61,7 +75,6 @@ def fixed4(value: Fraction) -> str:
 class EvalRecord:
     query_id: str
     word: str
-    engine: str
     s_found: frozenset[str]
     s_relevant: frozenset[str]
     precision: Fraction
@@ -73,7 +86,6 @@ class EvalRecord:
 def make_record(
     query_id: str,
     word: str,
-    engine: str,
     s_found: Iterable[str],
     s_relevant: Iterable[str],
     peers_contacted: int | None = None,
@@ -84,7 +96,6 @@ def make_record(
     return EvalRecord(
         query_id=query_id,
         word=word,
-        engine=engine,
         s_found=found,
         s_relevant=relevant,
         precision=precision(found, relevant),
@@ -114,16 +125,10 @@ class EvalReport:
         return sum(1 for r in self.records[engine] if r.error is not None)
 
 
-@dataclass(frozen=True)
-class EngineResult:
-    found: frozenset[str]
-    peers_contacted: int | None = None
-
-
 class Engine(Protocol):
     name: str
 
-    def run(self, query: Query) -> EngineResult: ...
+    def run(self, query: Query) -> SearchOutcome: ...
 
 
 class BaselineEngine:
@@ -134,9 +139,8 @@ class BaselineEngine:
     def __init__(self, index: InvertedIndex):
         self.index = index
 
-    def run(self, query: Query) -> EngineResult:
-        result = search_exact(query, self.index)
-        return EngineResult(frozenset(result.found))
+    def run(self, query: Query) -> SearchOutcome:
+        return SearchOutcome(search_exact(query, self.index))
 
 
 class ExpandedEngine:
@@ -148,9 +152,8 @@ class ExpandedEngine:
         self.index = index
         self.lexicon = manifest.lexicon
 
-    def run(self, query: Query) -> EngineResult:
-        result = search_expanded(query, self.index, self.lexicon)
-        return EngineResult(frozenset(result.found))
+    def run(self, query: Query) -> SearchOutcome:
+        return SearchOutcome(search_expanded(query, self.index, self.lexicon))
 
 
 class P2PEngine:
@@ -161,9 +164,8 @@ class P2PEngine:
         self.origin = origin
         self.name = overlay.engine
 
-    def run(self, query: Query) -> EngineResult:
-        outcome = p2p_search(query, self.overlay, self.origin)
-        return EngineResult(frozenset(outcome.result.found), outcome.peers_contacted)
+    def run(self, query: Query) -> SearchOutcome:
+        return p2p_search(query, self.overlay, self.origin)
 
 
 def build_engines(
@@ -171,7 +173,8 @@ def build_engines(
     names: Iterable[str] = ENGINES,
     origin: str = "peer-1",
 ) -> list[Engine]:
-    """Construct the requested engines, sharing indexes where possible."""
+    """Construct the requested engines, sharing indexes where possible; the
+    one dispatch from engine name to searcher, for ``run-eval`` and ``query``."""
     names = list(names)
     unknown = set(names) - set(ENGINES)
     if unknown:
@@ -197,39 +200,23 @@ def run_evaluation(
 ) -> EvalReport:
     """Run every manifest query through every engine.
 
-    Engine errors are captured per record (empty found set, error message)
-    instead of aborting the run.
+    Each query is parsed as ``query`` parses it. Engine errors are captured
+    per record (empty found set, error message) instead of aborting the run.
     """
     engines = list(engines)
-    relevant = {q.query_id: relevant_set(q.word, manifest) for q in manifest.queries}
+    queries = [Query.parse(q.query_id, q.word) for q in manifest.queries]
+    relevant = [relevant_set(q.word, manifest) for q in manifest.queries]
     records: dict[str, tuple[EvalRecord, ...]] = {}
     for engine in engines:
         recs = []
-        for entry in manifest.queries:
-            query = Query(entry.query_id, entry.word, entry.word)
+        for query, rel in zip(queries, relevant):
+            found, peers, error = (), None, None
             try:
                 out = engine.run(query)
-                recs.append(
-                    make_record(
-                        entry.query_id,
-                        entry.word,
-                        engine.name,
-                        out.found,
-                        relevant[entry.query_id],
-                        out.peers_contacted,
-                    )
-                )
+                found, peers = out.result.found, out.peers_contacted
             except RootSearchError as exc:
-                recs.append(
-                    make_record(
-                        entry.query_id,
-                        entry.word,
-                        engine.name,
-                        frozenset(),
-                        relevant[entry.query_id],
-                        error=str(exc),
-                    )
-                )
+                error = str(exc)
+            recs.append(make_record(query.query_id, query.raw, found, rel, peers, error))
         records[engine.name] = tuple(recs)
     return EvalReport(
         engine_names=tuple(e.name for e in engines),
@@ -242,7 +229,7 @@ def run_evaluation(
 
 def summary_lines(report: EvalReport) -> list[str]:
     """The summary table: a header, then one row of means per engine."""
-    lines = ["engine\tqueries\tmean_precision\tmean_recall\tfailures"]
+    lines = [_COLUMNS[SUMMARY_MAGIC]]
     for engine in report.engine_names:
         lines.append(
             f"{engine}\t{len(report.records[engine])}"
@@ -262,11 +249,7 @@ def write_report(report: EvalReport, out_dir: str | Path) -> None:
         f"\tpatterns={report.patterns_version}"
     )
     for engine in report.engine_names:
-        lines = [f"{_RESULTS_MAGIC}\tengine={engine}\t{meta}"]
-        lines.append(
-            "query_id\tquery_word\tfound_count\trelevant_count"
-            "\tprecision\trecall\tpeers_contacted"
-        )
+        lines = [f"{RESULTS_MAGIC}\tengine={engine}\t{meta}", _COLUMNS[RESULTS_MAGIC]]
         for rec in report.records[engine]:
             peers = "-" if rec.peers_contacted is None else str(rec.peers_contacted)
             lines.append(
@@ -276,6 +259,34 @@ def write_report(report: EvalReport, out_dir: str | Path) -> None:
             )
         (out_dir / f"{engine}.tsv").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
-    lines = [f"{_SUMMARY_MAGIC}\t{meta}", *summary_lines(report)]
+    lines = [f"{SUMMARY_MAGIC}\t{meta}", *summary_lines(report)]
     (out_dir / "summary.tsv").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
+
+def read_table(path: Path, magic: str) -> list[list[str]]:
+    """The rows of a file ``write_report`` wrote under ``magic``, split into
+    fields; the magic line and the column line are checked off, not returned.
+
+    Raises:
+        ValueError: the first line is not ``magic``, a row's field count is
+            not the column line's, or no row follows; naming file and line.
+    """
+    lines = path.read_text("utf-8").splitlines()
+    if not lines:
+        raise ValueError(f"{path}:1: empty file, expected header {magic!r}")
+    if not lines[0].startswith(magic):
+        raise ValueError(f"{path}:1: expected header {magic!r}, got {lines[0][:40]!r}")
+    width = _COLUMNS[magic].count("\t") + 1
+    rows = []
+    for lineno, line in enumerate(lines[2:], start=3):
+        if not line.strip():
+            continue
+        fields = line.split("\t")
+        if len(fields) != width:
+            raise ValueError(
+                f"{path}:{lineno}: expected {width} tab-separated fields, got {len(fields)}"
+            )
+        rows.append(fields)
+    if not rows:
+        raise ValueError(f"{path}: no rows after the header lines")
+    return rows

@@ -17,7 +17,7 @@ import sys
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import ArityMismatch, UnknownRoot
 from .normalize import is_normalized
@@ -78,15 +78,6 @@ class PatternInventory:
 
     def __len__(self) -> int:
         return len(self.patterns)
-
-    def __iter__(self) -> Iterator[DerivationPattern]:
-        return iter(self.patterns)
-
-    def find_template(self, template: str) -> DerivationPattern:
-        for pattern in self.patterns:
-            if pattern.template == template:
-                return pattern
-        raise KeyError(template)
 
 
 def _validate_pattern(pattern: DerivationPattern) -> None:

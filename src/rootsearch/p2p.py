@@ -39,7 +39,7 @@ from .corpus import CorpusManifest
 from .errors import OverlayMismatch
 from .index import DocIds, IndexMode, postings
 from .morphology import RootLexicon
-from .search import P2P_ADVANCED, P2P_SIMPLE, Query, SearchResult, expansion_terms
+from .search import P2P_ADVANCED, P2P_SIMPLE, Query, SearchOutcome, SearchResult, expansion_terms
 
 KIND_QUERY_UP = "QUERY_UP"
 KIND_QUERY_FORWARD = "QUERY_FORWARD"
@@ -169,13 +169,6 @@ class Overlay:
         return set(words)
 
 
-@dataclass(frozen=True)
-class P2PSearchOutcome:
-    result: SearchResult
-    messages: tuple[OverlayMessage, ...]
-    peers_contacted: int
-
-
 def build_overlay(manifest: CorpusManifest, mode: IndexMode) -> Overlay:
     """Build peers, their postings and super-peer summaries from the manifest.
 
@@ -206,7 +199,7 @@ def build_overlay(manifest: CorpusManifest, mode: IndexMode) -> Overlay:
     return Overlay(mode, peers, superpeers, manifest.lexicon)
 
 
-def p2p_search(query: Query, overlay: Overlay, origin: str) -> P2PSearchOutcome:
+def p2p_search(query: Query, overlay: Overlay, origin: str) -> SearchOutcome:
     """Run one query from ``origin`` through the overlay.
 
     The found set is independent of the origin peer; the message log is
@@ -243,7 +236,7 @@ def p2p_search(query: Query, overlay: Overlay, origin: str) -> P2PSearchOutcome:
         query.query_id, overlay.engine, merge(parts), expanded, degraded=degraded
     )
     contacted = {m.dst for m in transport.log if m.kind == KIND_QUERY_FORWARD}
-    return P2PSearchOutcome(result, tuple(transport.log), len(contacted))
+    return SearchOutcome(result, tuple(transport.log), len(contacted))
 
 
 def format_message_log(messages: tuple[OverlayMessage, ...]) -> str:

@@ -10,11 +10,15 @@ cannot be resolved degrades to exact search instead of failing.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from .errors import UnknownRoot
 from .index import InvertedIndex
 from .morphology import RootLexicon, extract_root
 from .normalize import normalize
+
+if TYPE_CHECKING:
+    from .p2p import OverlayMessage
 
 BASELINE = "baseline"
 EXPANDED = "expanded"
@@ -49,6 +53,15 @@ class SearchResult:
     found: tuple[str, ...]
     expanded_terms: tuple[str, ...] = ()
     degraded: bool = field(default=False, kw_only=True)
+
+
+@dataclass(frozen=True)
+class SearchOutcome:
+    """What every engine call returns; a centralized engine sends no messages."""
+
+    result: SearchResult
+    messages: tuple[OverlayMessage, ...] = ()
+    peers_contacted: int | None = None
 
 
 def search_exact(query: Query, index: InvertedIndex) -> SearchResult:

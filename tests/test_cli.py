@@ -182,6 +182,72 @@ class TestRunEvalAndReport:
         code = main(["run-eval", "--corpus", str(tmp_path / "nope")])
         assert code == 2
 
+    def test_query_agrees_with_run_eval_rows(self, micro_args, tmp_path, capsys):
+        # `query` and `run-eval` build their engines through one dispatch
+        results = tmp_path / "results"
+        assert main(["run-eval", "--corpus", str(micro_args), "--out", str(results)]) == EXIT_OK
+        for engine in ("baseline", "expanded", "p2p-simple", "p2p-advanced"):
+            rows = (results / f"{engine}.tsv").read_text("utf-8").splitlines()[2:]
+            for row in rows:
+                _, word, found_count, _, _, _, peers = row.split("\t")
+                capsys.readouterr()
+                code = main(["query", word, "--corpus", str(micro_args), "--engine", engine])
+                out = capsys.readouterr().out.splitlines()
+                assert code == EXIT_OK
+                assert f"found ({found_count}):" in out, (engine, word)
+                contacted = [line for line in out if line.startswith("peers contacted: ")]
+                expected = [] if peers == "-" else [f"peers contacted: {peers}"]
+                assert contacted == expected, (engine, word)
+
+
+class TestReportInputErrors:
+    @pytest.fixture()
+    def results(self, micro_args, tmp_path, capsys):
+        out = tmp_path / "results"
+        assert main(["run-eval", "--corpus", str(micro_args), "--out", str(out)]) == EXIT_OK
+        capsys.readouterr()
+        return out
+
+    def _report_error(self, results, capsys):
+        code = main(["report", "--results", str(results)])
+        captured = capsys.readouterr()
+        assert code == EXIT_VALIDATION
+        assert captured.out == ""
+        return captured.err
+
+    def test_empty_summary_names_file_and_line(self, results, capsys):
+        path = results / "summary.tsv"
+        path.write_text("", encoding="utf-8")
+        assert self._report_error(results, capsys) == (
+            f"error: {path}:1: empty file, expected header '# rootsearch-summary v1'\n"
+        )
+
+    def test_summary_without_engine_rows_is_rejected(self, results, capsys):
+        path = results / "summary.tsv"
+        path.write_text("\n".join(path.read_text("utf-8").splitlines()[:2]) + "\n", "utf-8")
+        assert self._report_error(results, capsys) == (
+            f"error: {path}: no rows after the header lines\n"
+        )
+
+    def test_truncated_results_row_names_file_and_line(self, results, capsys):
+        path = results / "expanded.tsv"
+        lines = path.read_text("utf-8").splitlines()
+        lines[3] = lines[3].rsplit("\t", 1)[0]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert self._report_error(results, capsys) == (
+            f"error: {path}:4: expected 7 tab-separated fields, got 6\n"
+        )
+
+    def test_results_file_with_wrong_magic_names_file_and_line(self, results, capsys):
+        path = results / "baseline.tsv"
+        lines = path.read_text("utf-8").splitlines()
+        lines[0] = "# rootsearch-summary v1"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert self._report_error(results, capsys) == (
+            f"error: {path}:1: expected header '# rootsearch-results v1',"
+            " got '# rootsearch-summary v1'\n"
+        )
+
 
 class TestCorpusLoadErrors:
     @pytest.mark.parametrize("name", ["manifest.tsv", "queries.tsv"])

@@ -1,15 +1,15 @@
 """Precision/recall arithmetic, record consistency, and the full harness."""
 
+import shutil
 from fractions import Fraction
 
 import pytest
 
 from rootsearch.cli import EXIT_OK, main
-from rootsearch.corpus import manifest_digest
+from rootsearch.corpus import load_manifest, manifest_digest
 from rootsearch.errors import UnknownRoot
 from rootsearch.evaluation import (
     BaselineEngine,
-    EngineResult,
     build_engines,
     fixed4,
     make_record,
@@ -18,7 +18,15 @@ from rootsearch.evaluation import (
     run_evaluation,
     write_report,
 )
-from rootsearch.search import BASELINE, ENGINES, EXPANDED, P2P_ADVANCED, P2P_SIMPLE
+from rootsearch.search import (
+    BASELINE,
+    ENGINES,
+    EXPANDED,
+    P2P_ADVANCED,
+    P2P_SIMPLE,
+    Query,
+    SearchOutcome,
+)
 
 # hand-computed (found, relevant, precision, recall) cases, including both
 # empty-set conventions: empty found -> P=0, empty relevant -> R=1
@@ -84,10 +92,10 @@ class TestFixed4:
 
 class TestRecords:
     def test_flags_and_values(self):
-        rec = make_record("q0", "لعب", BASELINE, set(), {"d1"})
+        rec = make_record("q0", "لعب", set(), {"d1"})
         assert not rec.s_found and rec.s_relevant
         assert rec.precision == Fraction(0) and rec.recall == Fraction(0)
-        rec = make_record("q0", "لعب", BASELINE, {"d1"}, set())
+        rec = make_record("q0", "لعب", {"d1"}, set())
         assert rec.s_found and not rec.s_relevant
         assert rec.recall == Fraction(1)
 
@@ -149,6 +157,29 @@ class TestRunEvaluation:
         assert all(r.error is not None for r in records)
         assert all(r.s_found == frozenset() for r in records)
         assert report.failures("baseline") == len(manifest.queries)
+
+    def test_hand_vocalized_query_evaluates_like_the_bare_word(
+        self, micro_corpus, micro_report, tmp_path
+    ):
+        # queries are parsed as `rootsearch query` parses them: diacritics
+        # and tatweel in queries.tsv are normalized away before any engine
+        corpus_dir, _ = micro_corpus
+        shutil.copytree(corpus_dir, tmp_path / "c")
+        path = tmp_path / "c" / "queries.tsv"
+        lines = path.read_text("utf-8").splitlines()
+        query_id, word, root = lines[1].split("\t")
+        vocalized = word[0] + "ـ" + "".join(ch + "َ" for ch in word[1:])
+        lines[1] = "\t".join([query_id, vocalized, root])
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        manifest = load_manifest(tmp_path / "c")
+        report = run_evaluation(manifest, build_engines(manifest))
+        for engine in ENGINES:
+            noisy, bare = report.records[engine][0], micro_report.records[engine][0]
+            assert (noisy.query_id, noisy.word) == (query_id, vocalized)
+            assert bare.s_found, engine
+            assert (noisy.s_found, noisy.precision, noisy.recall, noisy.peers_contacted) == (
+                bare.s_found, bare.precision, bare.recall, bare.peers_contacted
+            ), engine
 
 
 class TestBuildEngines:
@@ -228,9 +259,8 @@ class TestEngineResultShape:
         _, manifest = micro_corpus
         (engine,) = build_engines(manifest, [BASELINE])
         assert isinstance(engine, BaselineEngine)
-        from rootsearch.search import Query
-
         out = engine.run(Query.parse("q", manifest.queries[0].word))
-        assert isinstance(out, EngineResult)
+        assert isinstance(out, SearchOutcome)
+        assert len(out.result.found) == 1
         assert out.peers_contacted is None
-        assert len(out.found) == 1
+        assert out.messages == ()

@@ -15,22 +15,23 @@ from rootsearch.morphology import (
 from rootsearch.normalize import normalize
 
 
+def _template(patterns, template):
+    """The inventory's one pattern with ``template``."""
+    (pattern,) = [p for p in patterns.patterns if p.template == template]
+    return pattern
+
+
 class TestPatternInventory:
     def test_loads_100_unique_templates(self, patterns):
         assert len(patterns) == 100
-        assert len({p.template for p in patterns}) == 100
-        assert len({p.pattern_id for p in patterns}) == 100
+        assert len({p.template for p in patterns.patterns}) == 100
+        assert len({p.pattern_id for p in patterns.patterns}) == 100
 
     def test_version(self, patterns):
         assert patterns.version == "v1"
 
     def test_all_templates_are_triliteral(self, patterns):
-        assert all(p.arity == 3 for p in patterns)
-
-    def test_find_template(self, patterns):
-        assert patterns.find_template("يC1C2C3ون").arity == 3
-        with pytest.raises(KeyError):
-            patterns.find_template("C1C2")
+        assert all(p.arity == 3 for p in patterns.patterns)
 
     def test_rejects_gapped_or_missing_slots(self):
         from rootsearch.morphology import _validate_pattern
@@ -58,12 +59,12 @@ class TestPatternInventory:
 
 class TestDerive:
     def test_present_plural_of_anchor_roots(self, patterns):
-        plural = patterns.find_template("يC1C2C3ون")
+        plural = _template(patterns, "يC1C2C3ون")
         assert derive("لعب", plural) == "يلعبون"
         assert derive("اكل", plural) == "ياكلون"
 
     def test_definite_passive_participle(self, patterns):
-        participle = patterns.find_template("المC1C2وC3")
+        participle = _template(patterns, "المC1C2وC3")
         assert derive("اكل", participle) == "الماكول"
 
     def test_deterministic(self, patterns):
@@ -73,7 +74,7 @@ class TestDerive:
     def test_injective_per_root_over_full_inventory(self, patterns):
         # brute force: every built-in root yields 100 pairwise-distinct words
         for root in ROOT_INVENTORY:
-            words = [derive(root, p) for p in patterns]
+            words = [derive(root, p) for p in patterns.patterns]
             assert len(set(words)) == len(words), root
 
     def test_quadriliteral_root_with_four_slot_template(self):
@@ -83,17 +84,17 @@ class TestDerive:
 
     def test_arity_mismatch(self, patterns):
         with pytest.raises(ArityMismatch):
-            derive("دحرج", patterns.find_template("C1C2C3"))
+            derive("دحرج", _template(patterns, "C1C2C3"))
         with pytest.raises(ArityMismatch):
             derive("لعب", DerivationPattern("q1", "يC1C2C3C4"))
 
     def test_rejects_unnormalized_root(self, patterns):
         with pytest.raises(ValueError):
-            derive("أكل", patterns.find_template("C1C2C3"))
+            derive("أكل", _template(patterns, "C1C2C3"))
 
     def test_rejects_short_root(self, patterns):
         with pytest.raises(ValueError):
-            derive("كب", patterns.find_template("C1C2C3"))
+            derive("كب", _template(patterns, "C1C2C3"))
 
 
 class TestLightStem:
