@@ -23,10 +23,11 @@ import itertools
 import random
 from dataclasses import dataclass
 from functools import cached_property
+from operator import attrgetter
 from pathlib import Path
-from typing import NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
-from .errors import CorpusSpecError, InsufficientRoots, PatternCollision
+from .errors import CorpusSpecError, EmptyAfterNormalization, InsufficientRoots, PatternCollision
 from .morphology import PatternInventory, RootLexicon, derive, extract_root, load_patterns
 from .normalize import normalize
 
@@ -106,6 +107,30 @@ class QueryEntry(NamedTuple):
     root: str
 
 
+DocIds = tuple[str, ...]
+
+
+def postings(docs: Iterable[Document], key: Callable[[Document], str]) -> dict[str, DocIds]:
+    """``key(doc)`` -> sorted, duplicate-free doc ids; the one grouping of
+    documents by key. A key's first id is a 1-tuple and only its second makes
+    a list, so the one-id word keys of a generated corpus leave no list for
+    the collector."""
+    grouped: dict = {}
+    for doc in docs:
+        k = key(doc)
+        ids = grouped.get(k)
+        if ids is None:
+            grouped[k] = (doc.doc_id,)
+        elif type(ids) is tuple:
+            grouped[k] = [ids[0], doc.doc_id]
+        else:
+            ids.append(doc.doc_id)
+    for k, ids in grouped.items():
+        if type(ids) is list:
+            grouped[k] = tuple(dict.fromkeys(sorted(ids)))
+    return grouped
+
+
 @dataclass(eq=False)
 class CorpusManifest:
     """Ground truth for a generated corpus: every document's word, root and peer."""
@@ -118,17 +143,11 @@ class CorpusManifest:
 
     @cached_property
     def lexicon(self) -> RootLexicon:
-        lex = RootLexicon()
-        for doc in self.documents:
-            lex.add(doc.word, doc.root)
-        return lex
+        return RootLexicon((doc.word, doc.root) for doc in self.documents)
 
     @cached_property
-    def docs_by_root(self) -> dict[str, frozenset[str]]:
-        grouped: dict[str, set[str]] = {}
-        for doc in self.documents:
-            grouped.setdefault(doc.root, set()).add(doc.doc_id)
-        return {root: frozenset(ids) for root, ids in grouped.items()}
+    def docs_by_root(self) -> dict[str, DocIds]:
+        return postings(self.documents, attrgetter("root"))
 
     @cached_property
     def docs_by_peer(self) -> dict[str, tuple[Document, ...]]:
@@ -343,6 +362,20 @@ def _repeated_doc_id(path: Path, lines: list[str]) -> CorpusSpecError:
     raise AssertionError("unreachable")
 
 
+def _check_query_words(path: Path, lines: list[str], queries: list[QueryEntry]) -> None:
+    """Reject a word ``Query.parse`` rejects: not one token, not Arabic, or
+    nothing left after normalization."""
+    linenos = (lineno for lineno, line in enumerate(lines[1:], 2) if line.strip())
+    for lineno, entry in zip(linenos, queries):
+        try:
+            (token,) = entry.word.split()
+            normalize(token)
+        except (ValueError, EmptyAfterNormalization):
+            raise CorpusSpecError(
+                f"{path}:{lineno}: query word {entry.word!r} is not one Arabic word"
+            ) from None
+
+
 def load_manifest(corpus_dir: str | Path) -> CorpusManifest:
     """Reload a generated corpus from its manifest and query files.
 
@@ -351,9 +384,9 @@ def load_manifest(corpus_dir: str | Path) -> CorpusManifest:
             header line, the manifest header lacks a field
             or holds a non-integer count, a row has the wrong field count,
             a doc id repeats, the manifest holds no documents or a number
-            other than ``roots x words_per_root``, or ``queries.tsv`` holds
-            no queries; the message names the file, and the 1-based line
-            where there is one.
+            other than ``roots x words_per_root``, ``queries.tsv`` holds
+            no queries, or a query word is not one Arabic word; the message
+            names the file, and the 1-based line where there is one.
     """
     corpus_dir = Path(corpus_dir)
     manifest_path = corpus_dir / MANIFEST_NAME
@@ -385,6 +418,7 @@ def load_manifest(corpus_dir: str | Path) -> CorpusManifest:
     queries = _rows(queries_path, query_lines, QueryEntry)
     if not queries:
         raise CorpusSpecError(f"{queries_path}: no queries after the header line")
+    _check_query_words(queries_path, query_lines, queries)
 
     return CorpusManifest(
         spec=spec,
@@ -402,7 +436,7 @@ def relevant_set(word: str, manifest: CorpusManifest) -> frozenset[str]:
         UnknownRoot: the word resolves to no root at all.
     """
     root = extract_root(normalize(word), manifest.lexicon)
-    return manifest.docs_by_root.get(root, frozenset())
+    return frozenset(manifest.docs_by_root.get(root, ()))
 
 
 def manifest_digest(corpus_dir: str | Path) -> str:

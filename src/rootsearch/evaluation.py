@@ -2,9 +2,8 @@
 
 Per query: precision = |relevant ∩ found| / |found| and
 recall = |relevant ∩ found| / |relevant|, held as exact fractions and only
-rendered to 4 decimal places on output. Conventions for the empty cases,
-flagged on each record: empty found set gives precision 0, empty relevant
-set gives recall 1.
+rendered to 4 decimal places on output. Conventions for the empty cases:
+an empty found set gives precision 0, an empty relevant set gives recall 1.
 
 Relevance is mechanical ground truth: a document is relevant to a query
 iff it shares the query word's root, read straight off the manifest.
@@ -205,7 +204,7 @@ def run_evaluation(
     """
     engines = list(engines)
     queries = [Query.parse(q.query_id, q.word) for q in manifest.queries]
-    relevant = [relevant_set(q.word, manifest) for q in manifest.queries]
+    relevant = [relevant_set(q.normalized, manifest) for q in queries]
     records: dict[str, tuple[EvalRecord, ...]] = {}
     for engine in engines:
         recs = []

@@ -7,57 +7,31 @@ whole root group; all root-mate keys share one posting tuple. Keys of
 ``entries`` are normalized words in both modes; lookups never expand
 anything themselves.
 
-Both modes also keep ``root_postings``: each root of the indexed documents
-mapped to the sorted ids of those documents. It answers a root-aware query
-with one lookup per root instead of one per root-mate.
+Both modes also keep ``root_postings``: each document filed under the
+root its manifest row records, mapped to the sorted ids of those
+documents. It answers a root-aware query with one lookup per root instead
+of one per root-mate.
 
-``postings`` builds every key -> sorted doc-id tuple map: this index's and
-each overlay peer's (see ``p2p``). The centralized engines search one
-SIMPLE index over the whole corpus.
+``corpus.postings`` builds every key -> sorted doc-id tuple map: this
+index's, each overlay peer's (see ``p2p``) and the manifest's
+``docs_by_root``. The centralized engines search one SIMPLE index over the
+whole corpus.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
 from operator import attrgetter
-from typing import Callable, Iterable
+from typing import Iterable
 
-from .corpus import Document
+from .corpus import DocIds, Document, postings
 from .errors import UnknownRoot
 from .morphology import RootLexicon
-
-DocIds = tuple[str, ...]
 
 
 class IndexMode(Enum):
     SIMPLE = "simple"
     ADVANCED = "advanced"
-
-
-def postings(
-    docs: Iterable[Document], key: Callable[[Document], str | None]
-) -> dict[str, DocIds]:
-    """``key(doc)`` -> sorted, duplicate-free doc ids; a None key files nothing.
-
-    A key's first id is a 1-tuple and only its second makes a list, so one-id
-    keys (all word keys of a generated corpus) leave no list for the collector.
-    """
-    grouped: dict = {}
-    for doc in docs:
-        k = key(doc)
-        if k is None:
-            continue
-        ids = grouped.get(k)
-        if ids is None:
-            grouped[k] = (doc.doc_id,)
-        elif type(ids) is tuple:
-            grouped[k] = [ids[0], doc.doc_id]
-        else:
-            ids.append(doc.doc_id)
-    for k, ids in grouped.items():
-        if type(ids) is list:
-            grouped[k] = tuple(dict.fromkeys(sorted(ids)))
-    return grouped
 
 
 @dataclass(eq=False)
@@ -78,15 +52,14 @@ def build_index(
 ) -> InvertedIndex:
     """Build an index over ``docs`` in the given mode.
 
-    In SIMPLE mode, documents whose word is not in the lexicon are indexed
-    by word only and have no root posting.
+    Both modes file every document's id under its manifest root in
+    ``root_postings``; only ADVANCED mode reads the lexicon.
 
     Raises:
         UnknownRoot: in ADVANCED mode, a document word is not in the lexicon.
     """
     docs = tuple(docs)
-    root_of = lexicon.root_of
-    root_postings = postings(docs, lambda doc: root_of(doc.word))
+    root_postings = postings(docs, attrgetter("root"))
     if mode is IndexMode.SIMPLE:
         return InvertedIndex(mode, postings(docs, attrgetter("word")), root_postings)
 

@@ -6,14 +6,15 @@ one ``C1``/``C2``/... slot per root consonant plus fixed prefix, infix and
 suffix letters, e.g. template ``يC1C2C3ون`` applied to لعب yields يلعبون.
 
 Root resolution is lexicon-first: the corpus manifest records every
-generated word's root, so corpus vocabulary always resolves exactly.
+generated word's root, and the lexicon is built once from those (word,
+root) rows, so corpus vocabulary always resolves exactly.
 Out-of-vocabulary words fall back to light stemming (clitic stripping),
 which is heuristic by design.
 """
 from __future__ import annotations
 
 import re
-import sys
+from collections import defaultdict
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -141,27 +142,26 @@ def derive(root: str, pattern: DerivationPattern) -> str:
 
 
 class RootLexicon:
-    """Bidirectional word/root maps over a corpus vocabulary.
+    """Bidirectional word/root maps over a corpus vocabulary, built once from
+    (word, root) pairs; a repeated pair counts once. Each root keeps its words
+    as one sorted tuple, and all of them map to the root object seen first, so
+    root-mates resolve to one object rather than one per manifest row.
 
-    Written once while the corpus is generated, read-only afterwards; the
-    two internal maps are kept mutually consistent by construction. Each
-    root's sorted word tuple is computed on first use and dropped whenever
-    ``add`` changes that root.
+    Raises:
+        ValueError: a word is paired with two different roots.
     """
 
-    def __init__(self) -> None:
-        self._root_of: dict[str, str] = {}
-        self._words_of: dict[str, set[str]] = {}
-        self._sorted_words: dict[str, tuple[str, ...]] = {}
-
-    def add(self, word: str, root: str) -> None:
-        existing = self._root_of.get(word)
-        if existing is not None and existing != root:
-            raise ValueError(f"word {word!r} already mapped to root {existing!r}")
-        # one str per root, not one per manifest row: root-mates resolve to one object
-        self._root_of[word] = root = sys.intern(root)
-        self._words_of.setdefault(root, set()).add(word)
-        self._sorted_words.pop(root, None)
+    def __init__(self, pairs: Iterable[tuple[str, str]] = ()) -> None:
+        grouped: dict[str, list[str]] = defaultdict(list)
+        for word, root in pairs:
+            grouped[root].append(word)
+        self._words_of = {r: tuple(dict.fromkeys(sorted(ws))) for r, ws in grouped.items()}
+        self._root_of = {w: r for r, ws in self._words_of.items() for w in ws}
+        if len(self._root_of) != sum(map(len, self._words_of.values())):
+            word, root = next(
+                (w, r) for r, ws in self._words_of.items() for w in ws if self._root_of[w] != r
+            )
+            raise ValueError(f"word {word!r} has two roots: {root!r} and {self._root_of[word]!r}")
 
     def root_of(self, word: str) -> str | None:
         return self._root_of.get(word)
@@ -172,15 +172,7 @@ class RootLexicon:
 
     def words_of(self, root: str) -> tuple[str, ...]:
         """Every vocabulary word with this root, sorted; () for unknown roots."""
-        words = self._sorted_words.get(root)
-        if words is None:
-            words = tuple(sorted(self._words_of.get(root, ())))
-            if root in self._words_of:
-                self._sorted_words[root] = words
-        return words
-
-    def has_root(self, root: str) -> bool:
-        return root in self._words_of
+        return self._words_of.get(root, ())
 
     def vocabulary(self) -> frozenset[str]:
         return frozenset(self._root_of)
@@ -236,7 +228,7 @@ def extract_root(word: str, lexicon: RootLexicon) -> str:
     if root is not None:
         return root
     stem = light_stem(word)
-    if lexicon.has_root(stem):
+    if lexicon.words_of(stem):
         return stem
     via_word = lexicon.root_of(stem)
     if via_word is not None:

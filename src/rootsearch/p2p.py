@@ -1,7 +1,7 @@
 """Simulated super-peer overlay with full message accounting.
 
 Each peer holds one postings map from key to the doc ids of its shard,
-built by ``index.postings``, and each super-peer keeps one summary per
+built by ``corpus.postings``, and each super-peer keeps one summary per
 child: the keys of that child's map. The overlay's mode picks the key
 once, for every node: a document's word in SIMPLE mode, its root in
 ADVANCED mode. ``Overlay.keys_of`` is the one resolver from a payload's
@@ -35,9 +35,9 @@ from dataclasses import dataclass
 from operator import attrgetter
 from typing import Iterable
 
-from .corpus import CorpusManifest
+from .corpus import CorpusManifest, DocIds, postings
 from .errors import OverlayMismatch
-from .index import DocIds, IndexMode, postings
+from .index import IndexMode
 from .morphology import RootLexicon
 from .search import P2P_ADVANCED, P2P_SIMPLE, Query, SearchOutcome, SearchResult, expansion_terms
 

@@ -340,6 +340,20 @@ class TestCorpusLoadErrors:
         assert err == f"error: {path}:5: doc id {doc_id!r} repeats line 2\n"
 
     @pytest.mark.parametrize(
+        "word", ["\u064e", "kitab", "كتب جديد"], ids=["diacritic-only", "latin", "two-words"]
+    )
+    def test_bad_query_word_names_its_line(self, micro_args, tmp_path, capsys, word):
+        path = micro_args / "queries.tsv"
+        lines = path.read_text("utf-8").splitlines()
+        query_id, _, root = lines[2].split("\t")
+        lines[2] = "\t".join([query_id, word, root])
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code = main(["run-eval", "--corpus", str(micro_args), "--out", str(tmp_path / "r")])
+        err = capsys.readouterr().err
+        assert code == EXIT_VALIDATION
+        assert err == f"error: {path}:3: query word {word!r} is not one Arabic word\n"
+
+    @pytest.mark.parametrize(
         "field,replacement,message",
         [
             ("roots", "", "header has no 'roots' field"),

@@ -4,9 +4,9 @@ from operator import attrgetter
 
 import pytest
 
-from rootsearch.corpus import Document, relevant_set
+from rootsearch.corpus import Document, postings, relevant_set
 from rootsearch.errors import UnknownRoot
-from rootsearch.index import IndexMode, build_index, postings
+from rootsearch.index import IndexMode, build_index
 from rootsearch.morphology import RootLexicon
 
 
@@ -134,11 +134,6 @@ class TestPostings:
     def test_repeated_id_collapses_to_one(self):
         docs = _docs(("d2", "w"), ("d1", "w"), ("d2", "w"))
         assert postings(docs, attrgetter("word")) == {"w": ("d1", "d2")}
-
-    def test_none_key_files_nothing(self):
-        docs = _docs(("d1", "w"), ("d2", "x"))
-        key = lambda doc: None if doc.word == "x" else doc.word  # noqa: E731
-        assert postings(docs, key) == {"w": ("d1",)}
 
     def test_lone_id_is_stored_as_a_one_tuple(self):
         filed = postings(_docs(("d1", "w"), ("d2", "x"), ("d3", "x")), attrgetter("word"))

@@ -165,33 +165,32 @@ class TestRootLexicon:
         for doc in manifest.documents[::53]:
             assert doc.word in lex.words_of(lex.root_of(doc.word))
 
-    def test_conflicting_add_rejected(self):
-        lex = RootLexicon()
-        lex.add("يلعبون", "لعب")
-        with pytest.raises(ValueError):
-            lex.add("يلعبون", "اكل")
+    def test_conflicting_pair_rejected(self):
+        pairs = [("يلعبون", "لعب"), ("لاعب", "لعب"), ("يلعبون", "اكل")]
+        with pytest.raises(ValueError, match="'يلعبون' has two roots: 'لعب' and 'اكل'"):
+            RootLexicon(pairs)
 
-    def test_duplicate_add_is_idempotent(self):
-        lex = RootLexicon()
-        lex.add("يلعبون", "لعب")
-        lex.add("يلعبون", "لعب")
+    def test_repeated_pair_counts_once(self):
+        lex = RootLexicon([("يلعبون", "لعب"), ("يلعبون", "لعب")])
         assert len(lex) == 1
-
-
-    def test_words_of_is_sorted_and_sees_later_adds(self):
-        lex = RootLexicon()
-        lex.add("يلعبون", "لعب")
         assert lex.words_of("لعب") == ("يلعبون",)
-        lex.add("لاعب", "لعب")
-        lex.add("ياكلون", "اكل")
+
+    def test_words_of_is_sorted(self):
+        lex = RootLexicon([("يلعبون", "لعب"), ("ياكلون", "اكل"), ("لاعب", "لعب")])
         assert lex.words_of("لعب") == ("لاعب", "يلعبون")
         assert lex.words_of("زخرف") == ()
+        assert RootLexicon().words_of("لعب") == ()
 
     def test_roots_of_resolves_distinct_roots(self):
-        lex = RootLexicon()
-        for word in ("يلعبون", "لاعب"):
-            lex.add(word, "لعب")
+        lex = RootLexicon([("يلعبون", "لعب"), ("لاعب", "لعب")])
         assert lex.roots_of(("يلعبون", "لاعب", "زخرف")) == {"لعب", None}
+
+    def test_root_mates_share_one_root_object(self):
+        # one str per manifest row in, one per root out
+        first, second = "".join(["ل", "ع", "ب"]), "".join(["ل", "ع", "ب"])
+        assert first == second and first is not second
+        lex = RootLexicon([("يلعبون", first), ("لاعب", second)])
+        assert lex.root_of("يلعبون") is lex.root_of("لاعب")
 
 
 class TestRoundTripAndPartition:
