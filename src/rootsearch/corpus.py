@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from operator import attrgetter
 from pathlib import Path
+from sys import intern
 from typing import Callable, Iterable, NamedTuple
 
 from .errors import CorpusSpecError, EmptyAfterNormalization, InsufficientRoots, PatternCollision
@@ -304,11 +305,18 @@ def _write_corpus(manifest: CorpusManifest, out_dir: Path) -> None:
         )
 
 
-def _parse_header(lines: list[str], path: Path, magic: str) -> dict[str, str]:
+def check_magic_line(lines: list[str], path: Path, magic: str, error: type[Exception]) -> None:
+    """Raise ``error``, naming line 1 of ``path``, unless the file's
+    ``lines`` start with ``magic``; the one first-line check of every file
+    rootsearch writes and reads back."""
     if not lines:
-        raise CorpusSpecError(f"{path}:1: empty file, expected header {magic!r}")
+        raise error(f"{path}:1: empty file, expected header {magic!r}")
     if not lines[0].startswith(magic):
-        raise CorpusSpecError(f"{path}:1: expected header {magic!r}, got {lines[0][:40]!r}")
+        raise error(f"{path}:1: expected header {magic!r}, got {lines[0][:40]!r}")
+
+
+def _parse_header(lines: list[str], path: Path, magic: str) -> dict[str, str]:
+    check_magic_line(lines, path, magic, CorpusSpecError)
     fields = {}
     for part in lines[0].split("\t")[1:]:
         key, _, value = part.partition("=")
@@ -327,13 +335,14 @@ def _header_field(fields: dict[str, str], name: str, path: Path, convert=str):
         ) from None
 
 
-def _rows(path: Path, lines: list[str], row_type: type[tuple]) -> list:
-    """A ``row_type`` per non-blank line after the header. The line with the
-    wrong field count is looked for only once a row failed to build."""
+def _rows(path: Path, lines: list[str], make: Callable[..., tuple], width: int) -> list:
+    """``make(*fields)`` per non-blank line after the header. The line
+    whose field count is not ``width`` is looked for only once a row failed
+    to build."""
     try:
-        return [row_type(*line.split("\t")) for line in lines[1:] if line.strip()]
+        return [make(*line.split("\t")) for line in lines[1:] if line.strip()]
     except TypeError:
-        width = len(row_type._fields)
+        pass
     for lineno, line in enumerate(lines[1:], 2):
         got = line.count("\t") + 1
         if line.strip() and got != width:
@@ -341,6 +350,13 @@ def _rows(path: Path, lines: list[str], row_type: type[tuple]) -> list:
                 f"{path}:{lineno}: expected {width} tab-separated fields, got {got}"
             )
     raise AssertionError("unreachable")
+
+
+def _shared_document(doc_id: str, word: str, root: str, peer_id: str) -> Document:
+    """A manifest row whose root and peer id are the one shared string of
+    their value, not a copy per row: each repeats across a root's or a
+    peer's rows."""
+    return Document(doc_id, word, intern(root), intern(peer_id))
 
 
 def _repeated_doc_id(path: Path, lines: list[str]) -> CorpusSpecError:
@@ -400,7 +416,7 @@ def load_manifest(corpus_dir: str | Path) -> CorpusManifest:
         roots_per_peer=_header_field(fields, "roots_per_peer", manifest_path, int),
         seed=_header_field(fields, "seed", manifest_path, int),
     )
-    documents = _rows(manifest_path, manifest_lines, Document)
+    documents = _rows(manifest_path, manifest_lines, _shared_document, len(Document._fields))
     if not documents:
         raise CorpusSpecError(f"{manifest_path}: no documents after the header line")
     if len({doc.doc_id for doc in documents}) != len(documents):
@@ -414,8 +430,8 @@ def load_manifest(corpus_dir: str | Path) -> CorpusManifest:
 
     queries_path = corpus_dir / QUERIES_NAME
     query_lines = queries_path.read_text("utf-8").splitlines()
-    _parse_header(query_lines, queries_path, _QUERIES_MAGIC)
-    queries = _rows(queries_path, query_lines, QueryEntry)
+    check_magic_line(query_lines, queries_path, _QUERIES_MAGIC, CorpusSpecError)
+    queries = _rows(queries_path, query_lines, QueryEntry, len(QueryEntry._fields))
     if not queries:
         raise CorpusSpecError(f"{queries_path}: no queries after the header line")
     _check_query_words(queries_path, query_lines, queries)

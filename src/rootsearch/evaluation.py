@@ -24,7 +24,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Protocol
 
-from .corpus import CorpusManifest, relevant_set
+from .corpus import CorpusManifest, check_magic_line, relevant_set
 from .errors import RootSearchError
 from .index import IndexMode, InvertedIndex, build_index
 from .p2p import ENGINE_MODES, Overlay, build_overlay, p2p_search
@@ -271,10 +271,7 @@ def read_table(path: Path, magic: str) -> list[list[str]]:
             not the column line's, or no row follows; naming file and line.
     """
     lines = path.read_text("utf-8").splitlines()
-    if not lines:
-        raise ValueError(f"{path}:1: empty file, expected header {magic!r}")
-    if not lines[0].startswith(magic):
-        raise ValueError(f"{path}:1: expected header {magic!r}, got {lines[0][:40]!r}")
+    check_magic_line(lines, path, magic, ValueError)
     width = _COLUMNS[magic].count("\t") + 1
     rows = []
     for lineno, line in enumerate(lines[2:], start=3):

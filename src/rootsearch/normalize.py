@@ -19,24 +19,34 @@ import re
 
 from .errors import EmptyAfterNormalization
 
-# U+0610-061A honorific marks, U+064B-065F harakat/tanwin/shadda/sukun,
-# U+0670 dagger alef, U+06D6-06ED Quranic annotation signs.
-_DIACRITICS = re.compile(r"[ؐ-ًؚ-ٰٟۖ-ۭ]")
-_TATWEEL = "ـ"
+# Deleted: tatweel, and the diacritics U+0610-061A (honorific marks),
+# U+064B-065F (harakat, tanwin, shadda, sukun), U+0670 (dagger alef) and
+# U+06D6-06ED (Quranic annotation signs).
+_DELETED = dict.fromkeys(
+    [0x0640, *range(0x0610, 0x061B), *range(0x064B, 0x0660), 0x0670, *range(0x06D6, 0x06EE)]
+)
+_FOLDS = str.maketrans({"أ": "ا", "إ": "ا", "آ": "ا", "ٱ": "ا", "ى": "ي", "ة": "ه"})
+
+
+def _table(changes: dict[int, str | None]) -> list[int | str | None]:
+    """A ``str.translate`` table over U+0000-06FF that keeps every code
+    point ``changes`` does not name. A list, not a dict: ``translate``
+    raises and clears a KeyError for each letter a dict leaves out, which
+    makes a pass over a 4-10 letter word 1.5-2 times slower (CPython 3.11).
+    A code point past the list raises IndexError and is kept as well."""
+    table: list[int | str | None] = list(range(0x0700))
+    for code, value in changes.items():
+        table[code] = value
+    return table
+
+
+_STRIP = _table(_DELETED)
+# Rules 1-5 in one pass: no fold produces a deleted mark, so this equals
+# stripping first and folding after.
+_NORMALIZE = _table({**_DELETED, **_FOLDS})
 
 # A single word: non-empty, every code point inside the Arabic block.
 _ARABIC_WORD = re.compile(r"\A[؀-ۿ]+\Z")
-
-_LETTER_MAP = str.maketrans(
-    {
-        "أ": "ا",
-        "إ": "ا",
-        "آ": "ا",
-        "ٱ": "ا",
-        "ى": "ي",
-        "ة": "ه",
-    }
-)
 
 
 def is_arabic_word(text: str) -> bool:
@@ -46,7 +56,7 @@ def is_arabic_word(text: str) -> bool:
 
 def strip_diacritics(text: str) -> str:
     """Remove tatweel and all diacritic marks, leaving base letters only."""
-    return _DIACRITICS.sub("", text.replace(_TATWEEL, ""))
+    return text.translate(_STRIP)
 
 
 def normalize(word: str) -> str:
@@ -63,10 +73,10 @@ def normalize(word: str) -> str:
     """
     if not is_arabic_word(word):
         raise ValueError(f"not a single Arabic word: {word!r}")
-    stripped = strip_diacritics(word)
-    if not stripped:
+    normalized = word.translate(_NORMALIZE)
+    if not normalized:
         raise EmptyAfterNormalization(word)
-    return stripped.translate(_LETTER_MAP)
+    return normalized
 
 
 def is_normalized(word: str) -> bool:

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .corpus import CorpusManifest, DocIds, postings
 from .errors import OverlayMismatch
@@ -62,8 +62,7 @@ def merge(parts: Iterable[DocIds]) -> DocIds:
     return nonempty[0] if nonempty else ()
 
 
-@dataclass(frozen=True)
-class OverlayMessage:
+class OverlayMessage(NamedTuple):
     seq: int
     kind: str
     src: str
@@ -78,7 +77,7 @@ class Transport:
         self.log: list[OverlayMessage] = []
 
     def send(self, kind: str, src: str, dst: str, payload: tuple[str, ...]) -> None:
-        self.log.append(OverlayMessage(len(self.log) + 1, kind, src, dst, tuple(payload)))
+        self.log.append(OverlayMessage(len(self.log) + 1, kind, src, dst, payload))
 
 
 @dataclass(eq=False)
@@ -103,6 +102,9 @@ class SuperPeer:
     superpeer_id: str
     children: tuple[str, ...]
     summary: dict[str, frozenset[str]]
+    # every other super-peer id, in sorted() order: a query from a peer is
+    # passed on to these
+    siblings: tuple[str, ...]
 
     def matching_children(self, keys: set[str | None]) -> list[str]:
         return [child for child in self.children if keys & self.summary[child]]
@@ -130,11 +132,7 @@ class SuperPeer:
         # QUERY_UP: from the origin peer, or flooded over from a sibling.
         from_peer = message.src in overlay.peers
         targets = self.matching_children(overlay.keys_of(message.payload))
-        siblings = (
-            [sp for sp in sorted(overlay.superpeers) if sp != self.superpeer_id]
-            if from_peer
-            else []
-        )
+        siblings = self.siblings if from_peer else ()
         gather[self.superpeer_id] = {
             "requester": message.src,
             "pending": len(targets) + len(siblings),
@@ -184,7 +182,9 @@ def build_overlay(manifest: CorpusManifest, mode: IndexMode) -> Overlay:
     key = attrgetter("root" if mode is IndexMode.ADVANCED else "word")
     peers: dict[str, PeerNode] = {}
     superpeers: dict[str, SuperPeer] = {}
-    for sp_id, children in manifest.superpeer_children().items():
+    children_of = manifest.superpeer_children()
+    sp_ids = sorted(children_of)
+    for sp_id, children in children_of.items():
         summary: dict[str, frozenset[str]] = {}
         for peer_id in children:
             shard = manifest.docs_by_peer.get(peer_id, ())
@@ -195,7 +195,8 @@ def build_overlay(manifest: CorpusManifest, mode: IndexMode) -> Overlay:
             peer_postings = postings(shard, key)
             peers[peer_id] = PeerNode(peer_id, sp_id, peer_postings)
             summary[peer_id] = frozenset(peer_postings)
-        superpeers[sp_id] = SuperPeer(sp_id, children, summary)
+        siblings = tuple(sp for sp in sp_ids if sp != sp_id)
+        superpeers[sp_id] = SuperPeer(sp_id, children, summary, siblings)
     return Overlay(mode, peers, superpeers, manifest.lexicon)
 
 

@@ -9,8 +9,7 @@ cannot be resolved degrades to exact search instead of failing.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import UnknownRoot
 from .index import InvertedIndex
@@ -27,8 +26,7 @@ P2P_ADVANCED = "p2p-advanced"
 ENGINES = (BASELINE, EXPANDED, P2P_SIMPLE, P2P_ADVANCED)
 
 
-@dataclass(frozen=True)
-class Query:
+class Query(NamedTuple):
     query_id: str
     raw: str
     normalized: str
@@ -46,17 +44,15 @@ class Query:
         return cls(query_id, raw, normalize(tokens[0]))
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(NamedTuple):
     query_id: str
     engine: str
     found: tuple[str, ...]
     expanded_terms: tuple[str, ...] = ()
-    degraded: bool = field(default=False, kw_only=True)
+    degraded: bool = False
 
 
-@dataclass(frozen=True)
-class SearchOutcome:
+class SearchOutcome(NamedTuple):
     """What every engine call returns; a centralized engine sends no messages."""
 
     result: SearchResult

@@ -267,3 +267,9 @@ class TestLoadManifest:
         assert loaded.queries == manifest.queries
         assert loaded.roots == manifest.roots
         assert loaded.patterns_version == manifest.patterns_version
+
+    def test_each_root_and_peer_id_is_one_shared_string(self, corpus_dir):
+        loaded = load_manifest(corpus_dir)
+        assert len({id(d.root) for d in loaded.documents}) == len(loaded.roots)
+        peer_ids = {d.peer_id for d in loaded.documents}
+        assert len({id(d.peer_id) for d in loaded.documents}) == len(peer_ids)

@@ -188,6 +188,33 @@ class TestDegenerateTopology:
         ]
 
 
+class TestSiblingFlood:
+    def test_siblings_are_sent_in_sorted_id_order(self, tmp_path):
+        # ten super-peers: sorted() puts sp-10 between sp-1 and sp-2
+        spec = CorpusSpec(
+            root_count=20, words_per_root=2, peer_count=20,
+            superpeer_count=10, roots_per_peer=1, seed=3,
+        )
+        manifest = generate_corpus(spec, tmp_path)
+        overlay = build_overlay(manifest, IndexMode.SIMPLE)
+        entry = manifest.queries[0]
+        for origin in ("peer-1", "peer-7", "peer-20"):
+            outcome = p2p_search(Query.parse(entry.query_id, entry.word), overlay, origin)
+            own = overlay.peers[origin].parent
+            flooded = [
+                m.dst for m in outcome.messages if m.kind == KIND_QUERY_UP and m.src == own
+            ]
+            assert flooded == sorted(sp for sp in overlay.superpeers if sp != own)
+            if origin == "peer-7":  # under sp-4
+                assert flooded[:3] == ["sp-1", "sp-10", "sp-2"]
+
+    def test_message_fields_cannot_be_assigned(self, manifest, overlay_simple):
+        entry = manifest.queries[0]
+        message = p2p_search(Query.parse("q", entry.word), overlay_simple, "peer-1").messages[0]
+        with pytest.raises(AttributeError):
+            message.payload = ()
+
+
 class TestMessageLog:
     @pytest.fixture()
     def outcome(self, manifest, overlay_advanced):

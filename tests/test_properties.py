@@ -1,14 +1,17 @@
-"""Property tests: the lexicon and the postings builder against plain
-dict/set references over generated inputs."""
+"""Property tests: the lexicon, the postings builder and normalization
+against plain dict/set/regex references over generated inputs."""
 
+import re
 from operator import attrgetter
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rootsearch.corpus import Document, postings
+from rootsearch.errors import EmptyAfterNormalization
 from rootsearch.morphology import RootLexicon
+from rootsearch.normalize import normalize, strip_diacritics
 
 # small alphabets, so that generated words and roots often repeat
 _words = st.text(alphabet="ابتث", min_size=1, max_size=3)
@@ -54,3 +57,65 @@ def test_postings_match_a_set_reference(rows):
         filed = postings(docs, attrgetter(field))
         assert filed == {key: tuple(sorted(ids)) for key, ids in grouped.items()}
         assert all(type(ids) is tuple for ids in filed.values())
+
+
+# normalization written out as three passes: tatweel, diacritics, letters
+_REF_TATWEEL = "\u0640"
+_REF_DIACRITICS = re.compile("[\u0610-\u061a\u064b-\u065f\u0670\u06d6-\u06ed]")
+_REF_LETTERS = str.maketrans({"أ": "ا", "إ": "ا", "آ": "ا", "ٱ": "ا", "ى": "ي", "ة": "ه"})
+_REF_WORD = re.compile("\\A[\u0600-\u06ff]+\\Z")
+
+
+def _reference_strip(text):
+    return _REF_DIACRITICS.sub("", text.replace(_REF_TATWEEL, ""))
+
+
+def _reference_normalize(word):
+    if not _REF_WORD.match(word):
+        raise ValueError(word)
+    stripped = _reference_strip(word)
+    if not stripped:
+        raise EmptyAfterNormalization(word)
+    return stripped.translate(_REF_LETTERS)
+
+
+def _outcome(fn, word):
+    """The value ``fn`` returns for ``word``, or the type of what it raises."""
+    try:
+        return fn(word)
+    except (ValueError, EmptyAfterNormalization) as exc:
+        return type(exc)
+
+
+def _assert_normalize_matches_reference(word):
+    assert _outcome(normalize, word) == _outcome(_reference_normalize, word), ascii(word)
+    assert strip_diacritics(word) == _reference_strip(word), ascii(word)
+
+
+# letters, the folded letters, tatweel, marks inside each diacritic range
+# and the code points just outside them, a few non-Arabic code points, plus
+# any Arabic-block code point
+_arabic_text = st.text(
+    alphabet=st.one_of(
+        st.sampled_from(
+            "بتكلمويها" "أإآٱىة" "\u0640"
+            "\u0610\u061a\u064b\u064e\u0651\u0652\u065f\u0670\u06d6\u06ed"
+            "\u060f\u061b\u064a\u0660\u066f\u0671\u06d5\u06ee"
+            "a \u0700"
+        ),
+        st.characters(min_codepoint=0x0600, max_codepoint=0x06FF),
+    ),
+    max_size=8,
+)
+
+
+@settings(max_examples=500)
+@given(_arabic_text)
+def test_normalize_matches_a_three_pass_reference(word):
+    _assert_normalize_matches_reference(word)
+
+
+@pytest.mark.parametrize("prefix", ["", "ب"])
+def test_normalize_matches_the_reference_on_every_arabic_code_point(prefix):
+    for code in range(0x0600, 0x0700):
+        _assert_normalize_matches_reference(prefix + chr(code))

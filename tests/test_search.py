@@ -9,6 +9,8 @@ from rootsearch.search import (
     BASELINE,
     EXPANDED,
     Query,
+    SearchOutcome,
+    SearchResult,
     expansion_terms,
     search_exact,
     search_expanded,
@@ -32,6 +34,24 @@ class TestQueryParse:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             Query.parse("q", "   ")
+
+
+class TestRecords:
+    def test_fields_cannot_be_assigned(self):
+        result = SearchResult("q", BASELINE, ("d1",))
+        for record, field in (
+            (Query.parse("q", "كتاب"), "normalized"),
+            (result, "found"),
+            (SearchOutcome(result), "peers_contacted"),
+        ):
+            with pytest.raises(AttributeError):
+                setattr(record, field, None)
+
+    def test_degraded_by_keyword_or_position(self):
+        by_keyword = SearchResult("q", EXPANDED, (), ("كتب",), degraded=True)
+        assert by_keyword.degraded is True
+        assert by_keyword == SearchResult("q", EXPANDED, (), ("كتب",), True)
+        assert SearchResult("q", BASELINE, ()).degraded is False
 
 
 class TestSearchExact:
