@@ -81,4 +81,4 @@ def normalize(word: str) -> str:
 
 def is_normalized(word: str) -> bool:
     """True if ``word`` is already in canonical form."""
-    return is_arabic_word(word) and normalize(word) == word
+    return is_arabic_word(word) and word.translate(_NORMALIZE) == word

@@ -24,10 +24,11 @@ Routing for one query, all on a deterministic FIFO message queue:
    through unchanged: only a gather of two or more non-empty answers
    merges and sorts
 
-In ADVANCED mode the payload still carries every root-mate term; each node
-resolves it to its distinct roots in one pass through the shared lexicon.
-All terms of one query share a root, which is why the default block
-assignment forwards to exactly one peer.
+In ADVANCED mode the payload still carries every root-mate term, and each
+node resolves it through the shared lexicon: a payload that is exactly one
+root's word group costs one lookup and one tuple comparison, any other
+payload one lookup per word. All terms of one query share a root, which is
+why the default block assignment forwards to exactly one peer.
 """
 from __future__ import annotations
 
@@ -158,7 +159,7 @@ class Overlay:
         """The name of the P2P engine that searches this overlay."""
         return _ENGINE_OF_MODE[self.mode]
 
-    def keys_of(self, words: Iterable[str]) -> set[str | None]:
+    def keys_of(self, words: tuple[str, ...]) -> set[str | None]:
         """The distinct keys of ``words``: the words themselves in SIMPLE
         mode, their roots in ADVANCED mode (None for a word outside the
         lexicon, which no peer files anything under)."""

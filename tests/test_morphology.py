@@ -96,6 +96,10 @@ class TestDerive:
         with pytest.raises(ValueError):
             derive("كب", _template(patterns, "C1C2C3"))
 
+    def test_rejects_diacritic_only_root(self, patterns):
+        with pytest.raises(ValueError):
+            derive("َُِ", _template(patterns, "C1C2C3"))
+
 
 class TestLightStem:
     @pytest.mark.parametrize(

@@ -81,3 +81,4 @@ class TestHelpers:
         assert not is_normalized("لَعِبَ")
         assert not is_normalized("أكل")
         assert not is_normalized("abc")
+        assert not is_normalized("َُِ")

@@ -1,5 +1,6 @@
 """Overlay topology, routing behavior and message accounting."""
 
+import copy
 import dataclasses
 import hashlib
 from operator import attrgetter
@@ -129,6 +130,23 @@ class TestP2PSearch:
     def test_unknown_origin_rejected(self, overlay_simple):
         with pytest.raises(ValueError):
             p2p_search(Query.parse("q", "لعب"), overlay_simple, "peer-9")
+
+    def test_each_node_resolves_a_root_group_with_one_lookup(self, manifest, overlay_advanced):
+        class CountingMap(dict):
+            lookups = 0
+
+            def get(self, key, default=None):
+                self.lookups += 1
+                return super().get(key, default)
+
+        lexicon = copy.copy(overlay_advanced.lexicon)
+        lexicon._root_of = CountingMap(lexicon._root_of)
+        overlay = dataclasses.replace(overlay_advanced, lexicon=lexicon)
+        outcome = p2p_search(Query.parse("q", manifest.queries[9].word), overlay, "peer-1")
+        requests = [m for m in outcome.messages if m.kind != KIND_RESULTS_BACK]
+        assert len(outcome.result.expanded_terms) == 100
+        # extract_root's lookup, the origin's, and one per node a request reaches
+        assert lexicon._root_of.lookups == 1 + 1 + len(requests) == 5
 
 
 class TestCentralizedEquivalence:
