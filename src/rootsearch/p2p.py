@@ -5,13 +5,14 @@ built by ``corpus.postings``, and each super-peer keeps one summary per
 child: the keys of that child's map. The overlay's mode picks the key
 once, for every node: a document's word in SIMPLE mode, its root in
 ADVANCED mode. ``Overlay.keys_of`` is the one resolver from a payload's
-words to those keys, and the origin, super-peers and peers all call it.
+words to those keys, and super-peers and peers call it.
 
 Routing for one query, all on a deterministic FIFO message queue:
 
-1. the origin peer answers from its own postings, then sends QUERY_UP to
-   its super-peer with the query's term set (the single word in SIMPLE
-   mode; every root-mate term in ADVANCED mode, expanded at the origin)
+1. the origin peer only sends QUERY_UP to its super-peer with the query's
+   term set (the single word in SIMPLE mode; every root-mate term in
+   ADVANCED mode, expanded at the origin); it does not answer first, since
+   its super-peer answers for the whole cluster, the origin included
 2. the super-peer forwards (QUERY_FORWARD) to each child whose summary
    holds one of the payload's keys, and passes the query on (QUERY_UP) to
    its sibling super-peers so the other half of the network is reachable;
@@ -19,10 +20,10 @@ Routing for one query, all on a deterministic FIFO message queue:
 3. every request is answered by exactly one RESULTS_BACK carrying doc
    ids as a sorted, duplicate-free tuple; super-peers gather their
    children's and siblings' answers before replying, and the union arrives
-   back at the origin. A peer replies with its stored posting tuple, and a
-   gather (at a super-peer or the origin) passes a single non-empty answer
-   through unchanged: only a gather of two or more non-empty answers
-   merges and sorts
+   back at the origin as the one RESULTS_BACK it receives. A peer replies
+   with its stored posting tuple, and a super-peer's gather passes a single
+   non-empty answer through unchanged: only a gather of two or more
+   non-empty answers merges and sorts
 
 In ADVANCED mode the payload still carries every root-mate term, and each
 node resolves it through the shared lexicon: a payload that is exactly one
@@ -78,7 +79,9 @@ class Transport:
         self.log: list[OverlayMessage] = []
 
     def send(self, kind: str, src: str, dst: str, payload: tuple[str, ...]) -> None:
-        self.log.append(OverlayMessage(len(self.log) + 1, kind, src, dst, payload))
+        log = self.log
+        # tuple.__new__ builds the NamedTuple without its Python-level __new__ frame
+        log.append(tuple.__new__(OverlayMessage, (len(log) + 1, kind, src, dst, payload)))
 
 
 @dataclass(eq=False)
@@ -115,30 +118,21 @@ class SuperPeer:
         message: OverlayMessage,
         transport: Transport,
         overlay: "Overlay",
-        gather: dict[str, dict],
+        gather: dict[str, tuple[str, int, list[DocIds]]],
     ) -> None:
         if message.kind == KIND_RESULTS_BACK:
-            state = gather[self.superpeer_id]
-            state["parts"].append(message.payload)
-            state["pending"] -= 1
-            if state["pending"] == 0:
-                transport.send(
-                    KIND_RESULTS_BACK,
-                    self.superpeer_id,
-                    state["requester"],
-                    merge(state["parts"]),
-                )
+            # (requester, number of answers expected, answers so far)
+            requester, expected, parts = gather[self.superpeer_id]
+            parts.append(message.payload)
+            if len(parts) == expected:
+                transport.send(KIND_RESULTS_BACK, self.superpeer_id, requester, merge(parts))
             return
 
         # QUERY_UP: from the origin peer, or flooded over from a sibling.
         from_peer = message.src in overlay.peers
         targets = self.matching_children(overlay.keys_of(message.payload))
         siblings = self.siblings if from_peer else ()
-        gather[self.superpeer_id] = {
-            "requester": message.src,
-            "pending": len(targets) + len(siblings),
-            "parts": [],
-        }
+        gather[self.superpeer_id] = (message.src, len(targets) + len(siblings), [])
         for child in targets:
             transport.send(KIND_QUERY_FORWARD, self.superpeer_id, child, message.payload)
         for sibling in siblings:
@@ -210,9 +204,11 @@ def p2p_search(query: Query, overlay: Overlay, origin: str) -> SearchOutcome:
     Raises:
         ValueError: ``origin`` is not a peer of the overlay.
     """
-    if origin not in overlay.peers:
+    peers = overlay.peers
+    superpeers = overlay.superpeers
+    origin_node = peers.get(origin)
+    if origin_node is None:
         raise ValueError(f"unknown origin peer {origin!r}")
-    origin_node = overlay.peers[origin]
 
     if overlay.mode is IndexMode.ADVANCED:
         terms, degraded = expansion_terms(query, overlay.lexicon)
@@ -221,24 +217,28 @@ def p2p_search(query: Query, overlay: Overlay, origin: str) -> SearchOutcome:
         terms, degraded = (query.normalized,), False
         expanded = ()
 
-    parts = [origin_node.execute(overlay.keys_of(terms))]
+    parts: list[DocIds] = []
     transport = Transport()
     transport.send(KIND_QUERY_UP, origin, origin_node.parent, terms)
-    gather: dict[str, dict] = {}
+    gather: dict[str, tuple[str, int, list[DocIds]]] = {}
+    # peers are handed only QUERY_FORWARDs, at most one each (one parent, one QUERY_UP)
+    contacted = 0
     # handlers append to the log while it is walked, so this drains the queue
     for message in transport.log:
-        if message.dst == origin and message.kind == KIND_RESULTS_BACK:
+        dst = message.dst
+        peer = peers.get(dst)
+        if peer is None:
+            superpeers[dst].handle(message, transport, overlay, gather)
+        elif dst == origin and message.kind == KIND_RESULTS_BACK:
             parts.append(message.payload)
-        elif message.dst in overlay.peers:
-            overlay.peers[message.dst].handle(message, transport, overlay)
         else:
-            overlay.superpeers[message.dst].handle(message, transport, overlay, gather)
+            contacted += 1
+            peer.handle(message, transport, overlay)
 
     result = SearchResult(
         query.query_id, overlay.engine, merge(parts), expanded, degraded=degraded
     )
-    contacted = {m.dst for m in transport.log if m.kind == KIND_QUERY_FORWARD}
-    return SearchOutcome(result, tuple(transport.log), len(contacted))
+    return SearchOutcome(result, tuple(transport.log), contacted)
 
 
 def format_message_log(messages: tuple[OverlayMessage, ...]) -> str:

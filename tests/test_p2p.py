@@ -145,8 +145,33 @@ class TestP2PSearch:
         outcome = p2p_search(Query.parse("q", manifest.queries[9].word), overlay, "peer-1")
         requests = [m for m in outcome.messages if m.kind != KIND_RESULTS_BACK]
         assert len(outcome.result.expanded_terms) == 100
-        # extract_root's lookup, the origin's, and one per node a request reaches
-        assert lexicon._root_of.lookups == 1 + 1 + len(requests) == 5
+        # extract_root's lookup and one per node a request reaches; the origin
+        # only sends, so it resolves nothing itself
+        assert lexicon._root_of.lookups == 1 + len(requests) == 4
+
+
+class TestOriginHearsOneAnswer:
+    def test_the_origin_gets_one_results_back_last_holding_the_answer(
+        self, manifest, overlay_simple, overlay_advanced
+    ):
+        # the origin does not answer first: its own documents, when it owns
+        # the key, come back inside its super-peer's one reply
+        for overlay in (overlay_simple, overlay_advanced):
+            for origin in sorted(overlay.peers):
+                for entry in manifest.queries:
+                    query = Query.parse(entry.query_id, entry.word)
+                    outcome = p2p_search(query, overlay, origin)
+                    case = (overlay.mode, origin, entry.word)
+                    answers = [
+                        m for m in outcome.messages
+                        if m.kind == KIND_RESULTS_BACK and m.dst == origin
+                    ]
+                    assert answers == [outcome.messages[-1]], case
+                    assert answers[0].payload == outcome.result.found, case
+                    forwarded = {
+                        m.dst for m in outcome.messages if m.kind == KIND_QUERY_FORWARD
+                    }
+                    assert outcome.peers_contacted == len(forwarded), case
 
 
 class TestCentralizedEquivalence:

@@ -1,5 +1,6 @@
 """Property tests: the lexicon, the postings builder and normalization
-against plain dict/set/regex references over generated inputs."""
+against plain dict/set/regex references over generated inputs, and the
+light stemmer's length floor."""
 
 import re
 from operator import attrgetter
@@ -10,8 +11,8 @@ from hypothesis import strategies as st
 
 from rootsearch.corpus import Document, postings
 from rootsearch.errors import EmptyAfterNormalization
-from rootsearch.morphology import RootLexicon
-from rootsearch.normalize import normalize, strip_diacritics
+from rootsearch.morphology import RootLexicon, light_stem
+from rootsearch.normalize import is_normalized, normalize, strip_diacritics
 
 # small alphabets, so that generated words and roots often repeat
 _words = st.text(alphabet="ابتث", min_size=1, max_size=3)
@@ -131,3 +132,16 @@ def test_normalize_matches_a_three_pass_reference(word):
 def test_normalize_matches_the_reference_on_every_arabic_code_point(prefix):
     for code in range(0x0600, 0x0700):
         _assert_normalize_matches_reference(prefix + chr(code))
+
+
+# every letter of the clitics light_stem peels, plus root letters, so that
+# generated words stack prefixes and suffixes and often fall near 3 letters
+_clitic_words = st.text(alphabet="والفبكلتنهيمادرس", min_size=1, max_size=10)
+
+
+@settings(max_examples=500)
+@given(st.one_of(_clitic_words, _arabic_text.filter(is_normalized)))
+def test_light_stem_keeps_three_letters_of_the_word(word):
+    stem = light_stem(word)
+    assert len(stem) >= min(3, len(word)), (word, stem)
+    assert stem in word, (word, stem)
