@@ -378,9 +378,12 @@ def _repeated_doc_id(path: Path, lines: list[str]) -> CorpusSpecError:
     raise AssertionError("unreachable")
 
 
-def _check_query_words(path: Path, lines: list[str], queries: list[QueryEntry]) -> None:
-    """Reject a word ``Query.parse`` rejects: not one token, not Arabic, or
-    nothing left after normalization."""
+def _check_queries(
+    path: Path, lines: list[str], queries: list[QueryEntry], roots: tuple[str, ...]
+) -> None:
+    """Reject a word ``Query.parse`` rejects (not one token, not Arabic, or
+    nothing left after normalization) and a root no document is filed under."""
+    known = set(roots)
     linenos = (lineno for lineno, line in enumerate(lines[1:], 2) if line.strip())
     for lineno, entry in zip(linenos, queries):
         try:
@@ -390,6 +393,8 @@ def _check_query_words(path: Path, lines: list[str], queries: list[QueryEntry]) 
             raise CorpusSpecError(
                 f"{path}:{lineno}: query word {entry.word!r} is not one Arabic word"
             ) from None
+        if entry.root not in known:
+            raise CorpusSpecError(f"{path}:{lineno}: query root {entry.root!r} has no documents")
 
 
 def load_manifest(corpus_dir: str | Path) -> CorpusManifest:
@@ -400,9 +405,9 @@ def load_manifest(corpus_dir: str | Path) -> CorpusManifest:
             header line, the manifest header lacks a field
             or holds a non-integer count, a row has the wrong field count,
             a doc id repeats, the manifest holds no documents or a number
-            other than ``roots x words_per_root``, ``queries.tsv`` holds
-            no queries, or a query word is not one Arabic word; the message
-            names the file, and the 1-based line where there is one.
+            other than ``roots x words_per_root``, ``queries.tsv`` holds no
+            queries, a query word is not one Arabic word or a query root has
+            no documents; the message names the file, and the line if any.
     """
     corpus_dir = Path(corpus_dir)
     manifest_path = corpus_dir / MANIFEST_NAME
@@ -434,19 +439,21 @@ def load_manifest(corpus_dir: str | Path) -> CorpusManifest:
     queries = _rows(queries_path, query_lines, QueryEntry, len(QueryEntry._fields))
     if not queries:
         raise CorpusSpecError(f"{queries_path}: no queries after the header line")
-    _check_query_words(queries_path, query_lines, queries)
+    roots = tuple(sorted({d.root for d in documents}))
+    _check_queries(queries_path, query_lines, queries, roots)
 
     return CorpusManifest(
         spec=spec,
         documents=tuple(documents),
-        roots=tuple(sorted({d.root for d in documents})),
+        roots=roots,
         queries=tuple(queries),
         patterns_version=_header_field(fields, "patterns", manifest_path),
     )
 
 
 def relevant_set(word: str, manifest: CorpusManifest) -> frozenset[str]:
-    """All doc_ids whose document shares ``word``'s root (the relevance oracle).
+    """All doc_ids sharing the root ``extract_root`` gives ``word``: the lexicon
+    path acceptance criterion 5 checks. ``run-eval`` scores on queries.tsv roots.
 
     Raises:
         UnknownRoot: the word resolves to no root at all.

@@ -5,8 +5,8 @@ recall = |relevant ∩ found| / |relevant|, held as exact fractions and only
 rendered to 4 decimal places on output. Conventions for the empty cases:
 an empty found set gives precision 0, an empty relevant set gives recall 1.
 
-Relevance is mechanical ground truth: a document is relevant to a query
-iff it shares the query word's root, read straight off the manifest.
+Relevance is the generator's record, not a stemmer's: a document is
+relevant to a query iff its manifest root is the query row's root.
 
 Output files, all UTF-8 TSV:
 
@@ -22,9 +22,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable, Protocol
+from typing import Iterable
 
-from .corpus import CorpusManifest, check_magic_line, relevant_set
+from .corpus import CorpusManifest, check_magic_line
 from .errors import RootSearchError
 from .index import IndexMode, InvertedIndex, build_index
 from .p2p import ENGINE_MODES, Overlay, build_overlay, p2p_search
@@ -124,12 +124,6 @@ class EvalReport:
         return sum(1 for r in self.records[engine] if r.error is not None)
 
 
-class Engine(Protocol):
-    name: str
-
-    def run(self, query: Query) -> SearchOutcome: ...
-
-
 class BaselineEngine:
     """Exact surface match over the full-corpus SIMPLE index."""
 
@@ -171,14 +165,14 @@ def build_engines(
     manifest: CorpusManifest,
     names: Iterable[str] = ENGINES,
     origin: str = "peer-1",
-) -> list[Engine]:
+) -> list[BaselineEngine | ExpandedEngine | P2PEngine]:
     """Construct the requested engines, sharing indexes where possible; the
     one dispatch from engine name to searcher, for ``run-eval`` and ``query``."""
     names = list(names)
     unknown = set(names) - set(ENGINES)
     if unknown:
         raise ValueError(f"unknown engines: {sorted(unknown)}")
-    engines: list[Engine] = []
+    engines: list[BaselineEngine | ExpandedEngine | P2PEngine] = []
     simple_index = None
     if BASELINE in names or EXPANDED in names:
         simple_index = build_index(manifest.documents, IndexMode.SIMPLE, manifest.lexicon)
@@ -194,17 +188,19 @@ def build_engines(
 
 def run_evaluation(
     manifest: CorpusManifest,
-    engines: Iterable[Engine],
+    engines: Iterable[BaselineEngine | ExpandedEngine | P2PEngine],
     corpus_digest: str = "",
 ) -> EvalReport:
     """Run every manifest query through every engine.
 
-    Each query is parsed as ``query`` parses it. Engine errors are captured
-    per record (empty found set, error message) instead of aborting the run.
+    Each query is parsed as ``query`` parses it; its relevant documents are
+    those of the root its ``queries.tsv`` row records. Engine errors are
+    captured per record (empty found set, error message), not raised.
     """
     engines = list(engines)
     queries = [Query.parse(q.query_id, q.word) for q in manifest.queries]
-    relevant = [relevant_set(q.normalized, manifest) for q in queries]
+    docs_by_root = manifest.docs_by_root
+    relevant = [frozenset(docs_by_root.get(q.root, ())) for q in manifest.queries]
     records: dict[str, tuple[EvalRecord, ...]] = {}
     for engine in engines:
         recs = []

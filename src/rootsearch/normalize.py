@@ -40,7 +40,6 @@ def _table(changes: dict[int, str | None]) -> list[int | str | None]:
     return table
 
 
-_STRIP = _table(_DELETED)
 # Rules 1-5 in one pass: no fold produces a deleted mark, so this equals
 # stripping first and folding after.
 _NORMALIZE = _table({**_DELETED, **_FOLDS})
@@ -52,11 +51,6 @@ _ARABIC_WORD = re.compile(r"\A[؀-ۿ]+\Z")
 def is_arabic_word(text: str) -> bool:
     """True if ``text`` is one non-empty run of Arabic-block code points."""
     return bool(_ARABIC_WORD.match(text))
-
-
-def strip_diacritics(text: str) -> str:
-    """Remove tatweel and all diacritic marks, leaving base letters only."""
-    return text.translate(_STRIP)
 
 
 def normalize(word: str) -> str:

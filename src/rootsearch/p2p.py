@@ -11,7 +11,7 @@ Routing for one query, all on a deterministic FIFO message queue:
 
 1. the origin peer only sends QUERY_UP to its super-peer with the query's
    term set (the single word in SIMPLE mode; every root-mate term in
-   ADVANCED mode, expanded at the origin); it does not answer first, since
+   ADVANCED mode, from ``search.resolve``); it does not answer first, since
    its super-peer answers for the whole cluster, the origin included
 2. the super-peer forwards (QUERY_FORWARD) to each child whose summary
    holds one of the payload's keys, and passes the query on (QUERY_UP) to
@@ -41,7 +41,7 @@ from .corpus import CorpusManifest, DocIds, postings
 from .errors import OverlayMismatch
 from .index import IndexMode
 from .morphology import RootLexicon
-from .search import P2P_ADVANCED, P2P_SIMPLE, Query, SearchOutcome, SearchResult, expansion_terms
+from .search import P2P_ADVANCED, P2P_SIMPLE, Query, SearchOutcome, SearchResult, resolve
 
 KIND_QUERY_UP = "QUERY_UP"
 KIND_QUERY_FORWARD = "QUERY_FORWARD"
@@ -211,11 +211,10 @@ def p2p_search(query: Query, overlay: Overlay, origin: str) -> SearchOutcome:
         raise ValueError(f"unknown origin peer {origin!r}")
 
     if overlay.mode is IndexMode.ADVANCED:
-        terms, degraded = expansion_terms(query, overlay.lexicon)
-        expanded = terms
+        root, terms = resolve(query, overlay.lexicon)
+        expanded, degraded = terms, root is None
     else:
-        terms, degraded = (query.normalized,), False
-        expanded = ()
+        terms, expanded, degraded = (query.normalized,), (), False
 
     parts: list[DocIds] = []
     transport = Transport()
@@ -235,9 +234,7 @@ def p2p_search(query: Query, overlay: Overlay, origin: str) -> SearchOutcome:
             contacted += 1
             peer.handle(message, transport, overlay)
 
-    result = SearchResult(
-        query.query_id, overlay.engine, merge(parts), expanded, degraded=degraded
-    )
+    result = SearchResult(merge(parts), expanded, degraded)
     return SearchOutcome(result, tuple(transport.log), contacted)
 
 

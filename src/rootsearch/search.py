@@ -1,11 +1,11 @@
 """Centralized search engines: exact surface match and root expansion.
 
-``search_exact`` is the baseline: one exact lookup of the normalized query
-word. ``search_expanded`` resolves the word to its root and answers from
-the same index's root postings with one lookup: exactly the documents
-whose word is a root-mate of the query in the corpus vocabulary, reported
-together with those root-mates as the expanded terms. A query whose root
-cannot be resolved degrades to exact search instead of failing.
+``resolve`` is the one place a query's root is worked out, here and in
+``p2p``: the root and its root-mates in the corpus vocabulary, or no root
+and the query word alone. ``search_exact`` is the baseline: one exact
+lookup of the normalized word. ``search_expanded`` answers with one lookup
+of the resolved root in the same index's root postings, reporting the
+root-mates as expanded terms; with no root it degrades to exact search.
 """
 from __future__ import annotations
 
@@ -45,8 +45,6 @@ class Query(NamedTuple):
 
 
 class SearchResult(NamedTuple):
-    query_id: str
-    engine: str
     found: tuple[str, ...]
     expanded_terms: tuple[str, ...] = ()
     degraded: bool = False
@@ -62,16 +60,18 @@ class SearchOutcome(NamedTuple):
 
 def search_exact(query: Query, index: InvertedIndex) -> SearchResult:
     """Exact lookup of the query word; no expansion."""
-    return SearchResult(query.query_id, BASELINE, index.lookup(query.normalized))
+    return SearchResult(index.lookup(query.normalized))
 
 
-def expansion_terms(query: Query, lexicon: RootLexicon) -> tuple[tuple[str, ...], bool]:
-    """Sorted expansion terms plus a degraded flag (True when no root resolves)."""
+def resolve(query: Query, lexicon: RootLexicon) -> tuple[str | None, tuple[str, ...]]:
+    """The query's root and its sorted expansion terms, which are empty when
+    no corpus word has that root; ``(None, (word,))`` when no root resolves
+    and the query degrades to its normalized word."""
     try:
         root = extract_root(query.normalized, lexicon)
     except UnknownRoot:
-        return (query.normalized,), True
-    return lexicon.words_of(root), False
+        return None, (query.normalized,)
+    return root, lexicon.words_of(root)
 
 
 def search_expanded(
@@ -82,19 +82,7 @@ def search_expanded(
     One root-postings lookup; a query with no resolvable root degrades to
     an exact lookup of the query word.
     """
-    try:
-        root = extract_root(query.normalized, lexicon)
-    except UnknownRoot:
-        return SearchResult(
-            query.query_id,
-            EXPANDED,
-            index.lookup(query.normalized),
-            (query.normalized,),
-            degraded=True,
-        )
-    return SearchResult(
-        query.query_id,
-        EXPANDED,
-        index.root_postings.get(root, ()),
-        lexicon.words_of(root),
-    )
+    root, terms = resolve(query, lexicon)
+    if root is None:
+        return SearchResult(index.lookup(query.normalized), terms, degraded=True)
+    return SearchResult(index.root_postings.get(root, ()), terms)

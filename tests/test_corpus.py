@@ -1,6 +1,8 @@
 """Corpus generation: cardinalities, determinism, relevance ground truth."""
 
+import shutil
 from collections import Counter
+
 import pytest
 
 from rootsearch.corpus import (
@@ -273,3 +275,15 @@ class TestLoadManifest:
         assert len({id(d.root) for d in loaded.documents}) == len(loaded.roots)
         peer_ids = {d.peer_id for d in loaded.documents}
         assert len({id(d.peer_id) for d in loaded.documents}) == len(peer_ids)
+
+    def test_query_root_without_documents_names_its_line(self, micro_corpus, tmp_path):
+        corpus_dir, _ = micro_corpus
+        shutil.copytree(corpus_dir, tmp_path / "c")
+        path = tmp_path / "c" / QUERIES_NAME
+        lines = path.read_text("utf-8").splitlines()
+        query_id, word, _ = lines[1].split("\t")
+        lines[1] = "\t".join([query_id, word, "زخرف"])
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(CorpusSpecError) as info:
+            load_manifest(tmp_path / "c")
+        assert str(info.value) == f"{path}:2: query root 'زخرف' has no documents"

@@ -182,6 +182,27 @@ class TestRunEvaluation:
                 bare.s_found, bare.precision, bare.recall, bare.peers_contacted
             ), engine
 
+    def test_query_without_a_root_is_scored_on_its_row_root(self, micro_corpus, tmp_path):
+        # relevance is the root queries.tsv records, not one the stemmer
+        # finds: a word that resolves to no root still completes the run
+        corpus_dir, _ = micro_corpus
+        shutil.copytree(corpus_dir, tmp_path / "c")
+        path = tmp_path / "c" / "queries.tsv"
+        lines = path.read_text("utf-8").splitlines()
+        query_id, _, root = lines[1].split("\t")
+        lines[1] = "\t".join([query_id, "فه", root])
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        manifest = load_manifest(tmp_path / "c")
+        engines = build_engines(manifest)
+        report = run_evaluation(manifest, engines)
+        query = Query.parse(query_id, "فه")
+        for engine in engines:
+            record = report.records[engine.name][0]
+            assert record.error is None, engine.name
+            assert record.s_relevant == frozenset(manifest.docs_by_root[root]), engine.name
+            if engine.name in (EXPANDED, P2P_ADVANCED):
+                assert engine.run(query).result.degraded, engine.name
+
 
 class TestBuildEngines:
     def test_all_four_by_default(self, micro_corpus):

@@ -3,7 +3,7 @@
 import pytest
 
 from rootsearch.errors import EmptyAfterNormalization
-from rootsearch.normalize import is_arabic_word, is_normalized, normalize, strip_diacritics
+from rootsearch.normalize import is_arabic_word, is_normalized, normalize
 
 
 class TestNormalize:
@@ -68,9 +68,6 @@ class TestNormalize:
 
 
 class TestHelpers:
-    def test_strip_diacritics_leaves_letters(self):
-        assert strip_diacritics("كِتَابٌ") == "كتاب"
-
     def test_is_arabic_word(self):
         assert is_arabic_word("كتاب")
         assert not is_arabic_word("كتاب x")

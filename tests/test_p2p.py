@@ -20,7 +20,7 @@ from rootsearch.p2p import (
     merge,
     p2p_search,
 )
-from rootsearch.search import P2P_ADVANCED, P2P_SIMPLE, Query, search_exact, search_expanded
+from rootsearch.search import Query, search_exact, search_expanded
 
 
 class TestBuildOverlay:
@@ -81,14 +81,12 @@ class TestP2PSearch:
         entry = manifest.queries[0]
         outcome = p2p_search(Query.parse(entry.query_id, entry.word), overlay_simple, "peer-1")
         assert len(outcome.result.found) == 1
-        assert outcome.result.engine == P2P_SIMPLE
         assert outcome.result.expanded_terms == ()
 
     def test_advanced_finds_whole_root_group(self, manifest, overlay_advanced):
         entry = manifest.queries[1]
         outcome = p2p_search(Query.parse(entry.query_id, entry.word), overlay_advanced, "peer-1")
         assert set(outcome.result.found) == relevant_set(entry.word, manifest)
-        assert outcome.result.engine == P2P_ADVANCED
         assert len(outcome.result.expanded_terms) == 100
 
     def test_advanced_forwards_to_exactly_the_owner_peer(

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from rootsearch.corpus import Document, postings
 from rootsearch.errors import EmptyAfterNormalization
 from rootsearch.morphology import RootLexicon, light_stem
-from rootsearch.normalize import is_normalized, normalize, strip_diacritics
+from rootsearch.normalize import is_normalized, normalize
 
 # small alphabets, so that generated words and roots often repeat
 _words = st.text(alphabet="ابتث", min_size=1, max_size=3)
@@ -102,7 +102,6 @@ def _outcome(fn, word):
 
 def _assert_normalize_matches_reference(word):
     assert _outcome(normalize, word) == _outcome(_reference_normalize, word), ascii(word)
-    assert strip_diacritics(word) == _reference_strip(word), ascii(word)
 
 
 # letters, the folded letters, tatweel, marks inside each diacritic range

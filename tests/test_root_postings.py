@@ -14,7 +14,7 @@ from rootsearch.errors import UnknownRoot
 from rootsearch.index import IndexMode, build_index
 from rootsearch.morphology import extract_root
 from rootsearch.p2p import KIND_QUERY_FORWARD, KIND_QUERY_UP, p2p_search
-from rootsearch.search import Query, expansion_terms, search_expanded
+from rootsearch.search import Query, resolve, search_expanded
 
 
 @pytest.fixture(scope="module")
@@ -91,7 +91,7 @@ def test_advanced_peer_execute_equals_per_term_union(
     probe_words, mixed_payloads, manifest, overlay_advanced, lexicon
 ):
     term_sets = [
-        expansion_terms(Query.parse(f"q{i}", word), lexicon)[0]
+        resolve(Query.parse(f"q{i}", word), lexicon)[1]
         for i, word in enumerate(probe_words)
     ]
     assert_peers_answer_like_shard_index(

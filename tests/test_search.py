@@ -6,12 +6,10 @@ from rootsearch.corpus import CorpusSpec, Document, generate_corpus, relevant_se
 from rootsearch.index import IndexMode, build_index
 from rootsearch.morphology import RootLexicon
 from rootsearch.search import (
-    BASELINE,
-    EXPANDED,
     Query,
     SearchOutcome,
     SearchResult,
-    expansion_terms,
+    resolve,
     search_exact,
     search_expanded,
 )
@@ -38,7 +36,7 @@ class TestQueryParse:
 
 class TestRecords:
     def test_fields_cannot_be_assigned(self):
-        result = SearchResult("q", BASELINE, ("d1",))
+        result = SearchResult(("d1",))
         for record, field in (
             (Query.parse("q", "كتاب"), "normalized"),
             (result, "found"),
@@ -48,10 +46,10 @@ class TestRecords:
                 setattr(record, field, None)
 
     def test_degraded_by_keyword_or_position(self):
-        by_keyword = SearchResult("q", EXPANDED, (), ("كتب",), degraded=True)
+        by_keyword = SearchResult((), ("كتب",), degraded=True)
         assert by_keyword.degraded is True
-        assert by_keyword == SearchResult("q", EXPANDED, (), ("كتب",), True)
-        assert SearchResult("q", BASELINE, ()).degraded is False
+        assert by_keyword == SearchResult((), ("كتب",), True)
+        assert SearchResult(()).degraded is False
 
 
 class TestSearchExact:
@@ -59,7 +57,6 @@ class TestSearchExact:
         doc = manifest.documents[7]
         result = search_exact(Query.parse("q", doc.word), simple_index)
         assert result.found == (doc.doc_id,)
-        assert result.engine == BASELINE
         assert result.expanded_terms == ()
         assert set(result.found) <= relevant_set(doc.word, manifest)
 
@@ -75,25 +72,24 @@ class TestSearchExact:
 
 class TestExpandQuery:
     def test_corpus_word_expands_to_whole_group(self, manifest, lexicon):
-        terms, degraded = expansion_terms(Query.parse("q", "يلعبون"), lexicon)
-        assert not degraded
+        root, terms = resolve(Query.parse("q", "يلعبون"), lexicon)
+        assert root == "لعب"
         assert len(terms) == 100
         assert list(terms) == sorted(terms)
         assert set(terms) == set(lexicon.words_of("لعب"))
         assert "يلعبون" in terms
 
     def test_unresolvable_degrades_to_itself(self, lexicon):
-        assert expansion_terms(Query.parse("q", "فه"), lexicon) == (("فه",), True)
+        assert resolve(Query.parse("q", "فه"), lexicon) == (None, ("فه",))
 
     def test_resolved_but_absent_root_expands_to_nothing(self, lexicon):
-        assert expansion_terms(Query.parse("q", "زخرف"), lexicon) == ((), False)
+        assert resolve(Query.parse("q", "زخرف"), lexicon) == ("زخرف", ())
 
 
 class TestSearchExpanded:
     def test_finds_whole_relevant_set(self, manifest, simple_index, lexicon):
         query = Query.parse("q", manifest.queries[3].word)
         result = search_expanded(query, simple_index, lexicon)
-        assert result.engine == EXPANDED
         assert set(result.found) == relevant_set(query.normalized, manifest)
         assert len(result.found) == 100
         assert not result.degraded
