@@ -27,7 +27,6 @@ from .evaluation import (
     build_engines,
     read_table,
     run_evaluation,
-    summary_lines,
     write_report,
 )
 from .p2p import format_message_log
@@ -117,9 +116,9 @@ def cmd_run_eval(args: argparse.Namespace) -> int:
     digest = manifest_digest(args.corpus)
     engines = build_engines(manifest, args.engines, origin=args.origin)
     report = run_evaluation(manifest, engines, corpus_digest=digest)
-    write_report(report, args.out)
+    summary = write_report(report, args.out)
     print(f"corpus digest: {digest}")
-    print("\n".join(summary_lines(report)))
+    print("\n".join(summary))
     print(f"results written to {args.out}")
     return EXIT_OK
 

@@ -15,17 +15,22 @@ Layout on disk, under the chosen corpus directory:
 Peer assignment is structural, not random: the selected roots are sorted
 canonically and dealt to peers in contiguous blocks of ``roots_per_peer``;
 consecutive peers share a super-peer.
+
+The spec and the rows (``CorpusSpec``, ``Document``, ``QueryEntry``) are
+immutable ``NamedTuple``s; ``CorpusManifest`` is a plain class whose
+groupings (lexicon, ``docs_by_root``, ``docs_by_peer``) are built on first
+use. ``load_manifest`` builds every manifest row in one pass, sharing one
+string per distinct root and peer id, and rejects a peer id the header's
+peer count does not name.
 """
 from __future__ import annotations
 
 import hashlib
 import itertools
 import random
-from dataclasses import dataclass
 from functools import cached_property
 from operator import attrgetter
 from pathlib import Path
-from sys import intern
 from typing import Callable, Iterable, NamedTuple
 
 from .errors import CorpusSpecError, EmptyAfterNormalization, InsufficientRoots, PatternCollision
@@ -65,8 +70,7 @@ ROOT_INVENTORY: tuple[str, ...] = ANCHOR_ROOTS + (
 _DISAMBIGUATION_CLITICS = ("ها", "هم", "كم", "هن", "نا", "ه")
 
 
-@dataclass(frozen=True)
-class CorpusSpec:
+class CorpusSpec(NamedTuple):
     """Shape of a generated collection; defaults give the 10,000-doc corpus."""
 
     root_count: int = 100
@@ -79,6 +83,9 @@ class CorpusSpec:
     @property
     def total_documents(self) -> int:
         return self.root_count * self.words_per_root
+
+    def peer_ids(self) -> tuple[str, ...]:
+        return tuple(f"peer-{i}" for i in range(1, self.peer_count + 1))
 
     def validate(self) -> None:
         if min(self.root_count, self.words_per_root, self.peer_count, self.superpeer_count, self.roots_per_peer) < 1:
@@ -132,15 +139,22 @@ def postings(docs: Iterable[Document], key: Callable[[Document], str]) -> dict[s
     return grouped
 
 
-@dataclass(eq=False)
 class CorpusManifest:
     """Ground truth for a generated corpus: every document's word, root and peer."""
 
-    spec: CorpusSpec
-    documents: tuple[Document, ...]
-    roots: tuple[str, ...]
-    queries: tuple[QueryEntry, ...]
-    patterns_version: str
+    def __init__(
+        self,
+        spec: CorpusSpec,
+        documents: tuple[Document, ...],
+        roots: tuple[str, ...],
+        queries: tuple[QueryEntry, ...],
+        patterns_version: str,
+    ) -> None:
+        self.spec = spec
+        self.documents = documents
+        self.roots = roots
+        self.queries = queries
+        self.patterns_version = patterns_version
 
     @cached_property
     def lexicon(self) -> RootLexicon:
@@ -164,15 +178,12 @@ class CorpusManifest:
             grouped.setdefault(doc.root, set()).add(doc.peer_id)
         return {root: frozenset(peers) for root, peers in grouped.items()}
 
-    def peer_ids(self) -> tuple[str, ...]:
-        return tuple(f"peer-{i}" for i in range(1, self.spec.peer_count + 1))
-
     def superpeer_ids(self) -> tuple[str, ...]:
         return tuple(f"sp-{j}" for j in range(1, self.spec.superpeer_count + 1))
 
     def superpeer_children(self) -> dict[str, tuple[str, ...]]:
         per_sp = self.spec.peer_count // self.spec.superpeer_count
-        peers = self.peer_ids()
+        peers = self.spec.peer_ids()
         return {
             sp: peers[j * per_sp : (j + 1) * per_sp]
             for j, sp in enumerate(self.superpeer_ids())
@@ -297,7 +308,7 @@ def _write_corpus(manifest: CorpusManifest, out_dir: Path) -> None:
     lines += [f"{q.query_id}\t{q.word}\t{q.root}" for q in manifest.queries]
     (out_dir / QUERIES_NAME).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
-    for peer_id in manifest.peer_ids():
+    for peer_id in manifest.spec.peer_ids():
         (out_dir / peer_id).mkdir(exist_ok=True)
     for doc in manifest.documents:
         (out_dir / doc.peer_id / f"{doc.doc_id}.txt").write_text(
@@ -335,28 +346,65 @@ def _header_field(fields: dict[str, str], name: str, path: Path, convert=str):
         ) from None
 
 
-def _rows(path: Path, lines: list[str], make: Callable[..., tuple], width: int) -> list:
-    """``make(*fields)`` per non-blank line after the header. The line
-    whose field count is not ``width`` is looked for only once a row failed
-    to build."""
-    try:
-        return [make(*line.split("\t")) for line in lines[1:] if line.strip()]
-    except TypeError:
-        pass
+def _field_count_error(path: Path, lines: list[str], width: int) -> CorpusSpecError:
+    """The error naming the first non-blank line after the header whose
+    field count is not ``width``; looked for only once a row failed to build."""
     for lineno, line in enumerate(lines[1:], 2):
         got = line.count("\t") + 1
         if line.strip() and got != width:
-            raise CorpusSpecError(
+            return CorpusSpecError(
                 f"{path}:{lineno}: expected {width} tab-separated fields, got {got}"
             )
     raise AssertionError("unreachable")
 
 
-def _shared_document(doc_id: str, word: str, root: str, peer_id: str) -> Document:
-    """A manifest row whose root and peer id are the one shared string of
-    their value, not a copy per row: each repeats across a root's or a
-    peer's rows."""
-    return Document(doc_id, word, intern(root), intern(peer_id))
+def _rows(path: Path, lines: list[str], make: Callable[..., tuple], width: int) -> list:
+    """``make(*fields)`` per non-blank line after the header."""
+    try:
+        return [make(*line.split("\t")) for line in lines[1:] if line.strip()]
+    except TypeError:
+        raise _field_count_error(path, lines, width) from None
+
+
+def _documents(
+    path: Path, lines: list[str]
+) -> tuple[list[Document], dict[str, str], dict[str, str]]:
+    """The manifest rows, plus the distinct roots and peer ids among them.
+
+    Each row's root and peer id is the one string of its value that the
+    returned maps hold, not a copy per row: each repeats across a root's or
+    a peer's rows.
+    """
+    new = tuple.__new__
+    roots: dict[str, str] = {}
+    peers: dict[str, str] = {}
+    share_root, share_peer = roots.setdefault, peers.setdefault
+    try:
+        documents = [
+            # tuple.__new__ builds the NamedTuple without its Python-level __new__ frame
+            new(Document, (doc_id, word, share_root(root, root), share_peer(peer, peer)))
+            for line in lines[1:]
+            if line.strip()
+            # binds the row's fields; a wrong field count raises ValueError
+            for doc_id, word, root, peer in (line.split("\t"),)
+        ]
+    except ValueError:
+        raise _field_count_error(path, lines, len(Document._fields)) from None
+    return documents, roots, peers
+
+
+def _unknown_peer(path: Path, lines: list[str], known: tuple[str, ...]) -> CorpusSpecError:
+    """The error naming the first manifest row whose peer id is not in
+    ``known``; looked for only once such a peer id is known to be there."""
+    for lineno, line in enumerate(lines[1:], 2):
+        if not line.strip():
+            continue
+        peer = line.split("\t")[3]
+        if peer not in known:
+            return CorpusSpecError(
+                f"{path}:{lineno}: peer id {peer!r} is not one of {known[0]}..{known[-1]}"
+            )
+    raise AssertionError("unreachable")
 
 
 def _repeated_doc_id(path: Path, lines: list[str]) -> CorpusSpecError:
@@ -405,7 +453,8 @@ def load_manifest(corpus_dir: str | Path) -> CorpusManifest:
             header line, the manifest header lacks a field
             or holds a non-integer count, a row has the wrong field count,
             a doc id repeats, the manifest holds no documents or a number
-            other than ``roots x words_per_root``, ``queries.tsv`` holds no
+            other than ``roots x words_per_root``, a row's peer id is not one
+            of the header's ``peer-1..peer-N``, ``queries.tsv`` holds no
             queries, a query word is not one Arabic word or a query root has
             no documents; the message names the file, and the line if any.
     """
@@ -421,7 +470,7 @@ def load_manifest(corpus_dir: str | Path) -> CorpusManifest:
         roots_per_peer=_header_field(fields, "roots_per_peer", manifest_path, int),
         seed=_header_field(fields, "seed", manifest_path, int),
     )
-    documents = _rows(manifest_path, manifest_lines, _shared_document, len(Document._fields))
+    documents, roots, peers = _documents(manifest_path, manifest_lines)
     if not documents:
         raise CorpusSpecError(f"{manifest_path}: no documents after the header line")
     if len({doc.doc_id for doc in documents}) != len(documents):
@@ -432,6 +481,9 @@ def load_manifest(corpus_dir: str | Path) -> CorpusManifest:
             f" roots={spec.root_count} x words_per_root={spec.words_per_root}"
             f" = {spec.total_documents}"
         )
+    known_peers = spec.peer_ids()
+    if not peers.keys() <= set(known_peers):
+        raise _unknown_peer(manifest_path, manifest_lines, known_peers)
 
     queries_path = corpus_dir / QUERIES_NAME
     query_lines = queries_path.read_text("utf-8").splitlines()
@@ -439,7 +491,7 @@ def load_manifest(corpus_dir: str | Path) -> CorpusManifest:
     queries = _rows(queries_path, query_lines, QueryEntry, len(QueryEntry._fields))
     if not queries:
         raise CorpusSpecError(f"{queries_path}: no queries after the header line")
-    roots = tuple(sorted({d.root for d in documents}))
+    roots = tuple(sorted(roots))
     _check_queries(queries_path, query_lines, queries, roots)
 
     return CorpusManifest(

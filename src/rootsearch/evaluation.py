@@ -2,8 +2,13 @@
 
 Per query: precision = |relevant ∩ found| / |found| and
 recall = |relevant ∩ found| / |relevant|, held as exact fractions and only
-rendered to 4 decimal places on output. Conventions for the empty cases:
-an empty found set gives precision 0, an empty relevant set gives recall 1.
+rendered to 4 decimal places on output, in integer arithmetic. Conventions
+for the empty cases: an empty found set gives precision 0, an empty
+relevant set gives recall 1. Each engine's means are exact too: summed in
+integers over one common denominator. ``EvalRecord`` is an immutable
+``NamedTuple`` and ``EvalReport`` a plain class; ``write_report`` returns
+the summary table it wrote, so ``run-eval`` prints it without working the
+means out again.
 
 Relevance is the generator's record, not a stemmer's: a document is
 relevant to a query iff its manifest root is the query row's root.
@@ -19,10 +24,9 @@ Output files, all UTF-8 TSV:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .corpus import CorpusManifest, check_magic_line
 from .errors import RootSearchError
@@ -65,13 +69,27 @@ def recall(s_found: Iterable[str], s_relevant: Iterable[str]) -> Fraction:
 
 
 def fixed4(value: Fraction) -> str:
-    """Render an exact fraction with 4 decimal places, halves rounded up."""
-    scaled = math.floor(value * 10000 + Fraction(1, 2))
+    """Render an exact fraction with 4 decimal places, halves rounded up:
+    floor(value * 10000 + 1/2), worked out in integers."""
+    n, d = value.numerator, value.denominator
+    scaled = (20000 * n + d) // (2 * d)
     return f"{scaled // 10000}.{scaled % 10000:04d}"
 
 
-@dataclass(frozen=True)
-class EvalRecord:
+def _mean(values: Iterable[Fraction]) -> Fraction:
+    """The exact mean of ``values``: their numerators are summed in integers
+    over the least common denominator, and one Fraction is built at the end.
+
+    Raises:
+        ZeroDivisionError: ``values`` is empty.
+    """
+    values = list(values)
+    common = math.lcm(*(v.denominator for v in values))
+    total = sum(v.numerator * (common // v.denominator) for v in values)
+    return Fraction(total, common * len(values))
+
+
+class EvalRecord(NamedTuple):
     query_id: str
     word: str
     s_found: frozenset[str]
@@ -90,35 +108,43 @@ def make_record(
     peers_contacted: int | None = None,
     error: str | None = None,
 ) -> EvalRecord:
+    """The record of one query: ``precision`` and ``recall`` as those
+    functions define them, from one intersection of the two sets."""
     found = frozenset(s_found)
     relevant = frozenset(s_relevant)
+    hit = len(found & relevant)
     return EvalRecord(
-        query_id=query_id,
-        word=word,
-        s_found=found,
-        s_relevant=relevant,
-        precision=precision(found, relevant),
-        recall=recall(found, relevant),
-        peers_contacted=peers_contacted,
-        error=error,
+        query_id,
+        word,
+        found,
+        relevant,
+        Fraction(hit, len(found)) if found else Fraction(0),
+        Fraction(hit, len(relevant)) if relevant else Fraction(1),
+        peers_contacted,
+        error,
     )
 
 
-@dataclass(eq=False)
 class EvalReport:
-    engine_names: tuple[str, ...]
-    records: dict[str, tuple[EvalRecord, ...]]
-    corpus_digest: str
-    seed: int
-    patterns_version: str
+    def __init__(
+        self,
+        engine_names: tuple[str, ...],
+        records: dict[str, tuple[EvalRecord, ...]],
+        corpus_digest: str,
+        seed: int,
+        patterns_version: str,
+    ) -> None:
+        self.engine_names = engine_names
+        self.records = records
+        self.corpus_digest = corpus_digest
+        self.seed = seed
+        self.patterns_version = patterns_version
 
     def mean_precision(self, engine: str) -> Fraction:
-        recs = self.records[engine]
-        return sum((r.precision for r in recs), Fraction(0)) / len(recs)
+        return _mean(r.precision for r in self.records[engine])
 
     def mean_recall(self, engine: str) -> Fraction:
-        recs = self.records[engine]
-        return sum((r.recall for r in recs), Fraction(0)) / len(recs)
+        return _mean(r.recall for r in self.records[engine])
 
     def failures(self, engine: str) -> int:
         return sum(1 for r in self.records[engine] if r.error is not None)
@@ -235,8 +261,9 @@ def summary_lines(report: EvalReport) -> list[str]:
     return lines
 
 
-def write_report(report: EvalReport, out_dir: str | Path) -> None:
-    """Write one results file per engine plus the summary file."""
+def write_report(report: EvalReport, out_dir: str | Path) -> list[str]:
+    """Write one results file per engine plus the summary file; return the
+    summary table's lines, ``summary_lines(report)``, for printing."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     meta = (
@@ -254,8 +281,10 @@ def write_report(report: EvalReport, out_dir: str | Path) -> None:
             )
         (out_dir / f"{engine}.tsv").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
-    lines = [f"{SUMMARY_MAGIC}\t{meta}", *summary_lines(report)]
+    summary = summary_lines(report)
+    lines = [f"{SUMMARY_MAGIC}\t{meta}", *summary]
     (out_dir / "summary.tsv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return summary
 
 
 def read_table(path: Path, magic: str) -> list[list[str]]:

@@ -19,7 +19,6 @@ whole corpus.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from operator import attrgetter
 from typing import Iterable
@@ -34,13 +33,15 @@ class IndexMode(Enum):
     ADVANCED = "advanced"
 
 
-@dataclass(eq=False)
 class InvertedIndex:
     """Keyword -> sorted doc_ids, plus root -> sorted doc_ids."""
 
-    mode: IndexMode
-    entries: dict[str, DocIds]
-    root_postings: dict[str, DocIds]
+    def __init__(
+        self, mode: IndexMode, entries: dict[str, DocIds], root_postings: dict[str, DocIds]
+    ) -> None:
+        self.mode = mode
+        self.entries = entries
+        self.root_postings = root_postings
 
     def lookup(self, key: str) -> DocIds:
         """The stored, sorted postings of an exact key; absent keys yield ()."""

@@ -15,10 +15,9 @@ from __future__ import annotations
 
 import re
 from collections import defaultdict
-from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import ArityMismatch, UnknownRoot
 from .normalize import is_normalized
@@ -49,8 +48,7 @@ _STEM_SUFFIXES = (
 )
 
 
-@dataclass(frozen=True)
-class DerivationPattern:
+class DerivationPattern(NamedTuple):
     """One derivation template with a stable identifier."""
 
     pattern_id: str
@@ -70,12 +68,12 @@ class DerivationPattern:
         return out
 
 
-@dataclass(frozen=True)
 class PatternInventory:
     """The versioned, ordered template set used for corpus generation."""
 
-    version: str
-    patterns: tuple[DerivationPattern, ...]
+    def __init__(self, version: str, patterns: tuple[DerivationPattern, ...]) -> None:
+        self.version = version
+        self.patterns = patterns
 
     def __len__(self) -> int:
         return len(self.patterns)

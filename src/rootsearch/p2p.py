@@ -30,10 +30,13 @@ node resolves it through the shared lexicon: a payload that is exactly one
 root's word group costs one lookup and one tuple comparison, any other
 payload one lookup per word. All terms of one query share a root, which is
 why the default block assignment forwards to exactly one peer.
+
+Messages (``OverlayMessage``) are immutable ``NamedTuple``s; peers,
+super-peers and the overlay are plain classes, whose attributes the
+routing loop reads on every message.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import attrgetter
 from typing import Iterable, NamedTuple
 
@@ -84,11 +87,11 @@ class Transport:
         log.append(tuple.__new__(OverlayMessage, (len(log) + 1, kind, src, dst, payload)))
 
 
-@dataclass(eq=False)
 class PeerNode:
-    peer_id: str
-    parent: str
-    postings: dict[str, DocIds]
+    def __init__(self, peer_id: str, parent: str, postings: dict[str, DocIds]) -> None:
+        self.peer_id = peer_id
+        self.parent = parent
+        self.postings = postings
 
     def execute(self, keys: Iterable[str | None]) -> DocIds:
         """Local documents filed under any of ``keys``, sorted; a single
@@ -101,14 +104,20 @@ class PeerNode:
         transport.send(KIND_RESULTS_BACK, self.peer_id, message.src, found)
 
 
-@dataclass(eq=False)
 class SuperPeer:
-    superpeer_id: str
-    children: tuple[str, ...]
-    summary: dict[str, frozenset[str]]
-    # every other super-peer id, in sorted() order: a query from a peer is
-    # passed on to these
-    siblings: tuple[str, ...]
+    def __init__(
+        self,
+        superpeer_id: str,
+        children: tuple[str, ...],
+        summary: dict[str, frozenset[str]],
+        siblings: tuple[str, ...],
+    ) -> None:
+        self.superpeer_id = superpeer_id
+        self.children = children
+        self.summary = summary
+        # every other super-peer id, in sorted() order: a query from a peer
+        # is passed on to these
+        self.siblings = siblings
 
     def matching_children(self, keys: set[str | None]) -> list[str]:
         return [child for child in self.children if keys & self.summary[child]]
@@ -141,12 +150,18 @@ class SuperPeer:
             transport.send(KIND_RESULTS_BACK, self.superpeer_id, message.src, ())
 
 
-@dataclass(eq=False)
 class Overlay:
-    mode: IndexMode
-    peers: dict[str, PeerNode]
-    superpeers: dict[str, SuperPeer]
-    lexicon: RootLexicon
+    def __init__(
+        self,
+        mode: IndexMode,
+        peers: dict[str, PeerNode],
+        superpeers: dict[str, SuperPeer],
+        lexicon: RootLexicon,
+    ) -> None:
+        self.mode = mode
+        self.peers = peers
+        self.superpeers = superpeers
+        self.lexicon = lexicon
 
     @property
     def engine(self) -> str:

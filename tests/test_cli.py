@@ -1,7 +1,13 @@
 """CLI subcommands end to end on scaled-down corpora."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import rootsearch
 from rootsearch.cli import EXIT_OK, EXIT_VALIDATION, main
 from rootsearch.corpus import tree_digest
 
@@ -375,3 +381,20 @@ class TestCorpusLoadErrors:
         err = capsys.readouterr().err
         assert code == EXIT_VALIDATION
         assert err == f"error: {path}:1: {message}\n"
+
+
+class TestStartup:
+    def test_cli_import_loads_neither_dataclasses_nor_inspect(self):
+        # a fresh interpreter, importing rootsearch from the same sources as this test
+        src = str(Path(rootsearch.__file__).resolve().parent.parent)
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        code = (
+            "import rootsearch.cli, sys; "
+            "print([m for m in ('dataclasses', 'inspect') if m in sys.modules])"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True, text=True, check=True,
+        )
+        assert proc.stdout == "[]\n"

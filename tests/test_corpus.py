@@ -287,3 +287,19 @@ class TestLoadManifest:
         with pytest.raises(CorpusSpecError) as info:
             load_manifest(tmp_path / "c")
         assert str(info.value) == f"{path}:2: query root 'زخرف' has no documents"
+
+    def test_unknown_peer_id_names_its_line(self, tmp_path):
+        spec = CorpusSpec(
+            root_count=4, words_per_root=5, peer_count=4,
+            superpeer_count=2, roots_per_peer=1, seed=1,
+        )
+        generate_corpus(spec, tmp_path / "c")
+        path = tmp_path / "c" / MANIFEST_NAME
+        lines = path.read_text("utf-8").splitlines()
+        assert lines[2].endswith("\tpeer-1")
+        # a blank line is skipped, and counted in the line number
+        lines[2:3] = ["", lines[2][: -len("peer-1")] + "peer-9"]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(CorpusSpecError) as info:
+            load_manifest(tmp_path / "c")
+        assert str(info.value) == f"{path}:4: peer id 'peer-9' is not one of peer-1..peer-4"

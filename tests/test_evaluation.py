@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from rootsearch.cli import EXIT_OK, main
-from rootsearch.corpus import load_manifest, manifest_digest
+from rootsearch.corpus import load_manifest, manifest_digest, tree_digest
 from rootsearch.errors import UnknownRoot
 from rootsearch.evaluation import (
     BaselineEngine,
@@ -286,3 +286,15 @@ class TestEngineResultShape:
         assert len(out.result.found) == 1
         assert out.peers_contacted is None
         assert out.messages == ()
+
+
+class TestPinnedResults:
+    # tree_digest of the results/*.tsv that write_report writes for the
+    # default corpus, pinned when P/R rendering moved from Fraction
+    # arithmetic to integers: every results byte stays as it was
+    RESULTS_DIGEST = "0852273afba6082a6192ef5be38bbaed6cf9ea00f0fdd111b31cfd7516377d16"
+
+    def test_default_results_match_the_pinned_digest(self, full_report, tmp_path):
+        summary = write_report(full_report, tmp_path)
+        assert tree_digest(tmp_path) == self.RESULTS_DIGEST
+        assert summary == (tmp_path / "summary.tsv").read_text("utf-8").splitlines()[1:]

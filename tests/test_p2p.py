@@ -1,19 +1,19 @@
 """Overlay topology, routing behavior and message accounting."""
 
 import copy
-import dataclasses
 import hashlib
 from operator import attrgetter
 
 import pytest
 
-from rootsearch.corpus import CorpusSpec, generate_corpus, relevant_set
+from rootsearch.corpus import CorpusManifest, CorpusSpec, generate_corpus, relevant_set
 from rootsearch.errors import OverlayMismatch
 from rootsearch.index import IndexMode
 from rootsearch.p2p import (
     KIND_QUERY_FORWARD,
     KIND_QUERY_UP,
     KIND_RESULTS_BACK,
+    Overlay,
     PeerNode,
     build_overlay,
     format_message_log,
@@ -21,6 +21,13 @@ from rootsearch.p2p import (
     p2p_search,
 )
 from rootsearch.search import Query, search_exact, search_expanded
+
+
+def _with_documents(manifest, documents):
+    """A copy of ``manifest`` holding ``documents`` instead of its own."""
+    return CorpusManifest(
+        manifest.spec, documents, manifest.roots, manifest.queries, manifest.patterns_version
+    )
 
 
 class TestBuildOverlay:
@@ -50,7 +57,7 @@ class TestBuildOverlay:
     def test_peer_postings_file_each_document_once(
         self, manifest, overlay_simple, overlay_advanced
     ):
-        assert [f.name for f in dataclasses.fields(PeerNode)] == [
+        assert list(vars(PeerNode("peer-1", "sp-1", {}))) == [
             "peer_id", "parent", "postings"
         ]
         for overlay, key in (
@@ -68,9 +75,8 @@ class TestBuildOverlay:
 
     def test_shard_mismatch_rejected(self, micro_corpus):
         _, manifest = micro_corpus
-        broken = dataclasses.replace(
-            manifest,
-            documents=tuple(d for d in manifest.documents if d.peer_id != "peer-2"),
+        broken = _with_documents(
+            manifest, tuple(d for d in manifest.documents if d.peer_id != "peer-2")
         )
         with pytest.raises(OverlayMismatch):
             build_overlay(broken, IndexMode.SIMPLE)
@@ -139,7 +145,9 @@ class TestP2PSearch:
 
         lexicon = copy.copy(overlay_advanced.lexicon)
         lexicon._root_of = CountingMap(lexicon._root_of)
-        overlay = dataclasses.replace(overlay_advanced, lexicon=lexicon)
+        overlay = Overlay(
+            overlay_advanced.mode, overlay_advanced.peers, overlay_advanced.superpeers, lexicon
+        )
         outcome = p2p_search(Query.parse("q", manifest.queries[9].word), overlay, "peer-1")
         requests = [m for m in outcome.messages if m.kind != KIND_RESULTS_BACK]
         assert len(outcome.result.expanded_terms) == 100
@@ -347,7 +355,7 @@ class TestSortedAnswers:
         _, manifest = micro_corpus
         documents = list(manifest.documents)
         documents[1] = documents[0]  # same shard, so the shard size holds
-        repeated = dataclasses.replace(manifest, documents=tuple(documents))
+        repeated = _with_documents(manifest, tuple(documents))
         first = documents[0]
         root_mates = tuple(sorted({d.doc_id for d in documents if d.root == first.root}))
         for mode, key, found in (

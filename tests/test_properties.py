@@ -1,16 +1,20 @@
-"""Property tests: the lexicon, the postings builder and normalization
-against plain dict/set/regex references over generated inputs, and the
-light stemmer's length floor."""
+"""Property tests: the lexicon, the postings builder, normalization and
+the 4-place rendering of exact fractions against plain dict/set/regex/
+Fraction references over generated inputs, and the light stemmer's length
+floor."""
 
+import math
 import re
+from fractions import Fraction
 from operator import attrgetter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rootsearch.corpus import Document, postings
 from rootsearch.errors import EmptyAfterNormalization
+from rootsearch.evaluation import fixed4
 from rootsearch.morphology import RootLexicon, light_stem
 from rootsearch.normalize import is_normalized, normalize
 
@@ -144,3 +148,23 @@ def test_light_stem_keeps_three_letters_of_the_word(word):
     stem = light_stem(word)
     assert len(stem) >= min(3, len(word)), (word, stem)
     assert stem in word, (word, stem)
+
+
+def _fixed4_reference(value):
+    """floor(value * 10000 + 1/2) in Fraction arithmetic: the definition
+    ``fixed4`` works out in integers."""
+    scaled = math.floor(value * 10000 + Fraction(1, 2))
+    return f"{scaled // 10000}.{scaled % 10000:04d}"
+
+
+_fractions = st.fractions(min_value=0, max_value=1000)
+# the exact halves between two 4-place values: these round up
+_halves = st.integers(min_value=0, max_value=10**6).map(lambda k: Fraction(2 * k + 1, 20000))
+
+
+@given(st.one_of(_fractions, _halves))
+@example(Fraction(1, 20000))
+@example(Fraction(19999, 20000))
+@example(Fraction(0))
+def test_fixed4_matches_the_fraction_reference(value):
+    assert fixed4(value) == _fixed4_reference(value)
