@@ -48,6 +48,21 @@ _STEM_SUFFIXES = (
 )
 
 
+def _by_letter(affixes: tuple[str, ...], at: int) -> dict[str, tuple[tuple[str, int], ...]]:
+    """``(affix, length)`` pairs keyed by each affix's letter at ``at`` (0
+    for the first, -1 for the last), in ``affixes`` order."""
+    table: dict[str, list[tuple[str, int]]] = defaultdict(list)
+    for affix in affixes:
+        table[affix[at]].append((affix, len(affix)))
+    return {letter: tuple(pairs) for letter, pairs in table.items()}
+
+
+# Only an affix that starts (ends) with the stem's first (last) letter can
+# match, so light_stem tries just that letter's entries, in the order above.
+_ARTICLES_BY_FIRST = _by_letter(_ARTICLE_PREFIXES, 0)
+_SUFFIXES_BY_LAST = _by_letter(_STEM_SUFFIXES, -1)
+
+
 class DerivationPattern(NamedTuple):
     """One derivation template with a stable identifier."""
 
@@ -193,30 +208,36 @@ class RootLexicon:
 def light_stem(word: str) -> str:
     """Strip clitic suffixes and prefixes from a normalized word.
 
-    Suffixes peel iteratively, then one conjunction (و/ف), one article
-    layer, and one bare preposition; every step keeps at least three
-    letters, and bare prepositions only peel off words long enough that
-    the letter is unlikely to be a root consonant. The residue is a root
-    candidate, not a guaranteed root.
+    Suffixes peel iteratively, then one conjunction (و/ف), then either one
+    article layer or, when no article peels, one bare preposition (ب/ك/ل);
+    every step keeps at least three letters, and a bare preposition only
+    peels off a word long enough that the letter is unlikely to be a root
+    consonant. Each suffix step tries only the suffixes that end in the
+    stem's last letter, and the article step only the articles that start
+    with its first letter, both in ``_STEM_SUFFIXES``/``_ARTICLE_PREFIXES``
+    order, so the first affix that fits is the one a full scan would find.
+    The residue is a root candidate, not a guaranteed root.
+
+    >>> light_stem("والكتاب")
+    'كتاب'
+    >>> light_stem("للعلمات")
+    'علم'
     """
     stem = word
-    changed = True
-    while changed:
-        changed = False
-        for suffix in _STEM_SUFFIXES:
-            if stem.endswith(suffix) and len(stem) - len(suffix) >= 3:
-                stem = stem[: -len(suffix)]
-                changed = True
+    while len(stem) > 3:
+        for suffix, size in _SUFFIXES_BY_LAST.get(stem[-1], ()):
+            if len(stem) - size >= 3 and stem.endswith(suffix):
+                stem = stem[:-size]
                 break
-    if stem[:1] in ("و", "ف") and len(stem) - 1 >= 3:
-        stem = stem[1:]
-    for prefix in _ARTICLE_PREFIXES:
-        if stem.startswith(prefix) and len(stem) - len(prefix) >= 3:
-            stem = stem[len(prefix) :]
+        else:
             break
-    else:
-        if stem[:1] in ("ب", "ك", "ل") and len(stem) - 1 >= 4:
-            stem = stem[1:]
+    if stem[:1] in ("و", "ف") and len(stem) > 3:
+        stem = stem[1:]
+    for prefix, size in _ARTICLES_BY_FIRST.get(stem[:1], ()):
+        if len(stem) - size >= 3 and stem.startswith(prefix):
+            return stem[size:]
+    if stem[:1] in ("ب", "ك", "ل") and len(stem) > 4:
+        stem = stem[1:]
     return stem
 
 
@@ -225,7 +246,8 @@ def extract_root(word: str, lexicon: RootLexicon) -> str:
 
     Corpus vocabulary resolves exactly through the lexicon. Anything else
     is light-stemmed; the residue counts if it is a known root, a known
-    word, or simply 3-4 letters long.
+    word, or simply 3-4 letters long; a residue with a digit or a
+    punctuation mark in it, such as ١٢٣ or ،،،, is no root.
 
     Raises:
         UnknownRoot: not in the lexicon and no plausible stemming residue.
@@ -239,6 +261,6 @@ def extract_root(word: str, lexicon: RootLexicon) -> str:
     via_word = lexicon.root_of(stem)
     if via_word is not None:
         return via_word
-    if 3 <= len(stem) <= 4:
+    if 3 <= len(stem) <= 4 and stem.isalpha():
         return stem
     raise UnknownRoot(word)

@@ -249,8 +249,8 @@ def p2p_search(query: Query, overlay: Overlay, origin: str) -> SearchOutcome:
             contacted += 1
             peer.handle(message, transport, overlay)
 
-    result = SearchResult(merge(parts), expanded, degraded)
-    return SearchOutcome(result, tuple(transport.log), contacted)
+    result = tuple.__new__(SearchResult, (merge(parts), expanded, degraded))
+    return tuple.__new__(SearchOutcome, (result, tuple(transport.log), contacted))
 
 
 def format_message_log(messages: tuple[OverlayMessage, ...]) -> str:

@@ -41,7 +41,8 @@ class Query(NamedTuple):
         tokens = raw.split()
         if len(tokens) != 1:
             raise ValueError(f"queries are single words, got {raw!r}")
-        return cls(query_id, raw, normalize(tokens[0]))
+        # tuple.__new__ builds the NamedTuple without its Python-level __new__ frame
+        return tuple.__new__(cls, (query_id, raw, normalize(tokens[0])))
 
 
 class SearchResult(NamedTuple):
@@ -60,7 +61,7 @@ class SearchOutcome(NamedTuple):
 
 def search_exact(query: Query, index: InvertedIndex) -> SearchResult:
     """Exact lookup of the query word; no expansion."""
-    return SearchResult(index.lookup(query.normalized))
+    return tuple.__new__(SearchResult, (index.lookup(query.normalized), (), False))
 
 
 def resolve(query: Query, lexicon: RootLexicon) -> tuple[str | None, tuple[str, ...]]:
@@ -84,5 +85,5 @@ def search_expanded(
     """
     root, terms = resolve(query, lexicon)
     if root is None:
-        return SearchResult(index.lookup(query.normalized), terms, degraded=True)
-    return SearchResult(index.root_postings.get(root, ()), terms)
+        return tuple.__new__(SearchResult, (index.lookup(query.normalized), terms, True))
+    return tuple.__new__(SearchResult, (index.root_postings.get(root, ()), terms, False))

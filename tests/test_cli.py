@@ -110,6 +110,16 @@ class TestQuery:
         assert "warning" in captured.err
         assert "found (0):" in captured.out
 
+    @pytest.mark.parametrize("engine", ["expanded", "p2p-advanced"])
+    def test_digit_query_degrades_instead_of_taking_a_root(self, micro_args, capsys, engine):
+        code = main(["query", "١٢٣", "--corpus", str(micro_args), "--engine", engine])
+        captured = capsys.readouterr()
+        assert code == EXIT_OK
+        assert captured.err == (
+            "warning: no root resolved for '١٢٣'; degraded to exact search\n"
+        )
+        assert "found (0):" in captured.out
+
     @pytest.mark.parametrize(
         "engine,warns",
         [("baseline", False), ("expanded", True), ("p2p-simple", False), ("p2p-advanced", True)],

@@ -144,6 +144,13 @@ class TestExtractRoot:
         with pytest.raises(UnknownRoot):
             extract_root("فه", lexicon)
 
+    # Arabic-Indic digits and Arabic commas are Arabic-block code points that
+    # normalize keeps; a 3-4 code-point residue of them is still no root
+    @pytest.mark.parametrize("word", ["١٢٣", "،،،", "١٢٣٤", "كت١"])
+    def test_residue_that_is_not_all_letters_raises(self, lexicon, word):
+        with pytest.raises(UnknownRoot):
+            extract_root(normalize(word), lexicon)
+
 
 class TestSameRoot:
     def test_reflexive(self, lexicon):

@@ -1,7 +1,7 @@
-"""Property tests: the lexicon, the postings builder, normalization and
-the 4-place rendering of exact fractions against plain dict/set/regex/
-Fraction references over generated inputs, and the light stemmer's length
-floor."""
+"""Property tests: the lexicon, the postings builder, normalization, the
+light stemmer and the 4-place rendering of exact fractions against plain
+dict/set/regex/scan/Fraction references over generated inputs, plus
+normalization's idempotence and the light stemmer's length floor."""
 
 import math
 import re
@@ -137,9 +137,20 @@ def test_normalize_matches_the_reference_on_every_arabic_code_point(prefix):
         _assert_normalize_matches_reference(prefix + chr(code))
 
 
+@settings(max_examples=500)
+@given(_arabic_text)
+def test_normalize_is_idempotent(word):
+    try:
+        normalized = normalize(word)
+    except (ValueError, EmptyAfterNormalization):
+        return
+    assert normalize(normalized) == normalized, ascii(word)
+
+
 # every letter of the clitics light_stem peels, plus root letters, so that
 # generated words stack prefixes and suffixes and often fall near 3 letters
-_clitic_words = st.text(alphabet="والفبكلتنهيمادرس", min_size=1, max_size=10)
+_CLITIC_ALPHABET = "والفبكلتنهيمادرس"
+_clitic_words = st.text(alphabet=_CLITIC_ALPHABET, min_size=1, max_size=10)
 
 
 @settings(max_examples=500)
@@ -148,6 +159,54 @@ def test_light_stem_keeps_three_letters_of_the_word(word):
     stem = light_stem(word)
     assert len(stem) >= min(3, len(word)), (word, stem)
     assert stem in word, (word, stem)
+
+
+# The light stemmer written as a full scan: every suffix in order after
+# each strip, then every article, as the table-driven light_stem must match.
+_REF_SUFFIXES = (
+    "تها", "ناه", "ها", "هم", "هن", "كم", "كن", "نا",
+    "تم", "ون", "ين", "ان", "ات", "وا", "ه", "ت",
+)
+_REF_ARTICLES = ("بال", "كال", "لل", "ال")
+
+
+def _reference_light_stem(word):
+    stem = word
+    changed = True
+    while changed:
+        changed = False
+        for suffix in _REF_SUFFIXES:
+            if stem.endswith(suffix) and len(stem) - len(suffix) >= 3:
+                stem = stem[: -len(suffix)]
+                changed = True
+                break
+    if stem[:1] in ("و", "ف") and len(stem) - 1 >= 3:
+        stem = stem[1:]
+    for prefix in _REF_ARTICLES:
+        if stem.startswith(prefix) and len(stem) - len(prefix) >= 3:
+            stem = stem[len(prefix) :]
+            break
+    else:
+        if stem[:1] in ("ب", "ك", "ل") and len(stem) - 1 >= 4:
+            stem = stem[1:]
+    return stem
+
+
+@settings(max_examples=500)
+@given(st.one_of(_clitic_words, _arabic_text.filter(is_normalized)))
+@example("والكتابها")
+@example("للعلمات")
+@example("كتبتها")
+def test_light_stem_matches_a_full_scan_reference(word):
+    assert light_stem(word) == _reference_light_stem(word), word
+
+
+def test_light_stem_matches_the_reference_on_every_short_clitic_word():
+    words = [""]
+    for _ in range(4):
+        words = [w + letter for w in words for letter in _CLITIC_ALPHABET]
+        for word in words:
+            assert light_stem(word) == _reference_light_stem(word), word
 
 
 def _fixed4_reference(value):

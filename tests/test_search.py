@@ -5,6 +5,7 @@ import pytest
 from rootsearch.corpus import CorpusSpec, Document, generate_corpus, relevant_set
 from rootsearch.index import IndexMode, build_index
 from rootsearch.morphology import RootLexicon
+from rootsearch.p2p import p2p_search
 from rootsearch.search import (
     Query,
     SearchOutcome,
@@ -44,6 +45,36 @@ class TestRecords:
         ):
             with pytest.raises(AttributeError):
                 setattr(record, field, None)
+
+    def test_parse_returns_a_plain_query_record(self):
+        query = Query.parse("q1", "كتاب")
+        assert type(query) is Query
+        assert query._fields == ("query_id", "raw", "normalized")
+        assert query == ("q1", "كتاب", "كتاب")
+        assert query._replace(raw="كِتاب") == Query("q1", "كِتاب", "كتاب")
+        assert repr(query) == "Query(query_id='q1', raw='كتاب', normalized='كتاب')"
+
+    def test_engines_fill_every_record_field(
+        self, manifest, simple_index, lexicon, overlay_simple, overlay_advanced
+    ):
+        query = Query.parse("q", manifest.documents[0].word)
+        degraded = Query.parse("q", "فه")
+        outcomes = [
+            p2p_search(q, overlay, "peer-1")
+            for q in (query, degraded)
+            for overlay in (overlay_simple, overlay_advanced)
+        ]
+        for outcome in outcomes:
+            assert type(outcome) is SearchOutcome
+            assert len(outcome) == len(SearchOutcome._fields)
+        for result in [o.result for o in outcomes] + [
+            search_exact(query, simple_index),
+            search_expanded(query, simple_index, lexicon),
+            search_expanded(degraded, simple_index, lexicon),
+        ]:
+            assert type(result) is SearchResult
+            assert len(result) == len(SearchResult._fields)
+            assert type(result.degraded) is bool
 
     def test_degraded_by_keyword_or_position(self):
         by_keyword = SearchResult((), ("كتب",), degraded=True)
