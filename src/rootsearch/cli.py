@@ -98,7 +98,7 @@ def cmd_query(args: argparse.Namespace) -> int:
             f"warning: the root of {query.normalized!r} has no words in the corpus",
             file=sys.stderr,
         )
-    if result.expanded_terms:
+    if result.expanded_terms and not result.degraded:
         print(f"expanded terms ({len(result.expanded_terms)}): "
               + " ".join(result.expanded_terms))
     print(f"found ({len(result.found)}):")

@@ -23,7 +23,7 @@ from enum import Enum
 from operator import attrgetter
 from typing import Iterable
 
-from .corpus import DocIds, Document, postings
+from .corpus import DocIds, Document, gc_paused, postings
 from .errors import UnknownRoot
 from .morphology import RootLexicon
 
@@ -48,6 +48,7 @@ class InvertedIndex:
         return self.entries.get(key, ())
 
 
+@gc_paused
 def build_index(
     docs: Iterable[Document], mode: IndexMode, lexicon: RootLexicon
 ) -> InvertedIndex:

@@ -40,7 +40,7 @@ from __future__ import annotations
 from operator import attrgetter
 from typing import Iterable, NamedTuple
 
-from .corpus import CorpusManifest, DocIds, postings
+from .corpus import CorpusManifest, DocIds, gc_paused, postings
 from .errors import OverlayMismatch
 from .index import IndexMode
 from .morphology import RootLexicon
@@ -177,6 +177,7 @@ class Overlay:
         return set(words)
 
 
+@gc_paused
 def build_overlay(manifest: CorpusManifest, mode: IndexMode) -> Overlay:
     """Build peers, their postings and super-peer summaries from the manifest.
 

@@ -118,6 +118,7 @@ class TestQuery:
         assert captured.err == (
             "warning: no root resolved for '١٢٣'; degraded to exact search\n"
         )
+        assert "expanded terms" not in captured.out
         assert "found (0):" in captured.out
 
     @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 """Corpus generation: cardinalities, determinism, relevance ground truth."""
 
+import gc
 import shutil
 from collections import Counter
 
@@ -10,6 +11,7 @@ from rootsearch.corpus import (
     CorpusSpec,
     MANIFEST_NAME,
     QUERIES_NAME,
+    gc_paused,
     generate_corpus,
     load_manifest,
     manifest_digest,
@@ -107,6 +109,53 @@ class TestFilesOnDisk:
     def test_manifest_and_queries_present(self, corpus_dir):
         assert (corpus_dir / MANIFEST_NAME).exists()
         assert (corpus_dir / QUERIES_NAME).exists()
+
+    def test_default_corpus_bytes_are_pinned(self, corpus_dir):
+        # every path and byte, trailing newlines and encoding included
+        assert tree_digest(corpus_dir) == (
+            "245a3c6c33d0bd81388f1e3a3884ad0ba2e7c7280c4884283733ab393fb73d74"
+        )
+        assert manifest_digest(corpus_dir) == (
+            "abda0ffc775531ef5cda8e8ab380eb724d630f047a0d15db6db2b758c937b272"
+        )
+
+    def test_failed_body_write_leaves_no_manifest(self, tmp_path):
+        blocked = tmp_path / "c" / "peer-1" / "d00000.txt"
+        blocked.mkdir(parents=True)
+        with pytest.raises(OSError) as info:
+            generate_corpus(MICRO_SPEC, tmp_path / "c")
+        assert str(blocked) in str(info.value)
+        assert not (tmp_path / "c" / MANIFEST_NAME).exists()
+
+
+class TestGcPaused:
+    def test_build_runs_with_the_collector_off_then_restores_it(self, tmp_path):
+        assert gc_paused(gc.isenabled)() is False
+        assert gc.isenabled()
+        generate_corpus(MICRO_SPEC, tmp_path / "c")
+        assert gc.isenabled()
+
+    def test_failed_load_restores_the_collector(self, micro_corpus, tmp_path):
+        corpus_dir, _ = micro_corpus
+        shutil.copytree(corpus_dir, tmp_path / "c")
+        (tmp_path / "c" / MANIFEST_NAME).write_text("", encoding="utf-8")
+        with pytest.raises(CorpusSpecError, match="empty file"):
+            load_manifest(tmp_path / "c")
+        assert gc.isenabled()
+
+    def test_collector_the_caller_disabled_stays_off(self, micro_corpus, tmp_path):
+        corpus_dir, _ = micro_corpus
+        gc.disable()
+        try:
+            generate_corpus(MICRO_SPEC, tmp_path / "c")
+            load_manifest(corpus_dir).lexicon
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+
+    def test_wrapped_name_and_doc_are_kept(self):
+        assert load_manifest.__name__ == "load_manifest"
+        assert load_manifest.__doc__.startswith("Reload a generated corpus")
 
 
 class TestMicroCorpus:
