@@ -193,11 +193,21 @@ def build_engines(
     origin: str = "peer-1",
 ) -> list[BaselineEngine | ExpandedEngine | P2PEngine]:
     """Construct the requested engines, sharing indexes where possible; the
-    one dispatch from engine name to searcher, for ``run-eval`` and ``query``."""
+    one dispatch from engine name to searcher, for ``run-eval`` and ``query``.
+
+    Raises:
+        ValueError: an unknown engine name, or an ``origin`` that is not one
+            of the manifest's peers; both are checked before anything is built.
+    """
     names = list(names)
     unknown = set(names) - set(ENGINES)
     if unknown:
         raise ValueError(f"unknown engines: {sorted(unknown)}")
+    peer_ids = manifest.spec.peer_ids()
+    if origin not in peer_ids:
+        raise ValueError(
+            f"unknown origin peer {origin!r}: the peers are {peer_ids[0]}..{peer_ids[-1]}"
+        )
     engines: list[BaselineEngine | ExpandedEngine | P2PEngine] = []
     simple_index = None
     if BASELINE in names or EXPANDED in names:

@@ -5,18 +5,20 @@ built by ``corpus.postings``, and each super-peer keeps one summary per
 child: the keys of that child's map. The overlay's mode picks the key
 once, for every node: a document's word in SIMPLE mode, its root in
 ADVANCED mode. ``Overlay.keys_of`` is the one resolver from a payload's
-words to those keys, and super-peers and peers call it.
+words to those keys.
 
-Routing for one query, all on a deterministic FIFO message queue:
+Routing for one query, all on a deterministic FIFO message queue that
+``p2p_search`` drains in one loop:
 
 1. the origin peer only sends QUERY_UP to its super-peer with the query's
    term set (the single word in SIMPLE mode; every root-mate term in
    ADVANCED mode, from ``search.resolve``); it does not answer first, since
    its super-peer answers for the whole cluster, the origin included
-2. the super-peer forwards (QUERY_FORWARD) to each child whose summary
-   holds one of the payload's keys, and passes the query on (QUERY_UP) to
-   its sibling super-peers so the other half of the network is reachable;
-   siblings match their own children but do not re-flood
+2. a super-peer receiving a QUERY_UP forwards (QUERY_FORWARD) to each child
+   whose summary holds one of the payload's keys and, when the sender is a
+   peer, passes the query on (QUERY_UP) to its sibling super-peers so the
+   other half of the network is reachable; siblings match their own
+   children but do not re-flood
 3. every request is answered by exactly one RESULTS_BACK carrying doc
    ids as a sorted, duplicate-free tuple; super-peers gather their
    children's and siblings' answers before replying, and the union arrives
@@ -25,20 +27,21 @@ Routing for one query, all on a deterministic FIFO message queue:
    non-empty answer through unchanged: only a gather of two or more
    non-empty answers merges and sorts
 
-In ADVANCED mode the payload still carries every root-mate term, and each
-node resolves it through the shared lexicon: a payload that is exactly one
-root's word group costs one lookup and one tuple comparison, any other
-payload one lookup per word. All terms of one query share a root, which is
-why the default block assignment forwards to exactly one peer.
+In ADVANCED mode the payload still carries every root-mate term. Every
+message of one query carries the same payload and all nodes share one
+lexicon, so the origin resolves the payload's keys once; every node matches
+that set. A payload that is exactly one root's word group resolves with one
+lookup and one tuple comparison. All terms of one query share a root, which
+is why the default block assignment forwards to exactly one peer.
 
 Messages (``OverlayMessage``) are immutable ``NamedTuple``s; peers,
-super-peers and the overlay are plain classes, whose attributes the
-routing loop reads on every message.
+super-peers and the overlay are plain classes that hold the overlay's data
+for the routing loop.
 """
 from __future__ import annotations
 
 from operator import attrgetter
-from typing import Iterable, NamedTuple
+from typing import Collection, Iterable, NamedTuple
 
 from .corpus import CorpusManifest, DocIds, gc_paused, postings
 from .errors import OverlayMismatch
@@ -75,33 +78,19 @@ class OverlayMessage(NamedTuple):
     payload: tuple[str, ...]
 
 
-class Transport:
-    """In-process delivery; the send log doubles as the FIFO queue."""
-
-    def __init__(self) -> None:
-        self.log: list[OverlayMessage] = []
-
-    def send(self, kind: str, src: str, dst: str, payload: tuple[str, ...]) -> None:
-        log = self.log
-        # tuple.__new__ builds the NamedTuple without its Python-level __new__ frame
-        log.append(tuple.__new__(OverlayMessage, (len(log) + 1, kind, src, dst, payload)))
-
-
 class PeerNode:
     def __init__(self, peer_id: str, parent: str, postings: dict[str, DocIds]) -> None:
         self.peer_id = peer_id
         self.parent = parent
         self.postings = postings
 
-    def execute(self, keys: Iterable[str | None]) -> DocIds:
-        """Local documents filed under any of ``keys``, sorted; a single
-        matching key yields its stored posting tuple itself."""
+    def execute(self, keys: Collection[str | None]) -> DocIds:
+        """Local documents filed under any of ``keys``, sorted. A single key
+        yields its stored posting tuple itself (or ``()``), with no merge."""
+        if len(keys) == 1:
+            (key,) = keys
+            return self.postings.get(key, ())
         return merge([self.postings.get(key, ()) for key in keys])
-
-    def handle(self, message: OverlayMessage, transport: Transport, overlay: "Overlay") -> None:
-        # Peers only ever receive query forwards; they answer the sender.
-        found = self.execute(overlay.keys_of(message.payload))
-        transport.send(KIND_RESULTS_BACK, self.peer_id, message.src, found)
 
 
 class SuperPeer:
@@ -118,36 +107,6 @@ class SuperPeer:
         # every other super-peer id, in sorted() order: a query from a peer
         # is passed on to these
         self.siblings = siblings
-
-    def matching_children(self, keys: set[str | None]) -> list[str]:
-        return [child for child in self.children if keys & self.summary[child]]
-
-    def handle(
-        self,
-        message: OverlayMessage,
-        transport: Transport,
-        overlay: "Overlay",
-        gather: dict[str, tuple[str, int, list[DocIds]]],
-    ) -> None:
-        if message.kind == KIND_RESULTS_BACK:
-            # (requester, number of answers expected, answers so far)
-            requester, expected, parts = gather[self.superpeer_id]
-            parts.append(message.payload)
-            if len(parts) == expected:
-                transport.send(KIND_RESULTS_BACK, self.superpeer_id, requester, merge(parts))
-            return
-
-        # QUERY_UP: from the origin peer, or flooded over from a sibling.
-        from_peer = message.src in overlay.peers
-        targets = self.matching_children(overlay.keys_of(message.payload))
-        siblings = self.siblings if from_peer else ()
-        gather[self.superpeer_id] = (message.src, len(targets) + len(siblings), [])
-        for child in targets:
-            transport.send(KIND_QUERY_FORWARD, self.superpeer_id, child, message.payload)
-        for sibling in siblings:
-            transport.send(KIND_QUERY_UP, self.superpeer_id, sibling, message.payload)
-        if not targets and not siblings:
-            transport.send(KIND_RESULTS_BACK, self.superpeer_id, message.src, ())
 
 
 class Overlay:
@@ -232,26 +191,48 @@ def p2p_search(query: Query, overlay: Overlay, origin: str) -> SearchOutcome:
     else:
         terms, expanded, degraded = (query.normalized,), (), False
 
-    parts: list[DocIds] = []
-    transport = Transport()
-    transport.send(KIND_QUERY_UP, origin, origin_node.parent, terms)
+    keys = overlay.keys_of(terms)
+    new = tuple.__new__  # builds each NamedTuple without its Python-level __new__ frame
+    log = [new(OverlayMessage, (1, KIND_QUERY_UP, origin, origin_node.parent, terms))]
+    send = log.append
+    # super-peer id -> (requester, number of answers expected, answers so far)
     gather: dict[str, tuple[str, int, list[DocIds]]] = {}
+    found: DocIds = ()
     # peers are handed only QUERY_FORWARDs, at most one each (one parent, one QUERY_UP)
     contacted = 0
-    # handlers append to the log while it is walked, so this drains the queue
-    for message in transport.log:
-        dst = message.dst
+    # the branches append to the log while it is walked, so this drains the queue
+    for _seq, kind, src, dst, payload in log:
         peer = peers.get(dst)
-        if peer is None:
-            superpeers[dst].handle(message, transport, overlay, gather)
-        elif dst == origin and message.kind == KIND_RESULTS_BACK:
-            parts.append(message.payload)
+        if peer is not None:
+            if kind == KIND_RESULTS_BACK:
+                # only the origin sent a QUERY_UP, so only it hears a reply
+                found = payload
+            else:
+                contacted += 1
+                send(new(OverlayMessage, (
+                    len(log) + 1, KIND_RESULTS_BACK, dst, src, peer.execute(keys))))
+        elif kind == KIND_RESULTS_BACK:
+            requester, expected, parts = gather[dst]
+            parts.append(payload)
+            if len(parts) == expected:
+                send(new(OverlayMessage, (
+                    len(log) + 1, KIND_RESULTS_BACK, dst, requester, merge(parts))))
         else:
-            contacted += 1
-            peer.handle(message, transport, overlay)
+            # QUERY_UP: from the origin peer, or flooded over from a sibling
+            sp = superpeers[dst]
+            summary = sp.summary
+            targets = [child for child in sp.children if not keys.isdisjoint(summary[child])]
+            siblings = sp.siblings if src in peers else ()
+            gather[dst] = (src, len(targets) + len(siblings), [])
+            for child in targets:
+                send(new(OverlayMessage, (len(log) + 1, KIND_QUERY_FORWARD, dst, child, terms)))
+            for sibling in siblings:
+                send(new(OverlayMessage, (len(log) + 1, KIND_QUERY_UP, dst, sibling, terms)))
+            if not targets and not siblings:
+                send(new(OverlayMessage, (len(log) + 1, KIND_RESULTS_BACK, dst, src, ())))
 
-    result = tuple.__new__(SearchResult, (merge(parts), expanded, degraded))
-    return tuple.__new__(SearchOutcome, (result, tuple(transport.log), contacted))
+    result = new(SearchResult, (found, expanded, degraded))
+    return new(SearchOutcome, (result, tuple(log), contacted))
 
 
 def format_message_log(messages: tuple[OverlayMessage, ...]) -> str:

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import rootsearch
+from rootsearch import evaluation
 from rootsearch.cli import EXIT_OK, EXIT_VALIDATION, main
 from rootsearch.corpus import tree_digest
 
@@ -138,6 +139,25 @@ class TestQuery:
         code = main(["query", "كتاب جديد", "--corpus", str(micro_args)])
         assert code == EXIT_VALIDATION
 
+    @pytest.mark.parametrize("engine", ["baseline", "p2p-simple"])
+    def test_unknown_origin_rejected_before_any_build(
+        self, micro_args, capsys, monkeypatch, engine
+    ):
+        def no_build(*args):
+            raise AssertionError("built an engine for an unknown origin")
+
+        monkeypatch.setattr(evaluation, "build_index", no_build)
+        monkeypatch.setattr(evaluation, "build_overlay", no_build)
+        code = main(
+            ["query", self._word(micro_args), "--corpus", str(micro_args),
+             "--engine", engine, "--origin", "peer-9"]
+        )
+        captured = capsys.readouterr()
+        assert code == EXIT_VALIDATION
+        assert captured.err == (
+            "error: unknown origin peer 'peer-9': the peers are peer-1..peer-2\n"
+        )
+
 
 class TestRunEvalAndReport:
     def test_full_micro_pipeline(self, micro_args, tmp_path, capsys):
@@ -173,6 +193,20 @@ class TestRunEvalAndReport:
         )
         assert code == EXIT_OK
         assert {p.name for p in results.iterdir()} == {"baseline.tsv", "summary.tsv"}
+
+    @pytest.mark.parametrize("engines", [["baseline"], ["p2p-advanced"]])
+    def test_unknown_origin_rejected(self, micro_args, tmp_path, capsys, engines):
+        results = tmp_path / "results"
+        code = main(
+            ["run-eval", "--corpus", str(micro_args), "--out", str(results),
+             "--engines", *engines, "--origin", "peer-9"]
+        )
+        captured = capsys.readouterr()
+        assert code == EXIT_VALIDATION
+        assert captured.err == (
+            "error: unknown origin peer 'peer-9': the peers are peer-1..peer-2\n"
+        )
+        assert not results.exists()
 
     def test_rerun_byte_identical(self, micro_args, tmp_path):
         for name in ("r1", "r2"):

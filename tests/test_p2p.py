@@ -14,13 +14,21 @@ from rootsearch.p2p import (
     KIND_QUERY_UP,
     KIND_RESULTS_BACK,
     Overlay,
+    OverlayMessage,
     PeerNode,
     build_overlay,
     format_message_log,
     merge,
     p2p_search,
 )
-from rootsearch.search import Query, search_exact, search_expanded
+from rootsearch.search import (
+    Query,
+    SearchOutcome,
+    SearchResult,
+    resolve,
+    search_exact,
+    search_expanded,
+)
 
 
 def _with_documents(manifest, documents):
@@ -135,7 +143,7 @@ class TestP2PSearch:
         with pytest.raises(ValueError):
             p2p_search(Query.parse("q", "لعب"), overlay_simple, "peer-9")
 
-    def test_each_node_resolves_a_root_group_with_one_lookup(self, manifest, overlay_advanced):
+    def test_the_origin_resolves_a_root_group_with_one_lookup(self, manifest, overlay_advanced):
         class CountingMap(dict):
             lookups = 0
 
@@ -151,9 +159,10 @@ class TestP2PSearch:
         outcome = p2p_search(Query.parse("q", manifest.queries[9].word), overlay, "peer-1")
         requests = [m for m in outcome.messages if m.kind != KIND_RESULTS_BACK]
         assert len(outcome.result.expanded_terms) == 100
-        # extract_root's lookup and one per node a request reaches; the origin
-        # only sends, so it resolves nothing itself
-        assert lexicon._root_of.lookups == 1 + len(requests) == 4
+        assert len(requests) == 3
+        # extract_root's lookup and the origin's one roots_of: every node a
+        # request reaches matches that key set without resolving it again
+        assert lexicon._root_of.lookups == 2
 
 
 class TestOriginHearsOneAnswer:
@@ -380,3 +389,106 @@ class TestMerge:
 
     def test_several_answers_are_unioned_and_sorted(self):
         assert merge([("d2", "d4"), ("d1", "d2"), (), ("d3",)]) == ("d1", "d2", "d3", "d4")
+
+
+class _ReferenceTransport:
+    """In-process delivery; the send log doubles as the FIFO queue."""
+
+    def __init__(self):
+        self.log = []
+
+    def send(self, kind, src, dst, payload):
+        self.log.append(OverlayMessage(len(self.log) + 1, kind, src, dst, payload))
+
+
+def _reference_peer_handle(peer, message, transport, overlay):
+    keys = overlay.keys_of(message.payload)
+    found = merge([peer.postings.get(key, ()) for key in keys])
+    transport.send(KIND_RESULTS_BACK, peer.peer_id, message.src, found)
+
+
+def _reference_superpeer_handle(sp, message, transport, overlay, gather):
+    if message.kind == KIND_RESULTS_BACK:
+        requester, expected, parts = gather[sp.superpeer_id]
+        parts.append(message.payload)
+        if len(parts) == expected:
+            transport.send(KIND_RESULTS_BACK, sp.superpeer_id, requester, merge(parts))
+        return
+    keys = overlay.keys_of(message.payload)
+    targets = [child for child in sp.children if keys & sp.summary[child]]
+    siblings = sp.siblings if message.src in overlay.peers else ()
+    gather[sp.superpeer_id] = (message.src, len(targets) + len(siblings), [])
+    for child in targets:
+        transport.send(KIND_QUERY_FORWARD, sp.superpeer_id, child, message.payload)
+    for sibling in siblings:
+        transport.send(KIND_QUERY_UP, sp.superpeer_id, sibling, message.payload)
+    if not targets and not siblings:
+        transport.send(KIND_RESULTS_BACK, sp.superpeer_id, message.src, ())
+
+
+def reference_p2p_search(query, overlay, origin):
+    """The message-passing router that ``p2p_search`` replaces with one loop:
+    a transport plus one handler per node kind, every node resolving the
+    payload's keys through the lexicon on its own."""
+    if overlay.mode is IndexMode.ADVANCED:
+        root, terms = resolve(query, overlay.lexicon)
+        expanded, degraded = terms, root is None
+    else:
+        terms, expanded, degraded = (query.normalized,), (), False
+    transport = _ReferenceTransport()
+    transport.send(KIND_QUERY_UP, origin, overlay.peers[origin].parent, terms)
+    gather, parts, contacted = {}, [], 0
+    for message in transport.log:
+        peer = overlay.peers.get(message.dst)
+        if peer is None:
+            sp = overlay.superpeers[message.dst]
+            _reference_superpeer_handle(sp, message, transport, overlay, gather)
+        elif message.dst == origin and message.kind == KIND_RESULTS_BACK:
+            parts.append(message.payload)
+        else:
+            contacted += 1
+            _reference_peer_handle(peer, message, transport, overlay)
+    result = SearchResult(merge(parts), expanded, degraded)
+    return SearchOutcome(result, tuple(transport.log), contacted)
+
+
+def _striped(manifest):
+    """``manifest`` with document i on peer-(i mod 4 + 1): every root spans
+    all four peers, so gathers merge two or more non-empty answers."""
+    return _with_documents(manifest, tuple(
+        d._replace(peer_id=f"peer-{i % 4 + 1}") for i, d in enumerate(manifest.documents)
+    ))
+
+
+class TestReferenceRouter:
+    """``p2p_search`` against the reference router: every message's seq,
+    kind, src, dst and payload, the answer, its expansion terms, whether it
+    degraded and the peers contacted, which the golden digest does not all
+    cover."""
+
+    @staticmethod
+    def _assert_same_outcomes(words, overlays):
+        for overlay in overlays:
+            for origin in sorted(overlay.peers):
+                for i, word in enumerate(words):
+                    query = Query.parse(f"w{i}", word)
+                    assert p2p_search(query, overlay, origin) == reference_p2p_search(
+                        query, overlay, origin
+                    ), (overlay.mode, origin, word)
+
+    def test_block_layout(self, manifest, noisy_words, overlay_simple, overlay_advanced):
+        words = [entry.word for entry in manifest.queries] + noisy_words + ["١٢٣"]
+        self._assert_same_outcomes(words, (overlay_simple, overlay_advanced))
+
+    def test_striped_layout_merges_several_answers(self, manifest, noisy_words):
+        striped = _striped(manifest)
+        overlays = [build_overlay(striped, mode) for mode in IndexMode]
+        words = [entry.word for entry in manifest.queries] + noisy_words + ["١٢٣"]
+        self._assert_same_outcomes(words, overlays)
+        outcome = p2p_search(Query.parse("q", manifest.queries[0].word), overlays[1], "peer-1")
+        into_own = [
+            m for m in outcome.messages
+            if m.kind == KIND_RESULTS_BACK and m.dst == "sp-1" and m.payload
+        ]
+        assert len(into_own) >= 2
+        assert set(outcome.result.found) == set(striped.docs_by_root[manifest.queries[0].root])
