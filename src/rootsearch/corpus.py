@@ -458,22 +458,23 @@ def _unknown_peer(path: Path, lines: list[str], known: tuple[str, ...]) -> Corpu
     raise AssertionError("unreachable")
 
 
-def _repeated_doc_id(path: Path, lines: list[str]) -> CorpusSpecError:
-    """The error naming the first repeated doc id of manifest ``lines``.
+def _repeated_id(path: Path, lines: list[str], name: str) -> CorpusSpecError:
+    """The error naming the first repeated id, the first field of a row, in
+    ``lines`` (``name`` says what it is: a doc id, a query id).
 
-    Walked only once a repeat is known, so loading a sound manifest costs
-    one set of its ids, not a lookup per row.
+    Walked only once a repeat is known, so loading a sound file costs one
+    set of its ids, not a lookup per row.
     """
     first_line: dict[str, int] = {}
     for lineno, line in enumerate(lines[1:], 2):
         if not line.strip():
             continue
-        doc_id = line.split("\t", 1)[0]
-        if doc_id in first_line:
+        row_id = line.split("\t", 1)[0]
+        if row_id in first_line:
             return CorpusSpecError(
-                f"{path}:{lineno}: doc id {doc_id!r} repeats line {first_line[doc_id]}"
+                f"{path}:{lineno}: {name} {row_id!r} repeats line {first_line[row_id]}"
             )
-        first_line[doc_id] = lineno
+        first_line[row_id] = lineno
     raise AssertionError("unreachable")
 
 
@@ -502,13 +503,14 @@ def load_manifest(corpus_dir: str | Path) -> CorpusManifest:
 
     Raises:
         CorpusSpecError: a file is empty or does not start with its
-            header line, the manifest header lacks a field
-            or holds a non-integer count, a row has the wrong field count,
-            a doc id repeats, the manifest holds no documents or a number
-            other than ``roots x words_per_root``, a row's peer id is not one
-            of the header's ``peer-1..peer-N``, ``queries.tsv`` holds no
-            queries, a query word is not one Arabic word or a query root has
-            no documents; the message names the file, and the line if any.
+            header line, the manifest header lacks a field, holds a
+            non-integer count or counts that ``CorpusSpec.validate`` rejects,
+            a row has the wrong field count, a doc id or a query id repeats,
+            the manifest holds no documents or a number other than
+            ``roots x words_per_root``, a row's peer id is not one of the
+            header's ``peer-1..peer-N``, ``queries.tsv`` holds no queries, a
+            query word is not one Arabic word or a query root has no
+            documents; the message names the file, and the line if any.
     """
     corpus_dir = Path(corpus_dir)
     manifest_path = corpus_dir / MANIFEST_NAME
@@ -522,11 +524,15 @@ def load_manifest(corpus_dir: str | Path) -> CorpusManifest:
         roots_per_peer=_header_field(fields, "roots_per_peer", manifest_path, int),
         seed=_header_field(fields, "seed", manifest_path, int),
     )
+    try:
+        spec.validate()
+    except CorpusSpecError as err:
+        raise CorpusSpecError(f"{manifest_path}:1: {err}") from None
     documents, roots, peers = _documents(manifest_path, manifest_lines)
     if not documents:
         raise CorpusSpecError(f"{manifest_path}: no documents after the header line")
     if len({doc.doc_id for doc in documents}) != len(documents):
-        raise _repeated_doc_id(manifest_path, manifest_lines)
+        raise _repeated_id(manifest_path, manifest_lines, "doc id")
     if len(documents) != spec.total_documents:
         raise CorpusSpecError(
             f"{manifest_path}: {len(documents)} documents, header says"
@@ -543,6 +549,8 @@ def load_manifest(corpus_dir: str | Path) -> CorpusManifest:
     queries = _rows(queries_path, query_lines, QueryEntry, len(QueryEntry._fields))
     if not queries:
         raise CorpusSpecError(f"{queries_path}: no queries after the header line")
+    if len({entry.query_id for entry in queries}) != len(queries):
+        raise _repeated_id(queries_path, query_lines, "query id")
     roots = tuple(sorted(roots))
     _check_queries(queries_path, query_lines, queries, roots)
 

@@ -179,18 +179,6 @@ class RootLexicon:
     def root_of(self, word: str) -> str | None:
         return self._root_of.get(word)
 
-    def roots_of(self, words: tuple[str, ...]) -> set[str | None]:
-        """The distinct roots of ``words``; None for unknown words.
-
-        A payload equal to one root's whole word group resolves with one
-        lookup and one tuple comparison; any other payload (a partial or
-        mixed group, an unknown word, ``()``) takes one lookup per word.
-        """
-        root = self._root_of.get(words[0]) if words else None
-        if root is not None and words == self._words_of[root]:
-            return {root}
-        return set(map(self._root_of.get, words))
-
     def words_of(self, root: str) -> tuple[str, ...]:
         """Every vocabulary word with this root, sorted; () for unknown roots."""
         return self._words_of.get(root, ())

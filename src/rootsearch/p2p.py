@@ -3,9 +3,10 @@
 Each peer holds one postings map from key to the doc ids of its shard,
 built by ``corpus.postings``, and each super-peer keeps one summary per
 child: the keys of that child's map. The overlay's mode picks the key
-once, for every node: a document's word in SIMPLE mode, its root in
-ADVANCED mode. ``Overlay.keys_of`` is the one resolver from a payload's
-words to those keys.
+for every node: a document's word in SIMPLE mode, its root in ADVANCED
+mode. ``p2p_search`` decides a query's one key once, at the origin: the
+normalized word in SIMPLE mode, the root ``search.resolve`` found in
+ADVANCED mode (``None``, which no node holds, when the query degrades).
 
 Routing for one query, all on a deterministic FIFO message queue that
 ``p2p_search`` drains in one loop:
@@ -15,24 +16,21 @@ Routing for one query, all on a deterministic FIFO message queue that
    ADVANCED mode, from ``search.resolve``); it does not answer first, since
    its super-peer answers for the whole cluster, the origin included
 2. a super-peer receiving a QUERY_UP forwards (QUERY_FORWARD) to each child
-   whose summary holds one of the payload's keys and, when the sender is a
-   peer, passes the query on (QUERY_UP) to its sibling super-peers so the
-   other half of the network is reachable; siblings match their own
-   children but do not re-flood
+   whose summary holds the query's key and, when the sender is a peer,
+   passes the query on (QUERY_UP) to its sibling super-peers so the other
+   half of the network is reachable; siblings match their own children but
+   do not re-flood
 3. every request is answered by exactly one RESULTS_BACK carrying doc
    ids as a sorted, duplicate-free tuple; super-peers gather their
    children's and siblings' answers before replying, and the union arrives
    back at the origin as the one RESULTS_BACK it receives. A peer replies
-   with its stored posting tuple, and a super-peer's gather passes a single
-   non-empty answer through unchanged: only a gather of two or more
-   non-empty answers merges and sorts
+   with the posting tuple it stores under the key, and a super-peer's
+   gather passes a single non-empty answer through unchanged: only a
+   gather of two or more non-empty answers merges and sorts
 
-In ADVANCED mode the payload still carries every root-mate term. Every
-message of one query carries the same payload and all nodes share one
-lexicon, so the origin resolves the payload's keys once; every node matches
-that set. A payload that is exactly one root's word group resolves with one
-lookup and one tuple comparison. All terms of one query share a root, which
-is why the default block assignment forwards to exactly one peer.
+In ADVANCED mode the payload still carries every root-mate term, which no
+node reads. All terms of one query share its root, which is why the default
+block assignment forwards to exactly one peer.
 
 Messages (``OverlayMessage``) are immutable ``NamedTuple``s; peers,
 super-peers and the overlay are plain classes that hold the overlay's data
@@ -41,7 +39,7 @@ for the routing loop.
 from __future__ import annotations
 
 from operator import attrgetter
-from typing import Collection, Iterable, NamedTuple
+from typing import Iterable, NamedTuple
 
 from .corpus import CorpusManifest, DocIds, gc_paused, postings
 from .errors import OverlayMismatch
@@ -84,14 +82,6 @@ class PeerNode:
         self.parent = parent
         self.postings = postings
 
-    def execute(self, keys: Collection[str | None]) -> DocIds:
-        """Local documents filed under any of ``keys``, sorted. A single key
-        yields its stored posting tuple itself (or ``()``), with no merge."""
-        if len(keys) == 1:
-            (key,) = keys
-            return self.postings.get(key, ())
-        return merge([self.postings.get(key, ()) for key in keys])
-
 
 class SuperPeer:
     def __init__(
@@ -126,14 +116,6 @@ class Overlay:
     def engine(self) -> str:
         """The name of the P2P engine that searches this overlay."""
         return _ENGINE_OF_MODE[self.mode]
-
-    def keys_of(self, words: tuple[str, ...]) -> set[str | None]:
-        """The distinct keys of ``words``: the words themselves in SIMPLE
-        mode, their roots in ADVANCED mode (None for a word outside the
-        lexicon, which no peer files anything under)."""
-        if self.mode is IndexMode.ADVANCED:
-            return self.lexicon.roots_of(words)
-        return set(words)
 
 
 @gc_paused
@@ -186,12 +168,12 @@ def p2p_search(query: Query, overlay: Overlay, origin: str) -> SearchOutcome:
         raise ValueError(f"unknown origin peer {origin!r}")
 
     if overlay.mode is IndexMode.ADVANCED:
-        root, terms = resolve(query, overlay.lexicon)
-        expanded, degraded = terms, root is None
+        key, terms = resolve(query, overlay.lexicon)
+        expanded, degraded = terms, key is None
     else:
-        terms, expanded, degraded = (query.normalized,), (), False
+        key = query.normalized
+        terms, expanded, degraded = (key,), (), False
 
-    keys = overlay.keys_of(terms)
     new = tuple.__new__  # builds each NamedTuple without its Python-level __new__ frame
     log = [new(OverlayMessage, (1, KIND_QUERY_UP, origin, origin_node.parent, terms))]
     send = log.append
@@ -210,7 +192,7 @@ def p2p_search(query: Query, overlay: Overlay, origin: str) -> SearchOutcome:
             else:
                 contacted += 1
                 send(new(OverlayMessage, (
-                    len(log) + 1, KIND_RESULTS_BACK, dst, src, peer.execute(keys))))
+                    len(log) + 1, KIND_RESULTS_BACK, dst, src, peer.postings.get(key, ()))))
         elif kind == KIND_RESULTS_BACK:
             requester, expected, parts = gather[dst]
             parts.append(payload)
@@ -221,7 +203,7 @@ def p2p_search(query: Query, overlay: Overlay, origin: str) -> SearchOutcome:
             # QUERY_UP: from the origin peer, or flooded over from a sibling
             sp = superpeers[dst]
             summary = sp.summary
-            targets = [child for child in sp.children if not keys.isdisjoint(summary[child])]
+            targets = [child for child in sp.children if key in summary[child]]
             siblings = sp.siblings if src in peers else ()
             gather[dst] = (src, len(targets) + len(siblings), [])
             for child in targets:

@@ -310,6 +310,17 @@ class TestRelevantSet:
         assert found == manifest.docs_by_root["اكل"]
 
 
+@pytest.fixture(scope="module")
+def tiny_corpus(tmp_path_factory):
+    """4 roots of 5 words on 4 peers under 2 super-peers."""
+    out = tmp_path_factory.mktemp("corpus-tiny")
+    spec = CorpusSpec(
+        root_count=4, words_per_root=5, peer_count=4, superpeer_count=2, roots_per_peer=1, seed=1
+    )
+    generate_corpus(spec, out)
+    return out
+
+
 class TestLoadManifest:
     def test_round_trip(self, corpus_dir, manifest):
         loaded = load_manifest(corpus_dir)
@@ -337,12 +348,8 @@ class TestLoadManifest:
             load_manifest(tmp_path / "c")
         assert str(info.value) == f"{path}:2: query root 'زخرف' has no documents"
 
-    def test_unknown_peer_id_names_its_line(self, tmp_path):
-        spec = CorpusSpec(
-            root_count=4, words_per_root=5, peer_count=4,
-            superpeer_count=2, roots_per_peer=1, seed=1,
-        )
-        generate_corpus(spec, tmp_path / "c")
+    def test_unknown_peer_id_names_its_line(self, tiny_corpus, tmp_path):
+        shutil.copytree(tiny_corpus, tmp_path / "c")
         path = tmp_path / "c" / MANIFEST_NAME
         lines = path.read_text("utf-8").splitlines()
         assert lines[2].endswith("\tpeer-1")
@@ -352,3 +359,40 @@ class TestLoadManifest:
         with pytest.raises(CorpusSpecError) as info:
             load_manifest(tmp_path / "c")
         assert str(info.value) == f"{path}:4: peer id 'peer-9' is not one of peer-1..peer-4"
+
+    @pytest.mark.parametrize(
+        "field, message",
+        [
+            ("super_peers=3", "peer_count must be divisible by superpeer_count (4 % 3 != 0)"),
+            ("super_peers=0", "all corpus spec counts must be >= 1"),
+            ("peers=0", "all corpus spec counts must be >= 1"),
+        ],
+        ids=["super-peers-3", "super-peers-0", "peers-0"],
+    )
+    def test_header_counts_that_break_the_spec_name_line_1(
+        self, tiny_corpus, tmp_path, field, message
+    ):
+        # peer-4 under no super-peer, a division by zero, no peer ids: all
+        # rejected before any row is read
+        shutil.copytree(tiny_corpus, tmp_path / "c")
+        path = tmp_path / "c" / MANIFEST_NAME
+        lines = path.read_text("utf-8").splitlines()
+        name = field.partition("=")[0] + "="
+        header = [field if part.startswith(name) else part for part in lines[0].split("\t")]
+        assert field in header
+        lines[0] = "\t".join(header)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(CorpusSpecError) as info:
+            load_manifest(tmp_path / "c")
+        assert str(info.value) == f"{path}:1: {message}"
+
+    def test_repeated_query_id_names_both_lines(self, tiny_corpus, tmp_path):
+        shutil.copytree(tiny_corpus, tmp_path / "c")
+        path = tmp_path / "c" / QUERIES_NAME
+        lines = path.read_text("utf-8").splitlines()
+        query_id = lines[1].split("\t")[0]
+        lines[3] = "\t".join([query_id, *lines[3].split("\t")[1:]])
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(CorpusSpecError) as info:
+            load_manifest(tmp_path / "c")
+        assert str(info.value) == f"{path}:4: query id {query_id!r} repeats line 2"

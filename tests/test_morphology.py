@@ -192,10 +192,6 @@ class TestRootLexicon:
         assert lex.words_of("زخرف") == ()
         assert RootLexicon().words_of("لعب") == ()
 
-    def test_roots_of_resolves_distinct_roots(self):
-        lex = RootLexicon([("يلعبون", "لعب"), ("لاعب", "لعب")])
-        assert lex.roots_of(("يلعبون", "لاعب", "زخرف")) == {"لعب", None}
-
     def test_root_mates_share_one_root_object(self):
         # one str per manifest row in, one per root out
         first, second = "".join(["ل", "ع", "ب"]), "".join(["ل", "ع", "ب"])

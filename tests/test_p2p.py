@@ -143,7 +143,7 @@ class TestP2PSearch:
         with pytest.raises(ValueError):
             p2p_search(Query.parse("q", "لعب"), overlay_simple, "peer-9")
 
-    def test_the_origin_resolves_a_root_group_with_one_lookup(self, manifest, overlay_advanced):
+    def test_routing_adds_no_lexicon_lookup_beyond_resolve(self, manifest, overlay_advanced):
         class CountingMap(dict):
             lookups = 0
 
@@ -152,17 +152,22 @@ class TestP2PSearch:
                 return super().get(key, default)
 
         lexicon = copy.copy(overlay_advanced.lexicon)
-        lexicon._root_of = CountingMap(lexicon._root_of)
         overlay = Overlay(
             overlay_advanced.mode, overlay_advanced.peers, overlay_advanced.superpeers, lexicon
         )
-        outcome = p2p_search(Query.parse("q", manifest.queries[9].word), overlay, "peer-1")
-        requests = [m for m in outcome.messages if m.kind != KIND_RESULTS_BACK]
-        assert len(outcome.result.expanded_terms) == 100
-        assert len(requests) == 3
-        # extract_root's lookup and the origin's one roots_of: every node a
-        # request reaches matches that key set without resolving it again
-        assert lexicon._root_of.lookups == 2
+
+        def lookups(search, *args):
+            lexicon._root_of = CountingMap(overlay_advanced.lexicon._root_of)
+            search(*args)
+            return lexicon._root_of.lookups
+
+        # a root group, a root absent from the corpus, a degraded word, digits
+        for word in (manifest.queries[9].word, "زخرف", "فه", "١٢٣"):
+            query = Query.parse("q", word)
+            # every node matches the key resolve found, without resolving it again
+            assert lookups(p2p_search, query, overlay, "peer-1") == lookups(
+                resolve, query, lexicon
+            ), word
 
 
 class TestOriginHearsOneAnswer:
@@ -401,8 +406,16 @@ class _ReferenceTransport:
         self.log.append(OverlayMessage(len(self.log) + 1, kind, src, dst, payload))
 
 
+def _reference_keys(payload, overlay):
+    """The payload's distinct keys, resolved word by word: the words
+    themselves in SIMPLE mode, their roots in ADVANCED mode."""
+    if overlay.mode is IndexMode.ADVANCED:
+        return {overlay.lexicon.root_of(word) for word in payload}
+    return set(payload)
+
+
 def _reference_peer_handle(peer, message, transport, overlay):
-    keys = overlay.keys_of(message.payload)
+    keys = _reference_keys(message.payload, overlay)
     found = merge([peer.postings.get(key, ()) for key in keys])
     transport.send(KIND_RESULTS_BACK, peer.peer_id, message.src, found)
 
@@ -414,7 +427,7 @@ def _reference_superpeer_handle(sp, message, transport, overlay, gather):
         if len(parts) == expected:
             transport.send(KIND_RESULTS_BACK, sp.superpeer_id, requester, merge(parts))
         return
-    keys = overlay.keys_of(message.payload)
+    keys = _reference_keys(message.payload, overlay)
     targets = [child for child in sp.children if keys & sp.summary[child]]
     siblings = sp.siblings if message.src in overlay.peers else ()
     gather[sp.superpeer_id] = (message.src, len(targets) + len(siblings), [])

@@ -31,15 +31,6 @@ def probe_words(lexicon, noisy_words):
     return sorted(lexicon.vocabulary()) + noisy_words
 
 
-@pytest.fixture(scope="module")
-def mixed_payloads(lexicon):
-    """Payloads mixing roots and unknown words, which one query never sends."""
-    vocabulary = sorted(lexicon.vocabulary())
-    return [
-        ("فه", vocabulary[k], vocabulary[-1 - k]) for k in range(0, len(vocabulary), 97)
-    ]
-
-
 def union_of_terms(terms, index):
     found = set()
     for term in terms:
@@ -79,32 +70,36 @@ def test_search_expanded_equals_per_term_union(
         ), word
 
 
-def assert_peers_answer_like_shard_index(overlay, mode, term_sets, manifest, lexicon):
+def routed_key_and_terms(query, mode, lexicon):
+    """The one key ``p2p_search`` routes on, and the query's terms."""
+    if mode is IndexMode.ADVANCED:
+        return resolve(query, lexicon)
+    return query.normalized, (query.normalized,)
+
+
+def assert_peers_answer_like_shard_index(overlay, mode, probe_words, manifest, lexicon):
+    queries = [Query.parse(f"q{i}", word) for i, word in enumerate(probe_words)]
+    routed = [routed_key_and_terms(query, mode, lexicon) for query in queries]
     for peer_id, peer in overlay.peers.items():
         index = build_index(manifest.docs_by_peer[peer_id], mode, lexicon)
-        for terms in term_sets:
+        for key, terms in routed:
             expected = tuple(sorted(union_of_terms(terms, index)))
-            assert peer.execute(overlay.keys_of(terms)) == expected, (terms, peer_id)
+            assert peer.postings.get(key, ()) == expected, (terms, peer_id)
 
 
 def test_advanced_peer_execute_equals_per_term_union(
-    probe_words, mixed_payloads, manifest, overlay_advanced, lexicon
+    probe_words, manifest, overlay_advanced, lexicon
 ):
-    term_sets = [
-        resolve(Query.parse(f"q{i}", word), lexicon)[1]
-        for i, word in enumerate(probe_words)
-    ]
     assert_peers_answer_like_shard_index(
-        overlay_advanced, IndexMode.ADVANCED, term_sets + mixed_payloads, manifest, lexicon
+        overlay_advanced, IndexMode.ADVANCED, probe_words, manifest, lexicon
     )
 
 
 def test_simple_peer_execute_equals_per_term_union(
-    probe_words, mixed_payloads, manifest, overlay_simple, lexicon
+    probe_words, manifest, overlay_simple, lexicon
 ):
-    term_sets = [(Query.parse(f"q{i}", word).normalized,) for i, word in enumerate(probe_words)]
     assert_peers_answer_like_shard_index(
-        overlay_simple, IndexMode.SIMPLE, term_sets + mixed_payloads, manifest, lexicon
+        overlay_simple, IndexMode.SIMPLE, probe_words, manifest, lexicon
     )
 
 
