@@ -19,16 +19,10 @@ from .corpus import (
     generate_corpus,
     load_manifest,
     manifest_digest,
+    read_table,
 )
 from .errors import CorpusSpecError, RootSearchError
-from .evaluation import (
-    RESULTS_MAGIC,
-    SUMMARY_MAGIC,
-    build_engines,
-    read_table,
-    run_evaluation,
-    write_report,
-)
+from .evaluation import RESULTS, SUMMARY, build_engines, run_evaluation, write_report
 from .p2p import format_message_log
 from .search import BASELINE, ENGINES, EXPANDED, P2P_ADVANCED, Query
 
@@ -125,34 +119,22 @@ def cmd_run_eval(args: argparse.Namespace) -> int:
 
 def cmd_report(args: argparse.Namespace) -> int:
     results_dir = Path(args.results)
-    summary = read_table(results_dir / "summary.tsv", SUMMARY_MAGIC)
+    meta, summary = read_table(results_dir / "summary.tsv", SUMMARY)
     engines = [row[0] for row in summary]
-    means = {row[0]: row[2:4] for row in summary}
+    # query id -> its table row: the id, the word, then "P TAB R" per engine
+    table: dict[str, list[str]] = {}
+    for column, engine in enumerate(engines, 2):
+        # written by the same run as the summary: its header is the summary's
+        # plus the engine its file is named after
+        _, rows = read_table(results_dir / f"{engine}.tsv", RESULTS, {"engine": engine, **meta})
+        for query_id, word, _found, _relevant, prec, rec, _peers in rows:
+            cells = table.setdefault(query_id, [query_id, word, *["-\t-"] * len(engines)])
+            cells[column] = f"{prec}\t{rec}"
 
-    per_query: dict[str, dict[str, tuple[str, str]]] = {}
-    words: dict[str, str] = {}
-    order: list[str] = []
-    for engine in engines:
-        for row in read_table(results_dir / f"{engine}.tsv", RESULTS_MAGIC):
-            query_id, word, _found, _relevant, prec, rec, _peers = row
-            if query_id not in per_query:
-                per_query[query_id] = {}
-                words[query_id] = word
-                order.append(query_id)
-            per_query[query_id][engine] = (prec, rec)
-
-    header = ["query_id", "word"] + [f"{e} P\t{e} R" for e in engines]
-    print("\t".join(header))
-    for query_id in order:
-        cells = [query_id, words[query_id]]
-        for engine in engines:
-            prec, rec = per_query[query_id].get(engine, ("-", "-"))
-            cells.append(f"{prec}\t{rec}")
+    print("\t".join(["query_id", "word", *(f"{e} P\t{e} R" for e in engines)]))
+    for cells in table.values():
         print("\t".join(cells))
-    cells = ["ALL", "-"]
-    for engine in engines:
-        cells.append("\t".join(means[engine]))
-    print("\t".join(cells))
+    print("\t".join(["ALL", "-", *("\t".join(row[2:4]) for row in summary)]))
     return EXIT_OK
 
 

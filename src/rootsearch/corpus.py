@@ -16,6 +16,14 @@ Peer assignment is structural, not random: the selected roots are sorted
 canonically and dealt to peers in contiguous blocks of ``roots_per_peer``;
 consecutive peers share a super-peer.
 
+Every TSV file rootsearch writes (these two, and ``evaluation``'s results
+and summary) has one format, a ``TsvFormat``: a header line (magic, then
+``key=value`` fields), an optional column line, and fixed-width rows whose
+first field is an id. ``write_tsv`` writes each through a sibling ``.part``
+file renamed into place; ``read_table`` and ``load_manifest`` check it on
+load, naming the file and line. Both corpus files carry one header made
+from the spec, and a query file with another header is rejected.
+
 The spec and the rows (``CorpusSpec``, ``Document``, ``QueryEntry``) are
 immutable ``NamedTuple``s; ``CorpusManifest`` is a plain class whose
 groupings (lexicon, ``docs_by_root``, ``docs_by_peer``) are built on first
@@ -49,8 +57,16 @@ DEFAULT_SEED = 2011
 MANIFEST_NAME = "manifest.tsv"
 QUERIES_NAME = "queries.tsv"
 
-_MANIFEST_MAGIC = "# rootsearch-manifest v1"
-_QUERIES_MAGIC = "# rootsearch-queries v1"
+# the corpus header's fields, in line order, and the CorpusSpec field each
+# holds; the pattern-file version follows them as ``patterns``
+_SPEC_HEADER = {
+    "seed": "seed",
+    "roots": "root_count",
+    "words_per_root": "words_per_root",
+    "peers": "peer_count",
+    "super_peers": "superpeer_count",
+    "roots_per_peer": "roots_per_peer",
+}
 
 # Built-in triliteral root inventory (normalized forms). The first two are
 # always selected so every generated corpus shares a stable vocabulary
@@ -122,7 +138,25 @@ class QueryEntry(NamedTuple):
     root: str
 
 
+class TsvFormat(NamedTuple):
+    """One kind of TSV file rootsearch writes: a header line, ``magic``
+    then ``key=value`` fields; the column line if ``column_line``; then
+    rows of ``len(columns)`` fields whose first is an id. ``noun`` names
+    the rows in errors."""
+
+    magic: str
+    columns: tuple[str, ...]
+    noun: str
+    column_line: bool = False
+
+
+MANIFEST = TsvFormat("# rootsearch-manifest v1", Document._fields, "documents")
+QUERIES = TsvFormat("# rootsearch-queries v1", QueryEntry._fields, "queries")
+
+
 DocIds = tuple[str, ...]
+# a row's fields -> why the row is bad, or None
+RowCheck = Callable[[list[str]], str | None]
 
 _Build = TypeVar("_Build", bound=Callable)
 
@@ -317,23 +351,9 @@ def generate_corpus(
     return manifest
 
 
-def _header_fields(manifest: CorpusManifest) -> str:
-    spec = manifest.spec
-    return "\t".join(
-        (
-            f"seed={spec.seed}",
-            f"roots={spec.root_count}",
-            f"words_per_root={spec.words_per_root}",
-            f"peers={spec.peer_count}",
-            f"super_peers={spec.superpeer_count}",
-            f"roots_per_peer={spec.roots_per_peer}",
-            f"patterns={manifest.patterns_version}",
-        )
-    )
-
-
 def _write_corpus(manifest: CorpusManifest, out_dir: Path) -> None:
-    """Write the bodies, then the query file, then the manifest.
+    """Write the bodies, then the query file, then the manifest, both files
+    under one header line made from the spec.
 
     Each body is one ``os.open``/``os.write``/``os.close`` on a path built as
     one string: a ``Path`` join and a text wrapper per one-word file cost
@@ -355,35 +375,56 @@ def _write_corpus(manifest: CorpusManifest, out_dir: Path) -> None:
         if written != len(body):
             raise OSError(f"{path}: wrote {written} of {len(body)} bytes")
 
-    header = _header_fields(manifest)
-    lines = [f"{_QUERIES_MAGIC}\t{header}"]
-    lines += [f"{q.query_id}\t{q.word}\t{q.root}" for q in manifest.queries]
-    (out_dir / QUERIES_NAME).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-    lines = [f"{_MANIFEST_MAGIC}\t{header}"]
-    lines += [
-        f"{d.doc_id}\t{d.word}\t{d.root}\t{d.peer_id}" for d in manifest.documents
-    ]
-    (out_dir / MANIFEST_NAME).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    header = {key: getattr(manifest.spec, name) for key, name in _SPEC_HEADER.items()}
+    header["patterns"] = manifest.patterns_version
+    write_tsv(out_dir / QUERIES_NAME, QUERIES, header,
+              (f"{q.query_id}\t{q.word}\t{q.root}" for q in manifest.queries))
+    write_tsv(out_dir / MANIFEST_NAME, MANIFEST, header,
+              (f"{d.doc_id}\t{d.word}\t{d.root}\t{d.peer_id}" for d in manifest.documents))
 
 
-def check_magic_line(lines: list[str], path: Path, magic: str, error: type[Exception]) -> None:
-    """Raise ``error``, naming line 1 of ``path``, unless the file's
-    ``lines`` start with ``magic``; the one first-line check of every file
-    rootsearch writes and reads back."""
+def _header_line(magic: str, fields: dict[str, object]) -> str:
+    """The first line of every TSV file rootsearch writes: ``magic``, then
+    one ``key=value`` per field, tab-separated."""
+    return "\t".join([magic, *(f"{key}={value}" for key, value in fields.items())])
+
+
+def write_tsv(path: Path, fmt: TsvFormat, fields: dict[str, object], rows: Iterable[str]) -> None:
+    """Write a ``fmt`` file: its header line, its column line if it has one,
+    then ``rows``, each one line of tab-separated fields; the one writer of
+    every TSV file.
+
+    The text goes to a sibling ``.part`` file that is then renamed onto
+    ``path``, so a failed write leaves no partial file under ``path``, and
+    a file already there stays as it was.
+    """
+    lines = [_header_line(fmt.magic, fields)]
+    if fmt.column_line:
+        lines.append("\t".join(fmt.columns))
+    lines.extend(rows)
+    part = path.with_name(path.name + ".part")
+    try:
+        part.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        os.replace(part, path)
+    except BaseException:
+        part.unlink(missing_ok=True)
+        raise
+
+
+def _parse_header(lines: list[str], path: Path, fmt: TsvFormat) -> dict[str, str]:
+    """The ``key=value`` fields of a ``fmt`` file's header line; raises,
+    naming the line, unless the file starts with ``fmt``'s magic and, if it
+    has one, its column line."""
     if not lines:
-        raise error(f"{path}:1: empty file, expected header {magic!r}")
-    if not lines[0].startswith(magic):
-        raise error(f"{path}:1: expected header {magic!r}, got {lines[0][:40]!r}")
-
-
-def _parse_header(lines: list[str], path: Path, magic: str) -> dict[str, str]:
-    check_magic_line(lines, path, magic, CorpusSpecError)
-    fields = {}
-    for part in lines[0].split("\t")[1:]:
-        key, _, value = part.partition("=")
-        fields[key] = value
-    return fields
+        raise CorpusSpecError(f"{path}:1: empty file, expected header {fmt.magic!r}")
+    magic, *parts = lines[0].split("\t")
+    if magic != fmt.magic:
+        raise CorpusSpecError(f"{path}:1: expected header {fmt.magic!r}, got {lines[0][:40]!r}")
+    columns = "\t".join(fmt.columns)
+    if fmt.column_line and lines[1:2] != [columns]:
+        got = lines[1][:40] if len(lines) > 1 else ""
+        raise CorpusSpecError(f"{path}:2: expected column line {columns!r}, got {got!r}")
+    return dict(part.partition("=")[::2] for part in parts)
 
 
 def _header_field(fields: dict[str, str], name: str, path: Path, convert=str):
@@ -397,24 +438,68 @@ def _header_field(fields: dict[str, str], name: str, path: Path, convert=str):
         ) from None
 
 
-def _field_count_error(path: Path, lines: list[str], width: int) -> CorpusSpecError:
-    """The error naming the first non-blank line after the header whose
-    field count is not ``width``; looked for only once a row failed to build."""
-    for lineno, line in enumerate(lines[1:], 2):
-        got = line.count("\t") + 1
-        if line.strip() and got != width:
-            return CorpusSpecError(
-                f"{path}:{lineno}: expected {width} tab-separated fields, got {got}"
-            )
-    raise AssertionError("unreachable")
+def _reject_bad_row(
+    path: Path, lines: list[str], fmt: TsvFormat, check: RowCheck | None = None
+) -> None:
+    """Raise the error naming the first row of the ``fmt`` file ``lines``
+    whose field count is not ``fmt``'s, whose first field repeats an earlier
+    row's, or for which ``check(fields)`` returns a message.
+
+    Walked only once a fast check over all the rows has failed, or to run
+    a ``check`` that has no fast form (the query words), so a sound
+    manifest is split into rows once.
+    """
+    width = len(fmt.columns)
+    id_name = fmt.columns[0].replace("_", " ")
+    first_line: dict[str, int] = {}
+    start = 1 + fmt.column_line
+    for lineno, line in enumerate(lines[start:], start + 1):
+        if not line.strip():
+            continue
+        fields = line.split("\t")
+        if len(fields) != width:
+            problem = f"expected {width} tab-separated fields, got {len(fields)}"
+        elif fields[0] in first_line:
+            problem = f"{id_name} {fields[0]!r} repeats line {first_line[fields[0]]}"
+        else:
+            problem = check(fields) if check else None
+        if problem:
+            raise CorpusSpecError(f"{path}:{lineno}: {problem}")
+        first_line[fields[0]] = lineno
 
 
-def _rows(path: Path, lines: list[str], make: Callable[..., tuple], width: int) -> list:
-    """``make(*fields)`` per non-blank line after the header."""
-    try:
-        return [make(*line.split("\t")) for line in lines[1:] if line.strip()]
-    except TypeError:
-        raise _field_count_error(path, lines, width) from None
+def read_table(
+    path: Path,
+    fmt: TsvFormat,
+    header: dict[str, str] | None = None,
+    check: RowCheck | None = None,
+) -> tuple[dict[str, str], list[list[str]]]:
+    """The header fields and the rows, split into fields, of a ``fmt`` file
+    that ``write_tsv`` wrote; blank lines are skipped.
+
+    Raises:
+        CorpusSpecError: the file does not start with ``fmt``'s header line
+            and column line, its header fields are not ``header`` (when
+            given), a row's field count is not ``fmt``'s, a row's first
+            field repeats, ``check(fields)`` returns a message for a row, or
+            no row follows the header; naming the file, and the line if any.
+    """
+    lines = path.read_text("utf-8").splitlines()
+    fields = _parse_header(lines, path, fmt)
+    if header is not None and fields != header:
+        key = next(k for k in {**header, **fields} if fields.get(k) != header.get(k))
+        raise CorpusSpecError(
+            f"{path}:1: header field {key!r} is {fields.get(key)!r}, expected {header.get(key)!r}"
+        )
+    rows = [line.split("\t") for line in lines[1 + fmt.column_line :] if line.strip()]
+    width = len(fmt.columns)
+    if check or any(len(row) != width for row in rows) or len({r[0] for r in rows}) != len(rows):
+        _reject_bad_row(path, lines, fmt, check)
+    if not rows:
+        raise CorpusSpecError(
+            f"{path}: no {fmt.noun} after the header line{'s' if fmt.column_line else ''}"
+        )
+    return fields, rows
 
 
 def _documents(
@@ -440,61 +525,22 @@ def _documents(
             for doc_id, word, root, peer in (line.split("\t"),)
         ]
     except ValueError:
-        raise _field_count_error(path, lines, len(Document._fields)) from None
+        _reject_bad_row(path, lines, MANIFEST)
+        raise
     return documents, roots, peers
 
 
-def _unknown_peer(path: Path, lines: list[str], known: tuple[str, ...]) -> CorpusSpecError:
-    """The error naming the first manifest row whose peer id is not in
-    ``known``; looked for only once such a peer id is known to be there."""
-    for lineno, line in enumerate(lines[1:], 2):
-        if not line.strip():
-            continue
-        peer = line.split("\t")[3]
-        if peer not in known:
-            return CorpusSpecError(
-                f"{path}:{lineno}: peer id {peer!r} is not one of {known[0]}..{known[-1]}"
-            )
-    raise AssertionError("unreachable")
-
-
-def _repeated_id(path: Path, lines: list[str], name: str) -> CorpusSpecError:
-    """The error naming the first repeated id, the first field of a row, in
-    ``lines`` (``name`` says what it is: a doc id, a query id).
-
-    Walked only once a repeat is known, so loading a sound file costs one
-    set of its ids, not a lookup per row.
-    """
-    first_line: dict[str, int] = {}
-    for lineno, line in enumerate(lines[1:], 2):
-        if not line.strip():
-            continue
-        row_id = line.split("\t", 1)[0]
-        if row_id in first_line:
-            return CorpusSpecError(
-                f"{path}:{lineno}: {name} {row_id!r} repeats line {first_line[row_id]}"
-            )
-        first_line[row_id] = lineno
-    raise AssertionError("unreachable")
-
-
-def _check_queries(
-    path: Path, lines: list[str], queries: list[QueryEntry], roots: tuple[str, ...]
-) -> None:
-    """Reject a word ``Query.parse`` rejects (not one token, not Arabic, or
-    nothing left after normalization) and a root no document is filed under."""
-    known = set(roots)
-    linenos = (lineno for lineno, line in enumerate(lines[1:], 2) if line.strip())
-    for lineno, entry in zip(linenos, queries):
-        try:
-            (token,) = entry.word.split()
-            normalize(token)
-        except (ValueError, EmptyAfterNormalization):
-            raise CorpusSpecError(
-                f"{path}:{lineno}: query word {entry.word!r} is not one Arabic word"
-            ) from None
-        if entry.root not in known:
-            raise CorpusSpecError(f"{path}:{lineno}: query root {entry.root!r} has no documents")
+def _bad_query(fields: list[str], roots: dict[str, str]) -> str | None:
+    """Why a ``queries.tsv`` row cannot be run: a word ``Query.parse``
+    rejects (not one token, not Arabic, or nothing left after
+    normalization), or a root no document is filed under."""
+    _, word, root = fields
+    try:
+        (token,) = word.split()
+        normalize(token)
+    except (ValueError, EmptyAfterNormalization):
+        return f"query word {word!r} is not one Arabic word"
+    return None if root in roots else f"query root {root!r} has no documents"
 
 
 @gc_paused
@@ -505,6 +551,7 @@ def load_manifest(corpus_dir: str | Path) -> CorpusManifest:
         CorpusSpecError: a file is empty or does not start with its
             header line, the manifest header lacks a field, holds a
             non-integer count or counts that ``CorpusSpec.validate`` rejects,
+            the query file's header fields differ from the manifest's,
             a row has the wrong field count, a doc id or a query id repeats,
             the manifest holds no documents or a number other than
             ``roots x words_per_root``, a row's peer id is not one of the
@@ -515,15 +562,11 @@ def load_manifest(corpus_dir: str | Path) -> CorpusManifest:
     corpus_dir = Path(corpus_dir)
     manifest_path = corpus_dir / MANIFEST_NAME
     manifest_lines = manifest_path.read_text("utf-8").splitlines()
-    fields = _parse_header(manifest_lines, manifest_path, _MANIFEST_MAGIC)
-    spec = CorpusSpec(
-        root_count=_header_field(fields, "roots", manifest_path, int),
-        words_per_root=_header_field(fields, "words_per_root", manifest_path, int),
-        peer_count=_header_field(fields, "peers", manifest_path, int),
-        superpeer_count=_header_field(fields, "super_peers", manifest_path, int),
-        roots_per_peer=_header_field(fields, "roots_per_peer", manifest_path, int),
-        seed=_header_field(fields, "seed", manifest_path, int),
-    )
+    fields = _parse_header(manifest_lines, manifest_path, MANIFEST)
+    spec = CorpusSpec(**{
+        name: _header_field(fields, key, manifest_path, int) for key, name in _SPEC_HEADER.items()
+    })
+    patterns_version = _header_field(fields, "patterns", manifest_path)
     try:
         spec.validate()
     except CorpusSpecError as err:
@@ -531,35 +574,27 @@ def load_manifest(corpus_dir: str | Path) -> CorpusManifest:
     documents, roots, peers = _documents(manifest_path, manifest_lines)
     if not documents:
         raise CorpusSpecError(f"{manifest_path}: no documents after the header line")
-    if len({doc.doc_id for doc in documents}) != len(documents):
-        raise _repeated_id(manifest_path, manifest_lines, "doc id")
+    known = spec.peer_ids()
+    if len({doc.doc_id for doc in documents}) != len(documents) or not peers.keys() <= set(known):
+        _reject_bad_row(manifest_path, manifest_lines, MANIFEST, lambda row: (
+            None if row[3] in known
+            else f"peer id {row[3]!r} is not one of {known[0]}..{known[-1]}"
+        ))
     if len(documents) != spec.total_documents:
         raise CorpusSpecError(
             f"{manifest_path}: {len(documents)} documents, header says"
             f" roots={spec.root_count} x words_per_root={spec.words_per_root}"
             f" = {spec.total_documents}"
         )
-    known_peers = spec.peer_ids()
-    if not peers.keys() <= set(known_peers):
-        raise _unknown_peer(manifest_path, manifest_lines, known_peers)
-
-    queries_path = corpus_dir / QUERIES_NAME
-    query_lines = queries_path.read_text("utf-8").splitlines()
-    check_magic_line(query_lines, queries_path, _QUERIES_MAGIC, CorpusSpecError)
-    queries = _rows(queries_path, query_lines, QueryEntry, len(QueryEntry._fields))
-    if not queries:
-        raise CorpusSpecError(f"{queries_path}: no queries after the header line")
-    if len({entry.query_id for entry in queries}) != len(queries):
-        raise _repeated_id(queries_path, query_lines, "query id")
-    roots = tuple(sorted(roots))
-    _check_queries(queries_path, query_lines, queries, roots)
-
+    _, rows = read_table(
+        corpus_dir / QUERIES_NAME, QUERIES, fields, lambda row: _bad_query(row, roots)
+    )
     return CorpusManifest(
         spec=spec,
         documents=tuple(documents),
-        roots=roots,
-        queries=tuple(queries),
-        patterns_version=_header_field(fields, "patterns", manifest_path),
+        roots=tuple(sorted(roots)),
+        queries=tuple(QueryEntry(*row) for row in rows),
+        patterns_version=patterns_version,
     )
 
 

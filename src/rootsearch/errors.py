@@ -26,7 +26,8 @@ class PatternCollision(RootSearchError):
 
 
 class CorpusSpecError(RootSearchError):
-    """A corpus specification violates one of its invariants."""
+    """A corpus specification violates one of its invariants, or a TSV file
+    rootsearch wrote fails its checks on load."""
 
 
 class OverlayMismatch(RootSearchError):

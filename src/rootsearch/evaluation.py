@@ -13,13 +13,16 @@ means out again.
 Relevance is the generator's record, not a stemmer's: a document is
 relevant to a query iff its manifest root is the query row's root.
 
-Output files, all UTF-8 TSV:
+Output files, both ``corpus.TsvFormat`` files written by
+``corpus.write_tsv`` and read back by ``corpus.read_table``, with a
+header line (corpus digest, seed and pattern-file version; a results
+file also names its engine) and a column line:
 
     results/<engine>.tsv  query_id, query_word, found_count,
                           relevant_count, precision, recall,
                           peers_contacted ("-" for centralized engines)
-    results/summary.tsv   per-engine mean precision/recall plus corpus
-                          digest, seed and pattern-file version
+    results/summary.tsv   engine, queries, mean_precision, mean_recall,
+                          failures
 """
 from __future__ import annotations
 
@@ -28,7 +31,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, NamedTuple
 
-from .corpus import CorpusManifest, check_magic_line
+from .corpus import CorpusManifest, TsvFormat, write_tsv
 from .errors import RootSearchError
 from .index import IndexMode, InvertedIndex, build_index
 from .p2p import ENGINE_MODES, Overlay, build_overlay, p2p_search
@@ -42,14 +45,19 @@ from .search import (
     search_expanded,
 )
 
-RESULTS_MAGIC = "# rootsearch-results v1"
-SUMMARY_MAGIC = "# rootsearch-summary v1"
-# the column line that follows each magic line
-_COLUMNS = {
-    RESULTS_MAGIC: "query_id\tquery_word\tfound_count\trelevant_count"
-    "\tprecision\trecall\tpeers_contacted",
-    SUMMARY_MAGIC: "engine\tqueries\tmean_precision\tmean_recall\tfailures",
-}
+RESULTS = TsvFormat(
+    "# rootsearch-results v1",
+    ("query_id", "query_word", "found_count", "relevant_count", "precision", "recall",
+     "peers_contacted"),
+    "rows",
+    column_line=True,
+)
+SUMMARY = TsvFormat(
+    "# rootsearch-summary v1",
+    ("engine", "queries", "mean_precision", "mean_recall", "failures"),
+    "rows",
+    column_line=True,
+)
 
 
 def precision(s_found: Iterable[str], s_relevant: Iterable[str]) -> Fraction:
@@ -258,66 +266,32 @@ def run_evaluation(
     )
 
 
-def summary_lines(report: EvalReport) -> list[str]:
-    """The summary table: a header, then one row of means per engine."""
-    lines = [_COLUMNS[SUMMARY_MAGIC]]
-    for engine in report.engine_names:
-        lines.append(
-            f"{engine}\t{len(report.records[engine])}"
-            f"\t{fixed4(report.mean_precision(engine))}"
-            f"\t{fixed4(report.mean_recall(engine))}"
-            f"\t{report.failures(engine)}"
-        )
-    return lines
-
-
 def write_report(report: EvalReport, out_dir: str | Path) -> list[str]:
-    """Write one results file per engine plus the summary file; return the
-    summary table's lines, ``summary_lines(report)``, for printing."""
+    """Write one results file per engine, then the summary file, each
+    through ``write_tsv``; return the summary table, its column line and
+    its rows, for printing."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    meta = (
-        f"corpus_digest={report.corpus_digest}\tseed={report.seed}"
-        f"\tpatterns={report.patterns_version}"
-    )
+    meta = {
+        "corpus_digest": report.corpus_digest,
+        "seed": report.seed,
+        "patterns": report.patterns_version,
+    }
     for engine in report.engine_names:
-        lines = [f"{RESULTS_MAGIC}\tengine={engine}\t{meta}", _COLUMNS[RESULTS_MAGIC]]
-        for rec in report.records[engine]:
-            peers = "-" if rec.peers_contacted is None else str(rec.peers_contacted)
-            lines.append(
-                f"{rec.query_id}\t{rec.word}\t{len(rec.s_found)}"
-                f"\t{len(rec.s_relevant)}\t{fixed4(rec.precision)}"
-                f"\t{fixed4(rec.recall)}\t{peers}"
-            )
-        (out_dir / f"{engine}.tsv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        rows = (
+            f"{rec.query_id}\t{rec.word}\t{len(rec.s_found)}"
+            f"\t{len(rec.s_relevant)}\t{fixed4(rec.precision)}\t{fixed4(rec.recall)}"
+            f"\t{'-' if rec.peers_contacted is None else rec.peers_contacted}"
+            for rec in report.records[engine]
+        )
+        write_tsv(out_dir / f"{engine}.tsv", RESULTS, {"engine": engine, **meta}, rows)
 
-    summary = summary_lines(report)
-    lines = [f"{SUMMARY_MAGIC}\t{meta}", *summary]
-    (out_dir / "summary.tsv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return summary
-
-
-def read_table(path: Path, magic: str) -> list[list[str]]:
-    """The rows of a file ``write_report`` wrote under ``magic``, split into
-    fields; the magic line and the column line are checked off, not returned.
-
-    Raises:
-        ValueError: the first line is not ``magic``, a row's field count is
-            not the column line's, or no row follows; naming file and line.
-    """
-    lines = path.read_text("utf-8").splitlines()
-    check_magic_line(lines, path, magic, ValueError)
-    width = _COLUMNS[magic].count("\t") + 1
-    rows = []
-    for lineno, line in enumerate(lines[2:], start=3):
-        if not line.strip():
-            continue
-        fields = line.split("\t")
-        if len(fields) != width:
-            raise ValueError(
-                f"{path}:{lineno}: expected {width} tab-separated fields, got {len(fields)}"
-            )
-        rows.append(fields)
-    if not rows:
-        raise ValueError(f"{path}: no rows after the header lines")
-    return rows
+    summary = [
+        f"{engine}\t{len(report.records[engine])}"
+        f"\t{fixed4(report.mean_precision(engine))}"
+        f"\t{fixed4(report.mean_recall(engine))}"
+        f"\t{report.failures(engine)}"
+        for engine in report.engine_names
+    ]
+    write_tsv(out_dir / "summary.tsv", SUMMARY, meta, summary)
+    return ["\t".join(SUMMARY.columns), *summary]

@@ -9,7 +9,7 @@ import pytest
 
 import rootsearch
 from rootsearch import evaluation
-from rootsearch.cli import EXIT_OK, EXIT_VALIDATION, main
+from rootsearch.cli import EXIT_INFRASTRUCTURE, EXIT_OK, EXIT_VALIDATION, main
 from rootsearch.corpus import tree_digest
 
 
@@ -215,6 +215,24 @@ class TestRunEvalAndReport:
             ) == EXIT_OK
         assert tree_digest(tmp_path / "r1") == tree_digest(tmp_path / "r2")
 
+    def test_failed_rename_leaves_earlier_results_whole(
+        self, micro_args, tmp_path, capsys, monkeypatch
+    ):
+        results = tmp_path / "results"
+        args = ["run-eval", "--corpus", str(micro_args), "--out", str(results)]
+        assert main([*args, "--engines", "baseline"]) == EXIT_OK
+        before = {p.name: p.read_bytes() for p in results.iterdir()}
+
+        def no_rename(src, dst):
+            raise OSError(f"cannot rename {src}")
+
+        monkeypatch.setattr(os, "replace", no_rename)
+        capsys.readouterr()
+        assert main(args) == EXIT_INFRASTRUCTURE
+        assert capsys.readouterr().err.startswith("error: cannot rename ")
+        # no partial file under a final name, and no .part file left behind
+        assert {p.name: p.read_bytes() for p in results.iterdir()} == before
+
     def test_report_renders_table(self, micro_args, tmp_path, capsys):
         results = tmp_path / "results"
         main(["run-eval", "--corpus", str(micro_args), "--out", str(results)])
@@ -299,6 +317,50 @@ class TestReportInputErrors:
             " got '# rootsearch-summary v1'\n"
         )
 
+    @staticmethod
+    def _set_line(path, lineno, text):
+        """Replace line ``lineno`` of ``path`` with ``text``; return the old line."""
+        lines = path.read_text("utf-8").splitlines()
+        old, lines[lineno - 1] = lines[lineno - 1], text
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        return old
+
+    @pytest.mark.parametrize(
+        "name,id_name", [("baseline.tsv", "query id"), ("summary.tsv", "engine")]
+    )
+    def test_repeated_row_names_both_lines(self, results, capsys, name, id_name):
+        path = results / name
+        row = path.read_text("utf-8").splitlines()[2]
+        self._set_line(path, 4, row)
+        row_id = row.split("\t")[0]
+        assert self._report_error(results, capsys) == (
+            f"error: {path}:4: {id_name} {row_id!r} repeats line 3\n"
+        )
+
+    def test_garbage_column_line_names_line_2(self, results, capsys):
+        path = results / "expanded.tsv"
+        columns = self._set_line(path, 2, "garbage line")
+        assert self._report_error(results, capsys) == (
+            f"error: {path}:2: expected column line {columns!r}, got 'garbage line'\n"
+        )
+
+    def test_results_of_another_corpus_name_line_1(self, results, capsys):
+        path = results / "expanded.tsv"
+        header = path.read_text("utf-8").splitlines()[0]
+        digest = header.split("corpus_digest=")[1].split("\t")[0]
+        self._set_line(path, 1, header.replace(digest, "deadbeef"))
+        assert self._report_error(results, capsys) == (
+            f"error: {path}:1: header field 'corpus_digest' is 'deadbeef',"
+            f" expected {digest!r}\n"
+        )
+
+    def test_results_file_of_another_engine_names_line_1(self, results, capsys):
+        path = results / "baseline.tsv"
+        path.write_bytes((results / "expanded.tsv").read_bytes())
+        assert self._report_error(results, capsys) == (
+            f"error: {path}:1: header field 'engine' is 'expanded', expected 'baseline'\n"
+        )
+
 
 class TestCorpusLoadErrors:
     @pytest.mark.parametrize("name", ["manifest.tsv", "queries.tsv"])
@@ -342,6 +404,18 @@ class TestCorpusLoadErrors:
         err = capsys.readouterr().err
         assert code == EXIT_VALIDATION
         assert err == f"error: {path}:5: expected 4 tab-separated fields, got 5\n"
+
+    def test_queries_file_of_another_corpus_names_line_1(self, micro_args, tmp_path, capsys):
+        # the query set of a seed-2 corpus in a seed-2011 corpus
+        other = tmp_path / "other"
+        main(["gen-corpus", "--roots", "2", "--words", "3", "--seed", "2", "--out", str(other)])
+        path = micro_args / "queries.tsv"
+        path.write_bytes((other / "queries.tsv").read_bytes())
+        capsys.readouterr()
+        code = main(["run-eval", "--corpus", str(micro_args), "--out", str(tmp_path / "r")])
+        err = capsys.readouterr().err
+        assert code == EXIT_VALIDATION
+        assert err == f"error: {path}:1: header field 'seed' is '2', expected '2011'\n"
 
     def test_header_only_queries_file_is_rejected(self, micro_args, tmp_path, capsys):
         path = micro_args / "queries.tsv"
