@@ -200,14 +200,15 @@ def build_engines(
     names: Iterable[str] = ENGINES,
     origin: str = "peer-1",
 ) -> list[BaselineEngine | ExpandedEngine | P2PEngine]:
-    """Construct the requested engines, sharing indexes where possible; the
-    one dispatch from engine name to searcher, for ``run-eval`` and ``query``.
+    """Construct the requested engines, each name once in first-seen order,
+    sharing indexes where possible; the one dispatch from engine name to
+    searcher, for ``run-eval`` and ``query``.
 
     Raises:
         ValueError: an unknown engine name, or an ``origin`` that is not one
             of the manifest's peers; both are checked before anything is built.
     """
-    names = list(names)
+    names = list(dict.fromkeys(names))
     unknown = set(names) - set(ENGINES)
     if unknown:
         raise ValueError(f"unknown engines: {sorted(unknown)}")
@@ -268,8 +269,8 @@ def run_evaluation(
 
 def write_report(report: EvalReport, out_dir: str | Path) -> list[str]:
     """Write one results file per engine, then the summary file, each
-    through ``write_tsv``; return the summary table, its column line and
-    its rows, for printing."""
+    through ``write_tsv``, then delete the other engines' results files;
+    return the summary table, its column line and its rows, for printing."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     meta = {
@@ -294,4 +295,6 @@ def write_report(report: EvalReport, out_dir: str | Path) -> list[str]:
         for engine in report.engine_names
     ]
     write_tsv(out_dir / "summary.tsv", SUMMARY, meta, summary)
+    for stale in set(ENGINES).difference(report.engine_names):
+        (out_dir / f"{stale}.tsv").unlink(missing_ok=True)
     return ["\t".join(SUMMARY.columns), *summary]

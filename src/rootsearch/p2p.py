@@ -1,9 +1,9 @@
 """Simulated super-peer overlay with full message accounting.
 
-Each peer holds one postings map from key to the doc ids of its shard,
-built by ``corpus.postings``, and each super-peer keeps one summary per
-child: the keys of that child's map. The overlay's mode picks the key
-for every node: a document's word in SIMPLE mode, its root in ADVANCED
+Each peer holds one postings map from key to the doc ids of its shard, built
+by ``corpus.postings``. Each super-peer holds one route table, which maps
+every key its children hold to the tuple of those children, in ``children``
+order. The key is a document's word in SIMPLE mode, its root in ADVANCED
 mode. ``p2p_search`` decides a query's one key once, at the origin: the
 normalized word in SIMPLE mode, the root ``search.resolve`` found in
 ADVANCED mode (``None``, which no node holds, when the query degrades).
@@ -13,31 +13,29 @@ Routing for one query, all on a deterministic FIFO message queue that
 
 1. the origin peer only sends QUERY_UP to its super-peer with the query's
    term set (the single word in SIMPLE mode; every root-mate term in
-   ADVANCED mode, from ``search.resolve``); it does not answer first, since
-   its super-peer answers for the whole cluster, the origin included
-2. a super-peer receiving a QUERY_UP forwards (QUERY_FORWARD) to each child
-   whose summary holds the query's key and, when the sender is a peer,
-   passes the query on (QUERY_UP) to its sibling super-peers so the other
-   half of the network is reachable; siblings match their own children but
-   do not re-flood
-3. every request is answered by exactly one RESULTS_BACK carrying doc
-   ids as a sorted, duplicate-free tuple; super-peers gather their
-   children's and siblings' answers before replying, and the union arrives
-   back at the origin as the one RESULTS_BACK it receives. A peer replies
-   with the posting tuple it stores under the key, and a super-peer's
-   gather passes a single non-empty answer through unchanged: only a
-   gather of two or more non-empty answers merges and sorts
+   ADVANCED mode); it does not answer first, since its super-peer answers
+   for the whole cluster, the origin included
+2. a super-peer receiving a QUERY_UP forwards (QUERY_FORWARD) to the
+   children its route table lists under the key and, when the sender is a
+   peer, passes the query on (QUERY_UP) to its sibling super-peers; siblings
+   match their own children but do not re-flood
+3. every request is answered by exactly one RESULTS_BACK carrying doc ids
+   as a sorted, duplicate-free tuple. A peer replies with the posting tuple
+   it stores under the key. A super-peer gathers its children's and
+   siblings' answers and replies with their union: a single answer passes
+   through, and only two or more non-empty answers are merged and sorted.
+   The origin receives exactly one RESULTS_BACK, its super-peer's
 
 In ADVANCED mode the payload still carries every root-mate term, which no
 node reads. All terms of one query share its root, which is why the default
 block assignment forwards to exactly one peer.
 
-Messages (``OverlayMessage``) are immutable ``NamedTuple``s; peers,
-super-peers and the overlay are plain classes that hold the overlay's data
-for the routing loop.
+The loop logs plain tuples and types them as ``OverlayMessage``s once, at
+the end; peers, super-peers and the overlay are plain data-holding classes.
 """
 from __future__ import annotations
 
+from itertools import repeat
 from operator import attrgetter
 from typing import Iterable, NamedTuple
 
@@ -88,12 +86,12 @@ class SuperPeer:
         self,
         superpeer_id: str,
         children: tuple[str, ...],
-        summary: dict[str, frozenset[str]],
+        route: dict[str, tuple[str, ...]],
         siblings: tuple[str, ...],
     ) -> None:
         self.superpeer_id = superpeer_id
         self.children = children
-        self.summary = summary
+        self.route = route
         # every other super-peer id, in sorted() order: a query from a peer
         # is passed on to these
         self.siblings = siblings
@@ -111,16 +109,13 @@ class Overlay:
         self.peers = peers
         self.superpeers = superpeers
         self.lexicon = lexicon
-
-    @property
-    def engine(self) -> str:
-        """The name of the P2P engine that searches this overlay."""
-        return _ENGINE_OF_MODE[self.mode]
+        # the name of the P2P engine that searches this overlay
+        self.engine = _ENGINE_OF_MODE[mode]
 
 
 @gc_paused
 def build_overlay(manifest: CorpusManifest, mode: IndexMode) -> Overlay:
-    """Build peers, their postings and super-peer summaries from the manifest.
+    """Build peers, their postings and super-peer route tables from the manifest.
 
     Each document is filed under its word (SIMPLE) or its root (ADVANCED);
     the manifest's lexicon maps every word to that root by construction.
@@ -137,7 +132,7 @@ def build_overlay(manifest: CorpusManifest, mode: IndexMode) -> Overlay:
     children_of = manifest.superpeer_children()
     sp_ids = sorted(children_of)
     for sp_id, children in children_of.items():
-        summary: dict[str, frozenset[str]] = {}
+        route: dict[str, tuple[str, ...]] = {}
         for peer_id in children:
             shard = manifest.docs_by_peer.get(peer_id, ())
             if len(shard) != shard_size:
@@ -146,9 +141,14 @@ def build_overlay(manifest: CorpusManifest, mode: IndexMode) -> Overlay:
                 )
             peer_postings = postings(shard, key)
             peers[peer_id] = PeerNode(peer_id, sp_id, peer_postings)
-            summary[peer_id] = frozenset(peer_postings)
+            merged = dict.fromkeys(peer_postings, (peer_id,))
+            merged.update(route)
+            if len(merged) < len(route) + len(peer_postings):  # keys shared with another child
+                for k in peer_postings.keys() & route.keys():
+                    merged[k] = route[k] + (peer_id,)
+            route = merged
         siblings = tuple(sp for sp in sp_ids if sp != sp_id)
-        superpeers[sp_id] = SuperPeer(sp_id, children, summary, siblings)
+        superpeers[sp_id] = SuperPeer(sp_id, children, route, siblings)
     return Overlay(mode, peers, superpeers, manifest.lexicon)
 
 
@@ -174,47 +174,44 @@ def p2p_search(query: Query, overlay: Overlay, origin: str) -> SearchOutcome:
         key = query.normalized
         terms, expanded, degraded = (key,), (), False
 
-    new = tuple.__new__  # builds each NamedTuple without its Python-level __new__ frame
-    log = [new(OverlayMessage, (1, KIND_QUERY_UP, origin, origin_node.parent, terms))]
+    # (seq, kind, src, dst, payload) tuples, typed as OverlayMessages at the end
+    log = [(1, KIND_QUERY_UP, origin, origin_node.parent, terms)]
     send = log.append
+    seq = 1
     # super-peer id -> (requester, number of answers expected, answers so far)
     gather: dict[str, tuple[str, int, list[DocIds]]] = {}
-    found: DocIds = ()
     # peers are handed only QUERY_FORWARDs, at most one each (one parent, one QUERY_UP)
     contacted = 0
     # the branches append to the log while it is walked, so this drains the queue
     for _seq, kind, src, dst, payload in log:
-        peer = peers.get(dst)
-        if peer is not None:
-            if kind == KIND_RESULTS_BACK:
-                # only the origin sent a QUERY_UP, so only it hears a reply
-                found = payload
+        if kind == KIND_QUERY_FORWARD:
+            contacted += 1
+            send((seq := seq + 1, KIND_RESULTS_BACK, dst, src, peers[dst].postings.get(key, ())))
+        elif kind == KIND_QUERY_UP:
+            # from the origin peer, or flooded over from a sibling
+            sp = superpeers[dst]
+            targets = sp.route.get(key, ())
+            siblings = sp.siblings if src == origin else ()
+            expected = len(targets) + len(siblings)
+            if expected:
+                gather[dst] = (src, expected, [])
             else:
-                contacted += 1
-                send(new(OverlayMessage, (
-                    len(log) + 1, KIND_RESULTS_BACK, dst, src, peer.postings.get(key, ()))))
-        elif kind == KIND_RESULTS_BACK:
+                send((seq := seq + 1, KIND_RESULTS_BACK, dst, src, ()))
+            for child in targets:
+                send((seq := seq + 1, KIND_QUERY_FORWARD, dst, child, terms))
+            for sibling in siblings:
+                send((seq := seq + 1, KIND_QUERY_UP, dst, sibling, terms))
+        elif dst != origin:
+            # into a super-peer's gather; the origin's one RESULTS_BACK is the last message
             requester, expected, parts = gather[dst]
             parts.append(payload)
             if len(parts) == expected:
-                send(new(OverlayMessage, (
-                    len(log) + 1, KIND_RESULTS_BACK, dst, requester, merge(parts))))
-        else:
-            # QUERY_UP: from the origin peer, or flooded over from a sibling
-            sp = superpeers[dst]
-            summary = sp.summary
-            targets = [child for child in sp.children if key in summary[child]]
-            siblings = sp.siblings if src in peers else ()
-            gather[dst] = (src, len(targets) + len(siblings), [])
-            for child in targets:
-                send(new(OverlayMessage, (len(log) + 1, KIND_QUERY_FORWARD, dst, child, terms)))
-            for sibling in siblings:
-                send(new(OverlayMessage, (len(log) + 1, KIND_QUERY_UP, dst, sibling, terms)))
-            if not targets and not siblings:
-                send(new(OverlayMessage, (len(log) + 1, KIND_RESULTS_BACK, dst, src, ())))
+                answer = merge(parts) if expected > 1 else payload
+                send((seq := seq + 1, KIND_RESULTS_BACK, dst, requester, answer))
 
-    result = new(SearchResult, (found, expanded, degraded))
-    return new(SearchOutcome, (result, tuple(log), contacted))
+    result = tuple.__new__(SearchResult, (log[-1][4], expanded, degraded))
+    messages = tuple(map(tuple.__new__, repeat(OverlayMessage), log))
+    return tuple.__new__(SearchOutcome, (result, messages, contacted))
 
 
 def format_message_log(messages: tuple[OverlayMessage, ...]) -> str:

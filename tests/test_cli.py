@@ -194,6 +194,32 @@ class TestRunEvalAndReport:
         assert code == EXIT_OK
         assert {p.name for p in results.iterdir()} == {"baseline.tsv", "summary.tsv"}
 
+    def test_fewer_engines_remove_the_other_engines_tables(self, micro_args, tmp_path):
+        # tables of engines this run left out, from another corpus, would
+        # sit next to a summary that does not list them
+        results = tmp_path / "results"
+        other = tmp_path / "seed-3"
+        assert main(["run-eval", "--corpus", str(micro_args), "--out", str(results)]) == EXIT_OK
+        assert main(
+            ["gen-corpus", "--roots", "2", "--words", "3", "--seed", "3", "--out", str(other)]
+        ) == EXIT_OK
+        assert main(
+            ["run-eval", "--corpus", str(other), "--out", str(results), "--engines", "baseline"]
+        ) == EXIT_OK
+        assert sorted(p.name for p in results.iterdir()) == ["baseline.tsv", "summary.tsv"]
+
+    def test_an_engine_named_twice_is_evaluated_once(self, micro_args, tmp_path, capsys):
+        results = tmp_path / "results"
+        assert main(
+            ["run-eval", "--corpus", str(micro_args), "--out", str(results),
+             "--engines", "baseline", "expanded", "baseline"]
+        ) == EXIT_OK
+        rows = (results / "summary.tsv").read_text("utf-8").splitlines()[2:]
+        assert [row.split("\t")[0] for row in rows] == ["baseline", "expanded"]
+        capsys.readouterr()
+        assert main(["report", "--results", str(results)]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+
     @pytest.mark.parametrize("engines", [["baseline"], ["p2p-advanced"]])
     def test_unknown_origin_rejected(self, micro_args, tmp_path, capsys, engines):
         results = tmp_path / "results"

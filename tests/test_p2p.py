@@ -5,10 +5,12 @@ import hashlib
 from operator import attrgetter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rootsearch.corpus import CorpusManifest, CorpusSpec, generate_corpus, relevant_set
 from rootsearch.errors import OverlayMismatch
-from rootsearch.index import IndexMode
+from rootsearch.index import IndexMode, build_index
 from rootsearch.p2p import (
     KIND_QUERY_FORWARD,
     KIND_QUERY_UP,
@@ -49,18 +51,41 @@ class TestBuildOverlay:
 
     def test_simple_summaries_are_word_sets(self, manifest, overlay_simple):
         for sp in overlay_simple.superpeers.values():
-            for child, summary in sp.summary.items():
+            for child in sp.children:
+                summary = {k for k, holders in sp.route.items() if child in holders}
                 assert summary == {d.word for d in manifest.docs_by_peer[child]}
                 assert len(summary) == 2500
 
     def test_advanced_summaries_are_root_sets(self, manifest, overlay_advanced):
         for sp in overlay_advanced.superpeers.values():
-            union = set()
-            for child, summary in sp.summary.items():
+            for child in sp.children:
+                summary = {k for k, holders in sp.route.items() if child in holders}
                 assert len(summary) == 25
                 assert summary == {d.root for d in manifest.docs_by_peer[child]}
-                union |= summary
-            assert len(union) == 50
+            assert len(sp.route) == 50
+
+    def test_route_lists_the_children_holding_each_key(
+        self, manifest, overlay_simple, overlay_advanced
+    ):
+        striped = _striped(manifest)
+        # keys per child, then per super-peer
+        for layout, overlay, key, per_child, per_sp in (
+            (manifest, overlay_simple, "word", 2500, 5000),
+            (manifest, overlay_advanced, "root", 25, 50),
+            # every root on all four peers: children share ADVANCED keys
+            (striped, build_overlay(striped, IndexMode.SIMPLE), "word", 2500, 5000),
+            (striped, build_overlay(striped, IndexMode.ADVANCED), "root", 100, 100),
+        ):
+            for sp in overlay.superpeers.values():
+                held = {
+                    child: {getattr(d, key) for d in layout.docs_by_peer[child]}
+                    for child in sp.children
+                }
+                assert [len(keys) for keys in held.values()] == [per_child] * 2
+                assert set(sp.route) == set().union(*held.values())
+                assert len(sp.route) == per_sp
+                for k, holders in sp.route.items():
+                    assert holders == tuple(c for c in sp.children if k in held[c]), k
 
     def test_peer_postings_file_each_document_once(
         self, manifest, overlay_simple, overlay_advanced
@@ -428,7 +453,7 @@ def _reference_superpeer_handle(sp, message, transport, overlay, gather):
             transport.send(KIND_RESULTS_BACK, sp.superpeer_id, requester, merge(parts))
         return
     keys = _reference_keys(message.payload, overlay)
-    targets = [child for child in sp.children if keys & sp.summary[child]]
+    targets = [child for child in sp.children if keys & overlay.peers[child].postings.keys()]
     siblings = sp.siblings if message.src in overlay.peers else ()
     gather[sp.superpeer_id] = (message.src, len(targets) + len(siblings), [])
     for child in targets:
@@ -505,3 +530,53 @@ class TestReferenceRouter:
         ]
         assert len(into_own) >= 2
         assert set(outcome.result.found) == set(striped.docs_by_root[manifest.queries[0].root])
+
+
+# 8 roots x 4 words on 4 peers, two per super-peer: small enough to rebuild
+# both overlays for every layout hypothesis draws
+_SMALL_SPEC = CorpusSpec(
+    root_count=8, words_per_root=4, peer_count=4, superpeer_count=2, roots_per_peer=2, seed=11
+)
+
+
+@pytest.fixture(scope="module")
+def small_corpus(tmp_path_factory):
+    manifest = generate_corpus(_SMALL_SPEC, tmp_path_factory.mktemp("corpus-small"))
+    index = build_index(manifest.documents, IndexMode.SIMPLE, manifest.lexicon)
+    return manifest, index
+
+
+class TestRouterOverLayouts:
+    """Any assignment of documents to peers that keeps every shard's size:
+    ``p2p_search`` equals the reference router, its answer the centralized
+    one, and it contacts exactly the peers holding the query's key."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.permutations(range(_SMALL_SPEC.total_documents)))
+    def test_routed_answers_match_reference_and_centralized(self, small_corpus, order):
+        manifest, index = small_corpus
+        docs = manifest.documents
+        layout = _with_documents(manifest, tuple(
+            d._replace(peer_id=docs[j].peer_id) for d, j in zip(docs, order)
+        ))
+        words = [entry.word for entry in manifest.queries] + ["١٢٣"]
+        for mode in IndexMode:
+            overlay = build_overlay(layout, mode)
+            for word in words:
+                query = Query.parse("q", word)
+                if mode is IndexMode.ADVANCED:
+                    key = resolve(query, manifest.lexicon)[0]
+                    central = search_expanded(query, index, manifest.lexicon)
+                else:
+                    key = query.normalized
+                    central = search_exact(query, index)
+                holders = {
+                    d.peer_id for d in layout.documents
+                    if (d.root if mode is IndexMode.ADVANCED else d.word) == key
+                }
+                for origin in sorted(overlay.peers):
+                    case = (mode, origin, word)
+                    outcome = p2p_search(query, overlay, origin)
+                    assert outcome == reference_p2p_search(query, overlay, origin), case
+                    assert outcome.result == central, case
+                    assert outcome.peers_contacted == len(holders), case
