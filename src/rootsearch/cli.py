@@ -76,8 +76,9 @@ def cmd_gen_corpus(args: argparse.Namespace) -> int:
 def cmd_query(args: argparse.Namespace) -> int:
     manifest = load_manifest(args.corpus)
     query = Query.parse("cli", args.word)
-    print(f"query: {args.word} -> {query.normalized}")
+    # built, and so validated, before the first line is printed
     (engine,) = build_engines(manifest, [args.engine], origin=args.origin)
+    print(f"query: {args.word} -> {query.normalized}")
     outcome = engine.run(query)
     result = outcome.result
 

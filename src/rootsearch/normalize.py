@@ -12,6 +12,9 @@ forms. The rules, applied in order:
 5. taa marbuta -> ha
 
 Normalization is idempotent: a normalized word passes through unchanged.
+One regex probe (``match_word``) decides whether the translate pass runs:
+it accepts a single Arabic word and tells apart the words that the rules
+leave unchanged, which are returned as they are.
 """
 from __future__ import annotations
 
@@ -44,13 +47,30 @@ def _table(changes: dict[int, str | None]) -> list[int | str | None]:
 # stripping first and folding after.
 _NORMALIZE = _table({**_DELETED, **_FOLDS})
 
-# A single word: non-empty, every code point inside the Arabic block.
-_ARABIC_WORD = re.compile(r"\A[؀-ۿ]+\Z")
+# The Arabic-block code points that rules 1-5 leave as they are.
+_KEPT = "".join(chr(code) for code in range(0x0600, 0x0700) if _NORMALIZE[code] == code)
+
+# A single word: non-empty, every code point inside the Arabic block. Group 1
+# takes part exactly when every code point is kept, i.e. the word is already
+# normalized. \Z, unlike $, does not accept a trailing newline.
+match_word = re.compile(rf"\A(?:([{re.escape(_KEPT)}]+)|[؀-ۿ]+)\Z").match
 
 
 def is_arabic_word(text: str) -> bool:
     """True if ``text`` is one non-empty run of Arabic-block code points."""
-    return bool(_ARABIC_WORD.match(text))
+    return match_word(text) is not None
+
+
+def translate_word(word: str) -> str:
+    """Apply rules 1-5 to ``word``, which ``match_word`` has accepted.
+
+    Raises:
+        EmptyAfterNormalization: ``word`` consisted only of diacritics/tatweel.
+    """
+    normalized = word.translate(_NORMALIZE)
+    if not normalized:
+        raise EmptyAfterNormalization(f"nothing left after normalization: {word!r}")
+    return normalized
 
 
 def normalize(word: str) -> str:
@@ -65,14 +85,15 @@ def normalize(word: str) -> str:
         ValueError: ``word`` is empty or contains non-Arabic code points.
         EmptyAfterNormalization: ``word`` consisted only of diacritics/tatweel.
     """
-    if not is_arabic_word(word):
+    match = match_word(word)
+    if match is None:
         raise ValueError(f"not a single Arabic word: {word!r}")
-    normalized = word.translate(_NORMALIZE)
-    if not normalized:
-        raise EmptyAfterNormalization(word)
-    return normalized
+    if match.lastindex:
+        return word
+    return translate_word(word)
 
 
 def is_normalized(word: str) -> bool:
     """True if ``word`` is already in canonical form."""
-    return is_arabic_word(word) and word.translate(_NORMALIZE) == word
+    match = match_word(word)
+    return match is not None and match.lastindex == 1

@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING, NamedTuple
 from .errors import UnknownRoot
 from .index import InvertedIndex
 from .morphology import RootLexicon, extract_root
-from .normalize import normalize
+from .normalize import match_word, normalize, translate_word
 
 if TYPE_CHECKING:
     from .p2p import OverlayMessage
@@ -35,14 +35,26 @@ class Query(NamedTuple):
     def parse(cls, query_id: str, raw: str) -> "Query":
         """Parse and normalize a single-word query.
 
+        One probe of ``raw`` decides: an Arabic word that is already
+        normalized is kept as it is, any other Arabic word is translated,
+        and only text the probe rejects is split into tokens and normalized.
+
         Raises:
             ValueError: empty input, multiple words, or non-Arabic text.
+            EmptyAfterNormalization: the word consisted only of diacritics/tatweel.
         """
-        tokens = raw.split()
-        if len(tokens) != 1:
-            raise ValueError(f"queries are single words, got {raw!r}")
+        match = match_word(raw)
+        if match is None:
+            tokens = raw.split()
+            if len(tokens) != 1:
+                raise ValueError(f"queries are single words, got {raw!r}")
+            word = normalize(tokens[0])
+        elif match.lastindex:
+            word = raw
+        else:
+            word = translate_word(raw)
         # tuple.__new__ builds the NamedTuple without its Python-level __new__ frame
-        return tuple.__new__(cls, (query_id, raw, normalize(tokens[0])))
+        return tuple.__new__(cls, (query_id, raw, word))
 
 
 class SearchResult(NamedTuple):

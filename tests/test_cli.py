@@ -158,6 +158,22 @@ class TestQuery:
             "error: unknown origin peer 'peer-9': the peers are peer-1..peer-2\n"
         )
 
+    @pytest.mark.parametrize("engine", ["baseline", "p2p-simple"])
+    def test_unknown_origin_prints_nothing_to_stdout(self, micro_args, capsys, engine):
+        code = main(
+            ["query", self._word(micro_args), "--corpus", str(micro_args),
+             "--engine", engine, "--origin", "peer-9"]
+        )
+        assert code == EXIT_VALIDATION
+        assert capsys.readouterr().out == ""
+
+    def test_nothing_left_after_normalization_names_the_cause(self, micro_args, capsys):
+        code = main(["query", "ـــ", "--corpus", str(micro_args)])
+        captured = capsys.readouterr()
+        assert code == EXIT_VALIDATION
+        assert captured.err == "error: nothing left after normalization: 'ـــ'\n"
+        assert captured.out == ""
+
 
 class TestRunEvalAndReport:
     def test_full_micro_pipeline(self, micro_args, tmp_path, capsys):

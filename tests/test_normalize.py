@@ -1,9 +1,13 @@
 """Normalization rules on vocalized, decorated and already-bare words."""
 
+import random
+
 import pytest
 
+from rootsearch.corpus import CorpusSpec, generate_corpus
 from rootsearch.errors import EmptyAfterNormalization
 from rootsearch.normalize import is_arabic_word, is_normalized, normalize
+from rootsearch.search import Query
 
 
 class TestNormalize:
@@ -79,3 +83,39 @@ class TestHelpers:
         assert not is_normalized("أكل")
         assert not is_normalized("abc")
         assert not is_normalized("َُِ")
+
+
+# triliteral roots of distinct-enough normalized consonants, as a
+# synthetic root pool draws them
+_CONSONANTS = "بتثجحخدذرزسشصضطظعغفقكلمنه"
+
+
+def _synthetic_pool(count, seed):
+    rng = random.Random(seed)
+    pool = set()
+    while len(pool) < count:
+        root = "".join(rng.choice(_CONSONANTS) for _ in range(3))
+        if len(set(root)) > 1:
+            pool.add(root)
+    return tuple(sorted(pool))
+
+
+class TestUnchangedWordsSkipTheTranslate:
+    """Every corpus word is already normalized: ``normalize`` and
+    ``Query.parse`` hand back the very string they were given."""
+
+    @staticmethod
+    def _assert_unchanged(words):
+        for word in words:
+            assert normalize(word) is word, word
+            assert Query.parse("q", word).normalized is word, word
+
+    def test_default_corpus(self, manifest):
+        self._assert_unchanged(doc.word for doc in manifest.documents)
+        self._assert_unchanged(query.word for query in manifest.queries)
+
+    def test_synthetic_pool_corpus(self, tmp_path):
+        spec = CorpusSpec(root_count=20, peer_count=4, roots_per_peer=5, seed=3)
+        manifest = generate_corpus(spec, tmp_path, root_pool=_synthetic_pool(20, 3))
+        self._assert_unchanged(doc.word for doc in manifest.documents)
+        self._assert_unchanged(query.word for query in manifest.queries)

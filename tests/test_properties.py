@@ -1,7 +1,8 @@
-"""Property tests: the lexicon, the postings builder, normalization, the
-light stemmer and the 4-place rendering of exact fractions against plain
-dict/set/regex/scan/Fraction references over generated inputs, plus
-normalization's idempotence and the light stemmer's length floor."""
+"""Property tests: the lexicon, the postings builder, normalization, query
+parsing, the light stemmer and the 4-place rendering of exact fractions
+against plain dict/set/regex/split/scan/Fraction references over generated
+inputs, plus normalization's idempotence and the light stemmer's length
+floor."""
 
 import math
 import re
@@ -16,7 +17,8 @@ from rootsearch.corpus import Document, postings
 from rootsearch.errors import EmptyAfterNormalization
 from rootsearch.evaluation import fixed4
 from rootsearch.morphology import RootLexicon, light_stem
-from rootsearch.normalize import is_normalized, normalize
+from rootsearch.normalize import is_arabic_word, is_normalized, normalize
+from rootsearch.search import Query
 
 # small alphabets, so that generated words and roots often repeat
 _words = st.text(alphabet="ابتث", min_size=1, max_size=3)
@@ -122,6 +124,55 @@ def test_normalize_matches_a_three_pass_reference(word):
 def test_normalize_matches_the_reference_on_every_arabic_code_point(prefix):
     for code in range(0x0600, 0x0700):
         _assert_normalize_matches_reference(prefix + chr(code))
+
+
+# query text: letters, the folded letters, marks and tatweel that leave
+# nothing behind, the separators split() knows (space, tab, NBSP, newline),
+# Latin and a code point just past the Arabic block
+_query_text = st.text(
+    alphabet="كتبلمو" "أإآٱىة" "\u064e\u0651\u0652\u0640" " \t\u00a0\n" "a\u0700",
+    max_size=8,
+)
+
+
+def _reference_parse(raw):
+    tokens = raw.split()
+    if len(tokens) != 1:
+        raise ValueError(raw)
+    return Query("q", raw, _reference_normalize(tokens[0]))
+
+
+def _assert_parse_matches_reference(raw):
+    parsed = _outcome(lambda text: Query.parse("q", text), raw)
+    expected = _outcome(_reference_parse, raw)
+    assert parsed == expected and type(parsed) is type(expected), ascii(raw)
+
+
+@settings(max_examples=500)
+@given(st.one_of(_query_text, _arabic_text))
+@example("كتب\n")
+@example("\u00a0كتب\t")
+@example("ـــ")
+@example(" \u064e ")
+@example("كتب لعب")
+def test_query_parse_matches_a_split_then_normalize_reference(raw):
+    _assert_parse_matches_reference(raw)
+
+
+@pytest.mark.parametrize("prefix", ["", "ب", " ب"])
+def test_query_parse_matches_the_reference_on_every_arabic_code_point(prefix):
+    for code in range(0x0600, 0x0700):
+        _assert_parse_matches_reference(prefix + chr(code))
+
+
+@settings(max_examples=500)
+@given(st.one_of(_query_text, _arabic_text))
+@example("كتب\n")
+@example("كتب")
+def test_is_normalized_matches_the_reference(word):
+    assert is_arabic_word(word) == bool(_REF_WORD.match(word)), ascii(word)
+    expected = is_arabic_word(word) and _outcome(_reference_normalize, word) == word
+    assert is_normalized(word) == expected, ascii(word)
 
 
 @settings(max_examples=500)
