@@ -14,7 +14,7 @@ Layout on disk, under the chosen corpus directory:
 
 Peer assignment is structural, not random: the selected roots are sorted
 canonically and dealt to peers in contiguous blocks of ``roots_per_peer``;
-consecutive peers share a super-peer.
+``p2p.build_overlay`` puts consecutive peers under one super-peer.
 
 Every TSV file rootsearch writes (these two, and ``evaluation``'s results
 and summary) has one format, a ``TsvFormat``: a header line (magic, then
@@ -248,17 +248,6 @@ class CorpusManifest:
             grouped.setdefault(doc.root, set()).add(doc.peer_id)
         return {root: frozenset(peers) for root, peers in grouped.items()}
 
-    def superpeer_ids(self) -> tuple[str, ...]:
-        return tuple(f"sp-{j}" for j in range(1, self.spec.superpeer_count + 1))
-
-    def superpeer_children(self) -> dict[str, tuple[str, ...]]:
-        per_sp = self.spec.peer_count // self.spec.superpeer_count
-        peers = self.spec.peer_ids()
-        return {
-            sp: peers[j * per_sp : (j + 1) * per_sp]
-            for j, sp in enumerate(self.superpeer_ids())
-        }
-
 
 def _select_roots(spec: CorpusSpec, pool: tuple[str, ...], rng: random.Random) -> list[str]:
     if spec.root_count > len(pool):
@@ -442,8 +431,9 @@ def _reject_bad_row(
     path: Path, lines: list[str], fmt: TsvFormat, check: RowCheck | None = None
 ) -> None:
     """Raise the error naming the first row of the ``fmt`` file ``lines``
-    whose field count is not ``fmt``'s, whose first field repeats an earlier
-    row's, or for which ``check(fields)`` returns a message.
+    whose field count is not ``fmt``'s, that holds an empty field, whose
+    first field repeats an earlier row's, or for which ``check(fields)``
+    returns a message.
 
     Walked only once a fast check over all the rows has failed, or to run
     a ``check`` that has no fast form (the query words), so a sound
@@ -459,6 +449,8 @@ def _reject_bad_row(
         fields = line.split("\t")
         if len(fields) != width:
             problem = f"expected {width} tab-separated fields, got {len(fields)}"
+        elif "" in fields:
+            problem = f"empty {fmt.columns[fields.index('')].replace('_', ' ')} field"
         elif fields[0] in first_line:
             problem = f"{id_name} {fields[0]!r} repeats line {first_line[fields[0]]}"
         else:
@@ -480,9 +472,10 @@ def read_table(
     Raises:
         CorpusSpecError: the file does not start with ``fmt``'s header line
             and column line, its header fields are not ``header`` (when
-            given), a row's field count is not ``fmt``'s, a row's first
-            field repeats, ``check(fields)`` returns a message for a row, or
-            no row follows the header; naming the file, and the line if any.
+            given), a row's field count is not ``fmt``'s, a row holds an
+            empty field, a row's first field repeats, ``check(fields)``
+            returns a message for a row, or no row follows the header;
+            naming the file, and the line if any.
     """
     lines = path.read_text("utf-8").splitlines()
     fields = _parse_header(lines, path, fmt)
@@ -493,7 +486,8 @@ def read_table(
         )
     rows = [line.split("\t") for line in lines[1 + fmt.column_line :] if line.strip()]
     width = len(fmt.columns)
-    if check or any(len(row) != width for row in rows) or len({r[0] for r in rows}) != len(rows):
+    bad = any(len(row) != width or "" in row for row in rows)
+    if check or bad or len({r[0] for r in rows}) != len(rows):
         _reject_bad_row(path, lines, fmt, check)
     if not rows:
         raise CorpusSpecError(
@@ -534,10 +528,11 @@ def _bad_query(fields: list[str], roots: dict[str, str]) -> str | None:
     """Why a ``queries.tsv`` row cannot be run: a word ``Query.parse``
     rejects (not one token, not Arabic, or nothing left after
     normalization), or a root no document is filed under."""
-    _, word, root = fields
+    from .search import Query  # search imports index, which imports this module
+
+    query_id, word, root = fields
     try:
-        (token,) = word.split()
-        normalize(token)
+        Query.parse(query_id, word)
     except (ValueError, EmptyAfterNormalization):
         return f"query word {word!r} is not one Arabic word"
     return None if root in roots else f"query root {root!r} has no documents"
@@ -552,16 +547,17 @@ def load_manifest(corpus_dir: str | Path) -> CorpusManifest:
             header line, the manifest header lacks a field, holds a
             non-integer count or counts that ``CorpusSpec.validate`` rejects,
             the query file's header fields differ from the manifest's,
-            a row has the wrong field count, a doc id or a query id repeats,
-            the manifest holds no documents or a number other than
-            ``roots x words_per_root``, a row's peer id is not one of the
-            header's ``peer-1..peer-N``, ``queries.tsv`` holds no queries, a
-            query word is not one Arabic word or a query root has no
-            documents; the message names the file, and the line if any.
+            a row has the wrong field count or an empty field, a doc id or
+            a query id repeats, the manifest holds no documents or a number
+            other than ``roots x words_per_root``, a row's peer id is not
+            one of the header's ``peer-1..peer-N``, ``queries.tsv`` holds no
+            queries, a query word is not one Arabic word or a query root has
+            no documents; the message names the file, and the line if any.
     """
     corpus_dir = Path(corpus_dir)
     manifest_path = corpus_dir / MANIFEST_NAME
-    manifest_lines = manifest_path.read_text("utf-8").splitlines()
+    manifest_text = manifest_path.read_text("utf-8")
+    manifest_lines = manifest_text.splitlines()
     fields = _parse_header(manifest_lines, manifest_path, MANIFEST)
     spec = CorpusSpec(**{
         name: _header_field(fields, key, manifest_path, int) for key, name in _SPEC_HEADER.items()
@@ -575,7 +571,11 @@ def load_manifest(corpus_dir: str | Path) -> CorpusManifest:
     if not documents:
         raise CorpusSpecError(f"{manifest_path}: no documents after the header line")
     known = spec.peer_ids()
-    if len({doc.doc_id for doc in documents}) != len(documents) or not peers.keys() <= set(known):
+    doc_ids = {doc.doc_id for doc in documents}
+    # an empty doc id or peer id shows in these sets, and an empty word or
+    # root as two adjacent tabs: one scan of the text, no pass over the rows
+    unsound = "" in doc_ids or "\t\t" in manifest_text or not peers.keys() <= set(known)
+    if unsound or len(doc_ids) != len(documents):
         _reject_bad_row(manifest_path, manifest_lines, MANIFEST, lambda row: (
             None if row[3] in known
             else f"peer id {row[3]!r} is not one of {known[0]}..{known[-1]}"

@@ -189,7 +189,7 @@ class P2PEngine:
     def __init__(self, overlay: Overlay, origin: str):
         self.overlay = overlay
         self.origin = origin
-        self.name = overlay.engine
+        self.name = next(name for name, mode in ENGINE_MODES.items() if mode is overlay.mode)
 
     def run(self, query: Query) -> SearchOutcome:
         return p2p_search(query, self.overlay, self.origin)

@@ -56,11 +56,6 @@ _KEPT = "".join(chr(code) for code in range(0x0600, 0x0700) if _NORMALIZE[code] 
 match_word = re.compile(rf"\A(?:([{re.escape(_KEPT)}]+)|[؀-ۿ]+)\Z").match
 
 
-def is_arabic_word(text: str) -> bool:
-    """True if ``text`` is one non-empty run of Arabic-block code points."""
-    return match_word(text) is not None
-
-
 def translate_word(word: str) -> str:
     """Apply rules 1-5 to ``word``, which ``match_word`` has accepted.
 

@@ -1,10 +1,13 @@
 """Simulated super-peer overlay with full message accounting.
 
-Each peer holds one postings map from key to the doc ids of its shard, built
-by ``corpus.postings``. Each super-peer holds one route table, which maps
-every key its children hold to the tuple of those children, in ``children``
-order. The key is a document's word in SIMPLE mode, its root in ADVANCED
-mode. ``p2p_search`` decides a query's one key once, at the origin: the
+The overlay is four tables keyed by node id, as Yang & Garcia-Molina
+describe a super-peer network: which super-peer each peer belongs to, and
+each super-peer's index of its children's keys. Each peer holds one
+postings map from key to the doc ids of its shard, built by
+``corpus.postings``. Each super-peer holds one route table, which maps
+every key its children hold to the tuple of those children, in peer order.
+The key is a document's word in SIMPLE mode, its root in ADVANCED mode.
+``p2p_search`` decides a query's one key once, at the origin: the
 normalized word in SIMPLE mode, the root ``search.resolve`` found in
 ADVANCED mode (``None``, which no node holds, when the query degrades).
 
@@ -31,7 +34,7 @@ node reads. All terms of one query share its root, which is why the default
 block assignment forwards to exactly one peer.
 
 The loop logs plain tuples and types them as ``OverlayMessage``s once, at
-the end; peers, super-peers and the overlay are plain data-holding classes.
+the end.
 """
 from __future__ import annotations
 
@@ -51,7 +54,6 @@ KIND_RESULTS_BACK = "RESULTS_BACK"
 
 # The one map between a P2P engine's name and the key mode of its overlay.
 ENGINE_MODES = {P2P_SIMPLE: IndexMode.SIMPLE, P2P_ADVANCED: IndexMode.ADVANCED}
-_ENGINE_OF_MODE = {mode: engine for engine, mode in ENGINE_MODES.items()}
 
 
 def merge(parts: Iterable[DocIds]) -> DocIds:
@@ -74,48 +76,34 @@ class OverlayMessage(NamedTuple):
     payload: tuple[str, ...]
 
 
-class PeerNode:
-    def __init__(self, peer_id: str, parent: str, postings: dict[str, DocIds]) -> None:
-        self.peer_id = peer_id
-        self.parent = parent
-        self.postings = postings
-
-
-class SuperPeer:
-    def __init__(
-        self,
-        superpeer_id: str,
-        children: tuple[str, ...],
-        route: dict[str, tuple[str, ...]],
-        siblings: tuple[str, ...],
-    ) -> None:
-        self.superpeer_id = superpeer_id
-        self.children = children
-        self.route = route
-        # every other super-peer id, in sorted() order: a query from a peer
-        # is passed on to these
-        self.siblings = siblings
-
-
 class Overlay:
+    """A super-peer network as four tables keyed by node id: ``peers``, peer
+    -> its postings; ``parent``, peer -> its super-peer; ``routes``,
+    super-peer -> its route table; ``siblings``, super-peer -> every other
+    super-peer, in sorted() order, to which a query from a peer is passed on."""
+
     def __init__(
         self,
         mode: IndexMode,
-        peers: dict[str, PeerNode],
-        superpeers: dict[str, SuperPeer],
+        peers: dict[str, dict[str, DocIds]],
+        parent: dict[str, str],
+        routes: dict[str, dict[str, tuple[str, ...]]],
+        siblings: dict[str, tuple[str, ...]],
         lexicon: RootLexicon,
     ) -> None:
         self.mode = mode
         self.peers = peers
-        self.superpeers = superpeers
+        self.parent = parent
+        self.routes = routes
+        self.siblings = siblings
         self.lexicon = lexicon
-        # the name of the P2P engine that searches this overlay
-        self.engine = _ENGINE_OF_MODE[mode]
 
 
 @gc_paused
 def build_overlay(manifest: CorpusManifest, mode: IndexMode) -> Overlay:
-    """Build peers, their postings and super-peer route tables from the manifest.
+    """Build the overlay's tables from the manifest: each super-peer's
+    children are one contiguous block of peers, peer-1..peer-k under sp-1,
+    the next k under sp-2 and so on.
 
     Each document is filed under its word (SIMPLE) or its root (ADVANCED);
     the manifest's lexicon maps every word to that root by construction.
@@ -127,29 +115,26 @@ def build_overlay(manifest: CorpusManifest, mode: IndexMode) -> Overlay:
     spec = manifest.spec
     shard_size = spec.roots_per_peer * spec.words_per_root
     key = attrgetter("root" if mode is IndexMode.ADVANCED else "word")
-    peers: dict[str, PeerNode] = {}
-    superpeers: dict[str, SuperPeer] = {}
-    children_of = manifest.superpeer_children()
-    sp_ids = sorted(children_of)
-    for sp_id, children in children_of.items():
-        route: dict[str, tuple[str, ...]] = {}
-        for peer_id in children:
-            shard = manifest.docs_by_peer.get(peer_id, ())
-            if len(shard) != shard_size:
-                raise OverlayMismatch(
-                    f"{peer_id} holds {len(shard)} documents, spec says {shard_size}"
-                )
-            peer_postings = postings(shard, key)
-            peers[peer_id] = PeerNode(peer_id, sp_id, peer_postings)
-            merged = dict.fromkeys(peer_postings, (peer_id,))
-            merged.update(route)
-            if len(merged) < len(route) + len(peer_postings):  # keys shared with another child
-                for k in peer_postings.keys() & route.keys():
-                    merged[k] = route[k] + (peer_id,)
-            route = merged
-        siblings = tuple(sp for sp in sp_ids if sp != sp_id)
-        superpeers[sp_id] = SuperPeer(sp_id, children, route, siblings)
-    return Overlay(mode, peers, superpeers, manifest.lexicon)
+    per_sp = spec.peer_count // spec.superpeer_count
+    parent = {peer: f"sp-{i // per_sp + 1}" for i, peer in enumerate(spec.peer_ids())}
+    peers: dict[str, dict[str, DocIds]] = {}
+    routes: dict[str, dict[str, tuple[str, ...]]] = {}
+    for peer_id, sp_id in parent.items():
+        shard = manifest.docs_by_peer.get(peer_id, ())
+        if len(shard) != shard_size:
+            raise OverlayMismatch(
+                f"{peer_id} holds {len(shard)} documents, spec says {shard_size}"
+            )
+        peer_postings = peers[peer_id] = postings(shard, key)
+        route = routes.get(sp_id, {})
+        merged = dict.fromkeys(peer_postings, (peer_id,))
+        merged.update(route)
+        if len(merged) < len(route) + len(peer_postings):  # keys shared with another child
+            for k in peer_postings.keys() & route.keys():
+                merged[k] = route[k] + (peer_id,)
+        routes[sp_id] = merged
+    siblings = {sp: tuple(other for other in sorted(routes) if other != sp) for sp in routes}
+    return Overlay(mode, peers, parent, routes, siblings, manifest.lexicon)
 
 
 def p2p_search(query: Query, overlay: Overlay, origin: str) -> SearchOutcome:
@@ -162,9 +147,9 @@ def p2p_search(query: Query, overlay: Overlay, origin: str) -> SearchOutcome:
         ValueError: ``origin`` is not a peer of the overlay.
     """
     peers = overlay.peers
-    superpeers = overlay.superpeers
-    origin_node = peers.get(origin)
-    if origin_node is None:
+    routes = overlay.routes
+    parent = overlay.parent.get(origin)
+    if parent is None:
         raise ValueError(f"unknown origin peer {origin!r}")
 
     if overlay.mode is IndexMode.ADVANCED:
@@ -175,7 +160,7 @@ def p2p_search(query: Query, overlay: Overlay, origin: str) -> SearchOutcome:
         terms, expanded, degraded = (key,), (), False
 
     # (seq, kind, src, dst, payload) tuples, typed as OverlayMessages at the end
-    log = [(1, KIND_QUERY_UP, origin, origin_node.parent, terms)]
+    log = [(1, KIND_QUERY_UP, origin, parent, terms)]
     send = log.append
     seq = 1
     # super-peer id -> (requester, number of answers expected, answers so far)
@@ -186,12 +171,11 @@ def p2p_search(query: Query, overlay: Overlay, origin: str) -> SearchOutcome:
     for _seq, kind, src, dst, payload in log:
         if kind == KIND_QUERY_FORWARD:
             contacted += 1
-            send((seq := seq + 1, KIND_RESULTS_BACK, dst, src, peers[dst].postings.get(key, ())))
+            send((seq := seq + 1, KIND_RESULTS_BACK, dst, src, peers[dst].get(key, ())))
         elif kind == KIND_QUERY_UP:
             # from the origin peer, or flooded over from a sibling
-            sp = superpeers[dst]
-            targets = sp.route.get(key, ())
-            siblings = sp.siblings if src == origin else ()
+            targets = routes[dst].get(key, ())
+            siblings = overlay.siblings[dst] if src == origin else ()
             expected = len(targets) + len(siblings)
             if expected:
                 gather[dst] = (src, expected, [])

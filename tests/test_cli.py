@@ -349,6 +349,17 @@ class TestReportInputErrors:
             f"error: {path}:4: expected 7 tab-separated fields, got 6\n"
         )
 
+    @pytest.mark.parametrize(
+        "name,column,field",
+        [("baseline.tsv", 1, "query word"), ("summary.tsv", 4, "failures")],
+    )
+    def test_empty_field_names_file_and_line(self, results, capsys, name, column, field):
+        path = results / name
+        fields = path.read_text("utf-8").splitlines()[2].split("\t")
+        fields[column] = ""
+        self._set_line(path, 3, "\t".join(fields))
+        assert self._report_error(results, capsys) == f"error: {path}:3: empty {field} field\n"
+
     def test_results_file_with_wrong_magic_names_file_and_line(self, results, capsys):
         path = results / "baseline.tsv"
         lines = path.read_text("utf-8").splitlines()
@@ -505,6 +516,30 @@ class TestCorpusLoadErrors:
         err = capsys.readouterr().err
         assert code == EXIT_VALIDATION
         assert err == f"error: {path}:5: doc id {doc_id!r} repeats line 2\n"
+
+    @pytest.mark.parametrize(
+        "name,column,field",
+        [
+            ("manifest.tsv", 0, "doc id"),
+            ("manifest.tsv", 1, "word"),
+            ("manifest.tsv", 2, "root"),
+            ("manifest.tsv", 3, "peer id"),
+            ("queries.tsv", 0, "query id"),
+            ("queries.tsv", 1, "word"),
+            ("queries.tsv", 2, "root"),
+        ],
+    )
+    def test_empty_field_names_its_line(self, micro_args, tmp_path, capsys, name, column, field):
+        path = micro_args / name
+        lines = path.read_text("utf-8").splitlines()
+        fields = lines[2].split("\t")
+        fields[column] = ""
+        lines[2] = "\t".join(fields)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code = main(["run-eval", "--corpus", str(micro_args), "--out", str(tmp_path / "r")])
+        err = capsys.readouterr().err
+        assert code == EXIT_VALIDATION
+        assert err == f"error: {path}:3: empty {field} field\n"
 
     @pytest.mark.parametrize(
         "word", ["\u064e", "kitab", "كتب جديد"], ids=["diacritic-only", "latin", "two-words"]

@@ -62,8 +62,10 @@ class TestDefaultCorpus:
         counts = Counter(doc.peer_id for doc in manifest.documents)
         assert counts == {f"peer-{i}": 2500 for i in range(1, 5)}
 
-    def test_5000_docs_and_50_roots_per_superpeer(self, manifest):
-        children = manifest.superpeer_children()
+    def test_5000_docs_and_50_roots_per_superpeer(self, manifest, overlay_simple):
+        children = {}
+        for peer, sp in overlay_simple.parent.items():
+            children[sp] = children.get(sp, ()) + (peer,)
         assert children == {"sp-1": ("peer-1", "peer-2"), "sp-2": ("peer-3", "peer-4")}
         for peers in children.values():
             docs = [d for d in manifest.documents if d.peer_id in peers]

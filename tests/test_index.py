@@ -159,7 +159,7 @@ class TestPostings:
             for word in manifest.lexicon.words_of(root)
         }
         for overlay, key in ((overlay_simple, "word"), (overlay_advanced, "root")):
-            for peer_id, peer in overlay.peers.items():
+            for peer_id, peer_postings in overlay.peers.items():
                 shard = manifest.docs_by_peer[peer_id]
                 expected = _set_reference((getattr(d, key), d.doc_id) for d in shard)
-                assert peer.postings == expected, (overlay.mode, peer_id)
+                assert peer_postings == expected, (overlay.mode, peer_id)

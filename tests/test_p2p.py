@@ -2,6 +2,7 @@
 
 import copy
 import hashlib
+import tempfile
 from operator import attrgetter
 
 import pytest
@@ -17,7 +18,6 @@ from rootsearch.p2p import (
     KIND_RESULTS_BACK,
     Overlay,
     OverlayMessage,
-    PeerNode,
     build_overlay,
     format_message_log,
     merge,
@@ -40,29 +40,34 @@ def _with_documents(manifest, documents):
     )
 
 
+def _children(overlay, sp):
+    """The peers under super-peer ``sp``, in peer order."""
+    return tuple(peer for peer, parent in overlay.parent.items() if parent == sp)
+
+
 class TestBuildOverlay:
     def test_default_topology(self, overlay_simple):
-        assert sorted(overlay_simple.superpeers) == ["sp-1", "sp-2"]
+        assert sorted(overlay_simple.routes) == ["sp-1", "sp-2"]
         assert sorted(overlay_simple.peers) == ["peer-1", "peer-2", "peer-3", "peer-4"]
-        assert overlay_simple.superpeers["sp-1"].children == ("peer-1", "peer-2")
-        assert overlay_simple.superpeers["sp-2"].children == ("peer-3", "peer-4")
-        for peer in overlay_simple.peers.values():
-            assert sum(map(len, peer.postings.values())) == 2500
+        assert _children(overlay_simple, "sp-1") == ("peer-1", "peer-2")
+        assert _children(overlay_simple, "sp-2") == ("peer-3", "peer-4")
+        for peer_postings in overlay_simple.peers.values():
+            assert sum(map(len, peer_postings.values())) == 2500
 
     def test_simple_summaries_are_word_sets(self, manifest, overlay_simple):
-        for sp in overlay_simple.superpeers.values():
-            for child in sp.children:
-                summary = {k for k, holders in sp.route.items() if child in holders}
+        for sp, route in overlay_simple.routes.items():
+            for child in _children(overlay_simple, sp):
+                summary = {k for k, holders in route.items() if child in holders}
                 assert summary == {d.word for d in manifest.docs_by_peer[child]}
                 assert len(summary) == 2500
 
     def test_advanced_summaries_are_root_sets(self, manifest, overlay_advanced):
-        for sp in overlay_advanced.superpeers.values():
-            for child in sp.children:
-                summary = {k for k, holders in sp.route.items() if child in holders}
+        for sp, route in overlay_advanced.routes.items():
+            for child in _children(overlay_advanced, sp):
+                summary = {k for k, holders in route.items() if child in holders}
                 assert len(summary) == 25
                 assert summary == {d.root for d in manifest.docs_by_peer[child]}
-            assert len(sp.route) == 50
+            assert len(route) == 50
 
     def test_route_lists_the_children_holding_each_key(
         self, manifest, overlay_simple, overlay_advanced
@@ -76,30 +81,31 @@ class TestBuildOverlay:
             (striped, build_overlay(striped, IndexMode.SIMPLE), "word", 2500, 5000),
             (striped, build_overlay(striped, IndexMode.ADVANCED), "root", 100, 100),
         ):
-            for sp in overlay.superpeers.values():
+            for sp, route in overlay.routes.items():
+                children = _children(overlay, sp)
                 held = {
                     child: {getattr(d, key) for d in layout.docs_by_peer[child]}
-                    for child in sp.children
+                    for child in children
                 }
                 assert [len(keys) for keys in held.values()] == [per_child] * 2
-                assert set(sp.route) == set().union(*held.values())
-                assert len(sp.route) == per_sp
-                for k, holders in sp.route.items():
-                    assert holders == tuple(c for c in sp.children if k in held[c]), k
+                assert set(route) == set().union(*held.values())
+                assert len(route) == per_sp
+                for k, holders in route.items():
+                    assert holders == tuple(c for c in children if k in held[c]), k
 
     def test_peer_postings_file_each_document_once(
         self, manifest, overlay_simple, overlay_advanced
     ):
-        assert list(vars(PeerNode("peer-1", "sp-1", {}))) == [
-            "peer_id", "parent", "postings"
+        assert list(vars(overlay_simple)) == [
+            "mode", "peers", "parent", "routes", "siblings", "lexicon"
         ]
         for overlay, key in (
             (overlay_simple, attrgetter("word")),
             (overlay_advanced, attrgetter("root")),
         ):
-            for peer_id, peer in overlay.peers.items():
+            for peer_id, peer_postings in overlay.peers.items():
                 filed = sorted(
-                    (k, doc_id) for k, ids in peer.postings.items() for doc_id in ids
+                    (k, doc_id) for k, ids in peer_postings.items() for doc_id in ids
                 )
                 expected = sorted(
                     (key(d), d.doc_id) for d in manifest.docs_by_peer[peer_id]
@@ -178,7 +184,12 @@ class TestP2PSearch:
 
         lexicon = copy.copy(overlay_advanced.lexicon)
         overlay = Overlay(
-            overlay_advanced.mode, overlay_advanced.peers, overlay_advanced.superpeers, lexicon
+            overlay_advanced.mode,
+            overlay_advanced.peers,
+            overlay_advanced.parent,
+            overlay_advanced.routes,
+            overlay_advanced.siblings,
+            lexicon,
         )
 
         def lookups(search, *args):
@@ -288,11 +299,11 @@ class TestSiblingFlood:
         entry = manifest.queries[0]
         for origin in ("peer-1", "peer-7", "peer-20"):
             outcome = p2p_search(Query.parse(entry.query_id, entry.word), overlay, origin)
-            own = overlay.peers[origin].parent
+            own = overlay.parent[origin]
             flooded = [
                 m.dst for m in outcome.messages if m.kind == KIND_QUERY_UP and m.src == own
             ]
-            assert flooded == sorted(sp for sp in overlay.superpeers if sp != own)
+            assert flooded == sorted(sp for sp in overlay.routes if sp != own)
             if origin == "peer-7":  # under sp-4
                 assert flooded[:3] == ["sp-1", "sp-10", "sp-2"]
 
@@ -340,7 +351,7 @@ class TestMessageLog:
     def test_forwards_target_children_of_sender(self, outcome, overlay_advanced):
         for msg in outcome.messages:
             if msg.kind == KIND_QUERY_FORWARD:
-                assert msg.dst in overlay_advanced.superpeers[msg.src].children
+                assert msg.dst in _children(overlay_advanced, msg.src)
 
     def test_export_format(self, outcome):
         text = format_message_log(outcome.messages)
@@ -402,7 +413,7 @@ class TestSortedAnswers:
             (IndexMode.ADVANCED, first.root, root_mates),
         ):
             overlay = build_overlay(repeated, mode)
-            assert overlay.peers[first.peer_id].postings[key] == found
+            assert overlay.peers[first.peer_id][key] == found
             for origin in overlay.peers:
                 outcome = p2p_search(Query.parse("q", first.word), overlay, origin)
                 assert outcome.result.found == found, (mode, origin)
@@ -439,29 +450,30 @@ def _reference_keys(payload, overlay):
     return set(payload)
 
 
-def _reference_peer_handle(peer, message, transport, overlay):
+def _reference_peer_handle(peer_id, message, transport, overlay):
     keys = _reference_keys(message.payload, overlay)
-    found = merge([peer.postings.get(key, ()) for key in keys])
-    transport.send(KIND_RESULTS_BACK, peer.peer_id, message.src, found)
+    found = merge([overlay.peers[peer_id].get(key, ()) for key in keys])
+    transport.send(KIND_RESULTS_BACK, peer_id, message.src, found)
 
 
-def _reference_superpeer_handle(sp, message, transport, overlay, gather):
+def _reference_superpeer_handle(sp_id, message, transport, overlay, gather):
     if message.kind == KIND_RESULTS_BACK:
-        requester, expected, parts = gather[sp.superpeer_id]
+        requester, expected, parts = gather[sp_id]
         parts.append(message.payload)
         if len(parts) == expected:
-            transport.send(KIND_RESULTS_BACK, sp.superpeer_id, requester, merge(parts))
+            transport.send(KIND_RESULTS_BACK, sp_id, requester, merge(parts))
         return
     keys = _reference_keys(message.payload, overlay)
-    targets = [child for child in sp.children if keys & overlay.peers[child].postings.keys()]
-    siblings = sp.siblings if message.src in overlay.peers else ()
-    gather[sp.superpeer_id] = (message.src, len(targets) + len(siblings), [])
+    children = _children(overlay, sp_id)
+    targets = [child for child in children if keys & overlay.peers[child].keys()]
+    siblings = overlay.siblings[sp_id] if message.src in overlay.peers else ()
+    gather[sp_id] = (message.src, len(targets) + len(siblings), [])
     for child in targets:
-        transport.send(KIND_QUERY_FORWARD, sp.superpeer_id, child, message.payload)
+        transport.send(KIND_QUERY_FORWARD, sp_id, child, message.payload)
     for sibling in siblings:
-        transport.send(KIND_QUERY_UP, sp.superpeer_id, sibling, message.payload)
+        transport.send(KIND_QUERY_UP, sp_id, sibling, message.payload)
     if not targets and not siblings:
-        transport.send(KIND_RESULTS_BACK, sp.superpeer_id, message.src, ())
+        transport.send(KIND_RESULTS_BACK, sp_id, message.src, ())
 
 
 def reference_p2p_search(query, overlay, origin):
@@ -474,18 +486,16 @@ def reference_p2p_search(query, overlay, origin):
     else:
         terms, expanded, degraded = (query.normalized,), (), False
     transport = _ReferenceTransport()
-    transport.send(KIND_QUERY_UP, origin, overlay.peers[origin].parent, terms)
+    transport.send(KIND_QUERY_UP, origin, overlay.parent[origin], terms)
     gather, parts, contacted = {}, [], 0
     for message in transport.log:
-        peer = overlay.peers.get(message.dst)
-        if peer is None:
-            sp = overlay.superpeers[message.dst]
-            _reference_superpeer_handle(sp, message, transport, overlay, gather)
+        if message.dst not in overlay.peers:
+            _reference_superpeer_handle(message.dst, message, transport, overlay, gather)
         elif message.dst == origin and message.kind == KIND_RESULTS_BACK:
             parts.append(message.payload)
         else:
             contacted += 1
-            _reference_peer_handle(peer, message, transport, overlay)
+            _reference_peer_handle(message.dst, message, transport, overlay)
     result = SearchResult(merge(parts), expanded, degraded)
     return SearchOutcome(result, tuple(transport.log), contacted)
 
@@ -580,3 +590,75 @@ class TestRouterOverLayouts:
                     assert outcome == reference_p2p_search(query, overlay, origin), case
                     assert outcome.result == central, case
                     assert outcome.peers_contacted == len(holders), case
+
+
+@st.composite
+def _topologies(draw):
+    """Small corpus shapes: 1-6 peers, any divisor of the peer count as the
+    super-peer count, 1-2 roots per peer and 1-4 words per root."""
+    peers = draw(st.integers(1, 6))
+    superpeers = draw(st.sampled_from([d for d in range(1, peers + 1) if peers % d == 0]))
+    roots_per_peer = draw(st.integers(1, 2))
+    return CorpusSpec(
+        root_count=peers * roots_per_peer,
+        words_per_root=draw(st.integers(1, 4)),
+        peer_count=peers,
+        superpeer_count=superpeers,
+        roots_per_peer=roots_per_peer,
+        seed=draw(st.integers(0, 99)),
+    )
+
+
+class TestTopologies:
+    """The overlay tables and the message count of every query, from every
+    origin, over small corpus shapes: 2·S + 2·F messages for S super-peers
+    and F peers holding the query's key."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(_topologies())
+    def test_tables_and_message_counts(self, spec):
+        with tempfile.TemporaryDirectory() as out:
+            manifest = generate_corpus(spec, out)
+        index = build_index(manifest.documents, IndexMode.SIMPLE, manifest.lexicon)
+        peer_ids = spec.peer_ids()
+        words = [entry.word for entry in manifest.queries] + ["١٢٣"]
+        for mode in IndexMode:
+            overlay = build_overlay(manifest, mode)
+            superpeers = sorted(overlay.routes)
+            assert len(superpeers) == spec.superpeer_count
+            assert list(overlay.parent) == list(overlay.peers) == list(peer_ids)
+            assert set(overlay.parent.values()) == set(superpeers)
+            for sp, route in overlay.routes.items():
+                assert overlay.siblings[sp] == tuple(s for s in superpeers if s != sp)
+                for holders in route.values():
+                    assert all(overlay.parent[peer] == sp for peer in holders)
+                    assert holders == tuple(p for p in peer_ids if p in holders)
+            for word in words:
+                query = Query.parse("q", word)
+                if mode is IndexMode.ADVANCED:
+                    key = resolve(query, manifest.lexicon)[0]
+                    central = search_expanded(query, index, manifest.lexicon)
+                else:
+                    key = query.normalized
+                    central = search_exact(query, index)
+                holding = len({
+                    d.peer_id for d in manifest.documents
+                    if (d.root if mode is IndexMode.ADVANCED else d.word) == key
+                })
+                for origin in peer_ids:
+                    case = (spec, mode, origin, word)
+                    outcome = p2p_search(query, overlay, origin)
+                    messages = outcome.messages
+                    assert outcome.result == central, case
+                    assert len(messages) == 2 * spec.superpeer_count + 2 * holding, case
+                    assert outcome.peers_contacted == holding, case
+                    replies = [m for m in messages if m.kind == KIND_RESULTS_BACK]
+                    for request in messages:
+                        if request.kind != KIND_RESULTS_BACK:
+                            answers = [
+                                r for r in replies if (r.src, r.dst) == (request.dst, request.src)
+                            ]
+                            assert len(answers) == 1, case
+                    assert messages[-1].kind == KIND_RESULTS_BACK, case
+                    assert messages[-1].dst == origin, case
+                    assert [m.dst for m in replies].count(origin) == 1, case

@@ -13,11 +13,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rootsearch.corpus import Document, postings
+from rootsearch.corpus import Document, _bad_query, postings
 from rootsearch.errors import EmptyAfterNormalization
 from rootsearch.evaluation import fixed4
 from rootsearch.morphology import RootLexicon, light_stem
-from rootsearch.normalize import is_arabic_word, is_normalized, normalize
+from rootsearch.normalize import is_normalized, match_word, normalize
 from rootsearch.search import Query
 
 # small alphabets, so that generated words and roots often repeat
@@ -170,9 +170,20 @@ def test_query_parse_matches_the_reference_on_every_arabic_code_point(prefix):
 @example("كتب\n")
 @example("كتب")
 def test_is_normalized_matches_the_reference(word):
-    assert is_arabic_word(word) == bool(_REF_WORD.match(word)), ascii(word)
-    expected = is_arabic_word(word) and _outcome(_reference_normalize, word) == word
+    is_word = match_word(word) is not None
+    assert is_word == bool(_REF_WORD.match(word)), ascii(word)
+    expected = is_word and _outcome(_reference_normalize, word) == word
     assert is_normalized(word) == expected, ascii(word)
+
+
+@settings(max_examples=500)
+@given(st.one_of(_query_text, _arabic_text, st.text(max_size=8)))
+@example("ـــ")
+@example("كتب لعب")
+def test_query_file_check_accepts_exactly_the_words_query_parse_accepts(word):
+    parsed = _outcome(lambda text: Query.parse("q", text), word)
+    accepted = _bad_query(["q", word, "كتب"], {"كتب": "كتب"}) is None
+    assert accepted == isinstance(parsed, Query), ascii(word)
 
 
 @settings(max_examples=500)

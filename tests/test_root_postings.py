@@ -80,11 +80,11 @@ def routed_key_and_terms(query, mode, lexicon):
 def assert_peers_answer_like_shard_index(overlay, mode, probe_words, manifest, lexicon):
     queries = [Query.parse(f"q{i}", word) for i, word in enumerate(probe_words)]
     routed = [routed_key_and_terms(query, mode, lexicon) for query in queries]
-    for peer_id, peer in overlay.peers.items():
+    for peer_id, peer_postings in overlay.peers.items():
         index = build_index(manifest.docs_by_peer[peer_id], mode, lexicon)
         for key, terms in routed:
             expected = tuple(sorted(union_of_terms(terms, index)))
-            assert peer.postings.get(key, ()) == expected, (terms, peer_id)
+            assert peer_postings.get(key, ()) == expected, (terms, peer_id)
 
 
 def test_advanced_peer_execute_equals_per_term_union(
