@@ -20,16 +20,20 @@ Every TSV file rootsearch writes (these two, and ``evaluation``'s results
 and summary) has one format, a ``TsvFormat``: a header line (magic, then
 ``key=value`` fields), an optional column line, and fixed-width rows whose
 first field is an id. ``write_tsv`` writes each through a sibling ``.part``
-file renamed into place; ``read_table`` and ``load_manifest`` check it on
-load, naming the file and line. Both corpus files carry one header made
-from the spec, and a query file with another header is rejected.
+file renamed into place. On load, one walk over the rows (``_checked_rows``)
+splits and checks them, naming the file and line of the first bad one;
+``read_table`` uses it alone. Both corpus files carry one header made from
+the spec, and a query file with another header is rejected.
 
 The spec and the rows (``CorpusSpec``, ``Document``, ``QueryEntry``) are
 immutable ``NamedTuple``s; ``CorpusManifest`` is a plain class whose
 groupings (lexicon, ``docs_by_root``, ``docs_by_peer``) are built on first
-use. ``load_manifest`` builds every manifest row in one pass, sharing one
-string per distinct root and peer id, and rejects a peer id the header's
-peer count does not name.
+use. ``load_manifest`` keeps a fast path: it builds every manifest row in
+one pass, sharing one string per distinct root and peer id, then checks the
+whole file at once (an empty field, a repeated doc id, a peer id the
+header's peer count does not name, a distinct root that
+``morphology.is_root`` rejects) and walks the rows only to name the line of
+a fault it found.
 
 ``generate_corpus`` writes ``manifest.tsv`` last, after the bodies and
 ``queries.tsv``, so a run that fails on a body leaves no loadable manifest
@@ -49,7 +53,7 @@ from pathlib import Path
 from typing import Callable, Iterable, NamedTuple, TypeVar
 
 from .errors import CorpusSpecError, EmptyAfterNormalization, InsufficientRoots, PatternCollision
-from .morphology import PatternInventory, RootLexicon, derive, extract_root, load_patterns
+from .morphology import PatternInventory, RootLexicon, derive, extract_root, is_root, load_patterns
 from .normalize import normalize
 
 DEFAULT_SEED = 2011
@@ -427,21 +431,20 @@ def _header_field(fields: dict[str, str], name: str, path: Path, convert=str):
         ) from None
 
 
-def _reject_bad_row(
+def _checked_rows(
     path: Path, lines: list[str], fmt: TsvFormat, check: RowCheck | None = None
-) -> None:
-    """Raise the error naming the first row of the ``fmt`` file ``lines``
-    whose field count is not ``fmt``'s, that holds an empty field, whose
-    first field repeats an earlier row's, or for which ``check(fields)``
-    returns a message.
+) -> list[list[str]]:
+    """The rows of the ``fmt`` file ``lines``, split into fields, blank lines
+    skipped: the one walk that splits and checks them.
 
-    Walked only once a fast check over all the rows has failed, or to run
-    a ``check`` that has no fast form (the query words), so a sound
-    manifest is split into rows once.
+    Raises the error naming the first row whose field count is not
+    ``fmt``'s, that holds an empty field, whose first field repeats an
+    earlier row's, or for which ``check(fields)`` returns a message.
     """
     width = len(fmt.columns)
     id_name = fmt.columns[0].replace("_", " ")
     first_line: dict[str, int] = {}
+    rows: list[list[str]] = []
     start = 1 + fmt.column_line
     for lineno, line in enumerate(lines[start:], start + 1):
         if not line.strip():
@@ -458,6 +461,8 @@ def _reject_bad_row(
         if problem:
             raise CorpusSpecError(f"{path}:{lineno}: {problem}")
         first_line[fields[0]] = lineno
+        rows.append(fields)
+    return rows
 
 
 def read_table(
@@ -484,11 +489,7 @@ def read_table(
         raise CorpusSpecError(
             f"{path}:1: header field {key!r} is {fields.get(key)!r}, expected {header.get(key)!r}"
         )
-    rows = [line.split("\t") for line in lines[1 + fmt.column_line :] if line.strip()]
-    width = len(fmt.columns)
-    bad = any(len(row) != width or "" in row for row in rows)
-    if check or bad or len({r[0] for r in rows}) != len(rows):
-        _reject_bad_row(path, lines, fmt, check)
+    rows = _checked_rows(path, lines, fmt, check)
     if not rows:
         raise CorpusSpecError(
             f"{path}: no {fmt.noun} after the header line{'s' if fmt.column_line else ''}"
@@ -519,9 +520,20 @@ def _documents(
             for doc_id, word, root, peer in (line.split("\t"),)
         ]
     except ValueError:
-        _reject_bad_row(path, lines, MANIFEST)
+        _checked_rows(path, lines, MANIFEST)
         raise
     return documents, roots, peers
+
+
+def _bad_document(fields: list[str], peer_ids: tuple[str, ...]) -> str | None:
+    """Why a ``manifest.tsv`` row cannot be loaded: a root ``derive`` would
+    reject, or a peer id the header does not name."""
+    root, peer_id = fields[2:]
+    if not is_root(root):
+        return f"root {root!r} is not a normalized Arabic word of 3 or 4 letters"
+    if peer_id not in peer_ids:
+        return f"peer id {peer_id!r} is not one of {peer_ids[0]}..{peer_ids[-1]}"
+    return None
 
 
 def _bad_query(fields: list[str], roots: dict[str, str]) -> str | None:
@@ -549,7 +561,8 @@ def load_manifest(corpus_dir: str | Path) -> CorpusManifest:
             the query file's header fields differ from the manifest's,
             a row has the wrong field count or an empty field, a doc id or
             a query id repeats, the manifest holds no documents or a number
-            other than ``roots x words_per_root``, a row's peer id is not
+            other than ``roots x words_per_root``, a row's root is not a
+            normalized Arabic word of 3 or 4 letters, a row's peer id is not
             one of the header's ``peer-1..peer-N``, ``queries.tsv`` holds no
             queries, a query word is not one Arabic word or a query root has
             no documents; the message names the file, and the line if any.
@@ -572,14 +585,14 @@ def load_manifest(corpus_dir: str | Path) -> CorpusManifest:
         raise CorpusSpecError(f"{manifest_path}: no documents after the header line")
     known = spec.peer_ids()
     doc_ids = {doc.doc_id for doc in documents}
-    # an empty doc id or peer id shows in these sets, and an empty word or
-    # root as two adjacent tabs: one scan of the text, no pass over the rows
+    # an empty doc id or peer id shows in these sets, an empty word or root
+    # as two adjacent tabs, and a root derive would reject among the distinct
+    # roots: one scan of the text, no pass over the rows
     unsound = "" in doc_ids or "\t\t" in manifest_text or not peers.keys() <= set(known)
-    if unsound or len(doc_ids) != len(documents):
-        _reject_bad_row(manifest_path, manifest_lines, MANIFEST, lambda row: (
-            None if row[3] in known
-            else f"peer id {row[3]!r} is not one of {known[0]}..{known[-1]}"
-        ))
+    if unsound or not all(map(is_root, roots)) or len(doc_ids) != len(documents):
+        _checked_rows(
+            manifest_path, manifest_lines, MANIFEST, lambda row: _bad_document(row, known)
+        )
     if len(documents) != spec.total_documents:
         raise CorpusSpecError(
             f"{manifest_path}: {len(documents)} documents, header says"

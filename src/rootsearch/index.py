@@ -36,10 +36,7 @@ class IndexMode(Enum):
 class InvertedIndex:
     """Keyword -> sorted doc_ids, plus root -> sorted doc_ids."""
 
-    def __init__(
-        self, mode: IndexMode, entries: dict[str, DocIds], root_postings: dict[str, DocIds]
-    ) -> None:
-        self.mode = mode
+    def __init__(self, entries: dict[str, DocIds], root_postings: dict[str, DocIds]) -> None:
         self.entries = entries
         self.root_postings = root_postings
 
@@ -63,7 +60,7 @@ def build_index(
     docs = tuple(docs)
     root_postings = postings(docs, attrgetter("root"))
     if mode is IndexMode.SIMPLE:
-        return InvertedIndex(mode, postings(docs, attrgetter("word")), root_postings)
+        return InvertedIndex(postings(docs, attrgetter("word")), root_postings)
 
     for doc in docs:
         if doc.word not in lexicon:
@@ -73,4 +70,4 @@ def build_index(
     entries = {
         word: ids for root, ids in root_postings.items() for word in lexicon.words_of(root)
     }
-    return InvertedIndex(mode, entries, root_postings)
+    return InvertedIndex(entries, root_postings)

@@ -4,6 +4,10 @@ A root is a string of 3 or 4 normalized Arabic consonants (e.g. لعب).
 Surface words are produced by applying derivation templates, strings with
 one ``C1``/``C2``/... slot per root consonant plus fixed prefix, infix and
 suffix letters, e.g. template ``يC1C2C3ون`` applied to لعب yields يلعبون.
+``derive`` is the one template fill, behind its root and arity checks;
+``is_root`` is the one rule for what a root is, which ``corpus`` also
+applies to every root a manifest records. ``load_patterns`` names the file
+and line of a bad template record.
 
 Root resolution is lexicon-first: the corpus manifest records every
 generated word's root, and the lexicon is built once from those (word,
@@ -75,13 +79,6 @@ class DerivationPattern(NamedTuple):
         slots = {int(m) for m in _SLOT.findall(self.template)}
         return max(slots)
 
-    def apply(self, root: str) -> str:
-        """Fill the consonant slots with ``root``'s letters."""
-        out = self.template
-        for i, letter in enumerate(root, start=1):
-            out = out.replace(f"C{i}", letter)
-        return out
-
 
 class PatternInventory:
     """The versioned, ordered template set used for corpus generation."""
@@ -107,32 +104,46 @@ def load_patterns(path: str | Path | None = None) -> PatternInventory:
 
     File format: a ``# rootsearch-patterns <version>`` header line, then one
     ``id TAB template`` record per line, UTF-8.
+
+    Raises:
+        ValueError: the header line is missing, a record is not two
+            tab-separated fields, a pattern id or a template repeats, or a
+            template's slots are missing or numbered with gaps; naming the
+            file and line.
     """
-    if path is None:
-        text = (
-            resources.files("rootsearch").joinpath("data/patterns.tsv").read_text("utf-8")
-        )
-    else:
-        text = Path(path).read_text("utf-8")
-    lines = text.splitlines()
+    source = (
+        resources.files("rootsearch") / "data/patterns.tsv" if path is None else Path(path)
+    )
+    lines = source.read_text("utf-8").splitlines()
     if not lines or not lines[0].startswith("# rootsearch-patterns "):
-        raise ValueError("malformed pattern file: missing version header")
+        raise ValueError(f"{source}:1: malformed pattern file: missing version header")
     version = lines[0].split()[-1]
     patterns = []
-    for line in lines[1:]:
+    # each pattern id and template -> the line that holds it first
+    first_line: dict[tuple[str, str], int] = {}
+    for lineno, line in enumerate(lines[1:], 2):
         if not line.strip():
             continue
-        pattern_id, template = line.split("\t")
-        patterns.append(DerivationPattern(pattern_id, template))
-    ids = [p.pattern_id for p in patterns]
-    templates = [p.template for p in patterns]
-    if len(set(ids)) != len(ids):
-        raise ValueError("duplicate pattern ids in pattern file")
-    if len(set(templates)) != len(templates):
-        raise ValueError("duplicate templates in pattern file")
-    for pattern in patterns:
-        _validate_pattern(pattern)
+        fields = line.split("\t")
+        try:
+            if len(fields) != 2:
+                raise ValueError(f"expected 2 tab-separated fields, got {len(fields)}")
+            pattern = DerivationPattern(*fields)
+            for key in zip(("pattern id", "template"), fields):
+                if key in first_line:
+                    raise ValueError(f"{key[0]} {key[1]!r} repeats line {first_line[key]}")
+                first_line[key] = lineno
+            _validate_pattern(pattern)
+        except ValueError as err:
+            raise ValueError(f"{source}:{lineno}: {err}") from None
+        patterns.append(pattern)
     return PatternInventory(version, tuple(patterns))
+
+
+def is_root(root: str) -> bool:
+    """True if ``root`` is a normalized Arabic word of 3 or 4 letters: the
+    roots ``derive`` accepts and a manifest may record."""
+    return len(root) in (3, 4) and is_normalized(root)
 
 
 def derive(root: str, pattern: DerivationPattern) -> str:
@@ -144,14 +155,17 @@ def derive(root: str, pattern: DerivationPattern) -> str:
         ValueError: ``root`` is not a 3- or 4-letter normalized form.
         ArityMismatch: slot count differs from the root's length.
     """
-    if len(root) not in (3, 4) or not is_normalized(root):
+    if not is_root(root):
         raise ValueError(f"not a normalized 3/4-letter root: {root!r}")
     if pattern.arity != len(root):
         raise ArityMismatch(
             f"pattern {pattern.pattern_id} has {pattern.arity} slots, "
             f"root {root!r} has {len(root)} letters"
         )
-    return pattern.apply(root)
+    word = pattern.template
+    for slot, letter in enumerate(root, start=1):
+        word = word.replace(f"C{slot}", letter)
+    return word
 
 
 class RootLexicon:

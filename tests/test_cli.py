@@ -542,6 +542,24 @@ class TestCorpusLoadErrors:
         assert err == f"error: {path}:3: empty {field} field\n"
 
     @pytest.mark.parametrize(
+        "root", [" ", "\u00a0", "كت", "كتبكت", "أكل", "ktb"],
+        ids=["space", "no-break-space", "two-letters", "five-letters", "unnormalized", "latin"],
+    )
+    def test_root_derive_would_reject_names_its_line(self, micro_args, tmp_path, capsys, root):
+        path = micro_args / "manifest.tsv"
+        lines = path.read_text("utf-8").splitlines()
+        fields = lines[2].split("\t")
+        fields[2] = root
+        lines[2] = "\t".join(fields)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code = main(["run-eval", "--corpus", str(micro_args), "--out", str(tmp_path / "r")])
+        err = capsys.readouterr().err
+        assert code == EXIT_VALIDATION
+        assert err == (
+            f"error: {path}:3: root {root!r} is not a normalized Arabic word of 3 or 4 letters\n"
+        )
+
+    @pytest.mark.parametrize(
         "word", ["\u064e", "kitab", "كتب جديد"], ids=["diacritic-only", "latin", "two-words"]
     )
     def test_bad_query_word_names_its_line(self, micro_args, tmp_path, capsys, word):
@@ -579,18 +597,40 @@ class TestCorpusLoadErrors:
         assert err == f"error: {path}:1: {message}\n"
 
 
+def _fresh_python(code):
+    """Run ``code`` in a fresh interpreter that imports rootsearch from the
+    same sources as this test; return its stdout."""
+    src = str(Path(rootsearch.__file__).resolve().parent.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, check=True,
+    )
+    return proc.stdout
+
+
 class TestStartup:
     def test_cli_import_loads_neither_dataclasses_nor_inspect(self):
-        # a fresh interpreter, importing rootsearch from the same sources as this test
-        src = str(Path(rootsearch.__file__).resolve().parent.parent)
-        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
         code = (
             "import rootsearch.cli, sys; "
             "print([m for m in ('dataclasses', 'inspect') if m in sys.modules])"
         )
-        proc = subprocess.run(
-            [sys.executable, "-c", code],
-            env={**os.environ, "PYTHONPATH": path},
-            capture_output=True, text=True, check=True,
+        assert _fresh_python(code) == "[]\n"
+
+    def test_package_imports_none_of_its_modules(self):
+        code = (
+            "import rootsearch, sys; "
+            "print([m for m in sys.modules if m.startswith('rootsearch.')])"
         )
-        assert proc.stdout == "[]\n"
+        assert _fresh_python(code) == "[]\n"
+
+    # so each module imported first in a fresh interpreter shows an import
+    # cycle that a fixed earlier import order would hide
+    @pytest.mark.parametrize(
+        "module",
+        ["normalize", "morphology", "corpus", "index", "search", "p2p", "evaluation", "cli",
+         "errors"],
+    )
+    def test_each_module_imports_first(self, module):
+        _fresh_python(f"import rootsearch.{module}")

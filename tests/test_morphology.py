@@ -50,6 +50,24 @@ class TestPatternInventory:
         with pytest.raises(ValueError):
             load_patterns(bad)
 
+    @pytest.mark.parametrize(
+        "records, message",
+        [
+            ("p001\tC1C2C3\np002C1C2C3\n", "3: expected 2 tab-separated fields, got 1"),
+            ("p001\tC1C2C3\tx\n", "2: expected 2 tab-separated fields, got 3"),
+            ("p001\tC1C2C3\n\np001\tC1C2C3ون\n", "4: pattern id 'p001' repeats line 2"),
+            ("p001\tC1C2C3\np002\tC1C2C3\n", "3: template 'C1C2C3' repeats line 2"),
+            ("p001\tC1C3\n", "2: pattern p001: slot numbering has gaps"),
+        ],
+        ids=["no-tab", "three-fields", "repeated-id", "repeated-template", "slot-gap"],
+    )
+    def test_load_errors_name_file_and_line(self, tmp_path, records, message):
+        bad = tmp_path / "patterns.tsv"
+        bad.write_text("# rootsearch-patterns v0\n" + records, encoding="utf-8")
+        with pytest.raises(ValueError) as info:
+            load_patterns(bad)
+        assert str(info.value) == f"{bad}:{message}"
+
     def test_load_rejects_missing_header(self, tmp_path):
         bad = tmp_path / "patterns.tsv"
         bad.write_text("p001\tC1C2C3\n", encoding="utf-8")
