@@ -14,7 +14,6 @@ import sys
 from pathlib import Path
 
 from .corpus import (
-    DEFAULT_SEED,
     CorpusSpec,
     generate_corpus,
     load_manifest,
@@ -29,8 +28,8 @@ from .search import BASELINE, ENGINES, EXPANDED, P2P_ADVANCED, Query
 DEFAULT_CORPUS_DIR = "corpus"
 DEFAULT_RESULTS_DIR = "results"
 
-_DEFAULT_PEERS = 4
-_DEFAULT_SUPERPEERS = 2
+# gen-corpus's defaults, and the peer counts it shrinks when none are given
+_DEFAULTS = CorpusSpec()
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -43,13 +42,13 @@ def _resolve_spec(args: argparse.Namespace) -> CorpusSpec:
     # extra flags. Explicit values are validated as-is.
     peers = args.peers
     if peers is None:
-        peers = max(k for k in range(1, _DEFAULT_PEERS + 1) if args.roots % k == 0)
+        peers = max(k for k in range(1, _DEFAULTS.peer_count + 1) if args.roots % k == 0)
     elif peers < 1:
         # checked here: roots_per_peer below divides by it
         raise CorpusSpecError(f"--peers must be at least 1, got {peers}")
     super_peers = args.super_peers
     if super_peers is None:
-        super_peers = max(m for m in range(1, _DEFAULT_SUPERPEERS + 1) if peers % m == 0)
+        super_peers = max(m for m in range(1, _DEFAULTS.superpeer_count + 1) if peers % m == 0)
     return CorpusSpec(
         root_count=args.roots,
         words_per_root=args.words_per_root,
@@ -109,7 +108,7 @@ def cmd_query(args: argparse.Namespace) -> int:
 def cmd_run_eval(args: argparse.Namespace) -> int:
     manifest = load_manifest(args.corpus)
     digest = manifest_digest(args.corpus)
-    engines = build_engines(manifest, args.engines, origin=args.origin)
+    engines = build_engines(manifest, args.engines)
     report = run_evaluation(manifest, engines, corpus_digest=digest)
     summary = write_report(report, args.out)
     print(f"corpus digest: {digest}")
@@ -149,9 +148,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("gen-corpus", help="generate the document corpus")
     gen.add_argument("--out", default=DEFAULT_CORPUS_DIR, help="corpus directory")
-    gen.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    gen.add_argument("--roots", type=int, default=100)
-    gen.add_argument("--words-per-root", type=int, default=100)
+    gen.add_argument("--seed", type=int, default=_DEFAULTS.seed)
+    gen.add_argument("--roots", type=int, default=_DEFAULTS.root_count)
+    gen.add_argument("--words-per-root", type=int, default=_DEFAULTS.words_per_root)
     gen.add_argument("--peers", type=int, default=None)
     gen.add_argument("--super-peers", type=int, default=None)
     gen.set_defaults(handler=cmd_gen_corpus)
@@ -167,7 +166,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--corpus", default=DEFAULT_CORPUS_DIR)
     run.add_argument("--out", default=DEFAULT_RESULTS_DIR)
     run.add_argument("--engines", nargs="+", choices=ENGINES, default=list(ENGINES))
-    run.add_argument("--origin", default="peer-1")
     run.set_defaults(handler=cmd_run_eval)
 
     report = sub.add_parser("report", help="render saved results side by side")

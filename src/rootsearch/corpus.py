@@ -30,10 +30,10 @@ immutable ``NamedTuple``s; ``CorpusManifest`` is a plain class whose
 groupings (lexicon, ``docs_by_root``, ``docs_by_peer``) are built on first
 use. ``load_manifest`` keeps a fast path: it builds every manifest row in
 one pass, sharing one string per distinct root and peer id, then checks the
-whole file at once (an empty field, a repeated doc id, a peer id the
-header's peer count does not name, a distinct root that
-``morphology.is_root`` rejects) and walks the rows only to name the line of
-a fault it found.
+whole file at once (an empty field, a repeated doc id, whitespace in a
+field, a peer id the header's peer count does not name, a distinct root
+that ``morphology.is_root`` rejects) by scans of sets and of the text, and
+walks the rows only to name the line of a fault it found.
 
 ``generate_corpus`` writes ``manifest.tsv`` last, after the bodies and
 ``queries.tsv``, so a run that fails on a body leaves no loadable manifest
@@ -91,6 +91,9 @@ ROOT_INVENTORY: tuple[str, ...] = ANCHOR_ROOTS + (
     "حرث", "لبس", "غسل", "مسح", "دفع", "جذب", "شهد", "برد", "نسي", "مشي",
     "جري", "بني", "سقي", "شفي", "غني", "عطي", "قوي", "قلل",
 )
+
+# every str.isspace() code point that splitlines() and the tab split leave in a field
+_FIELD_SPACES = "\x1f \xa0\u1680\u202f\u205f\u3000" + "".join(map(chr, range(0x2000, 0x200B)))
 
 # Appended, possibly repeatedly, when two roots derive the same surface form;
 # the later root's word gets the first unused variant.
@@ -324,7 +327,7 @@ def generate_corpus(
                 word = _disambiguate(word, used)
             used[word] = root
             words.append(word)
-        peer_id = f"peer-{root_index // spec.roots_per_peer + 1}"
+        peer_id = spec.peer_ids()[root_index // spec.roots_per_peer]
         for word in words:
             documents.append(
                 Document(f"d{doc_index:0{doc_width}d}", word, root, peer_id)
@@ -526,8 +529,11 @@ def _documents(
 
 
 def _bad_document(fields: list[str], peer_ids: tuple[str, ...]) -> str | None:
-    """Why a ``manifest.tsv`` row cannot be loaded: a root ``derive`` would
-    reject, or a peer id the header does not name."""
+    """Why a ``manifest.tsv`` row cannot be loaded: whitespace in its doc id
+    or word, a root ``derive`` would reject, or a peer id the header does not name."""
+    for name, value in zip(("doc id", "word"), fields):
+        if value.split() != [value]:
+            return f"{name} {value!r} holds whitespace"
     root, peer_id = fields[2:]
     if not is_root(root):
         return f"root {root!r} is not a normalized Arabic word of 3 or 4 letters"
@@ -561,11 +567,12 @@ def load_manifest(corpus_dir: str | Path) -> CorpusManifest:
             the query file's header fields differ from the manifest's,
             a row has the wrong field count or an empty field, a doc id or
             a query id repeats, the manifest holds no documents or a number
-            other than ``roots x words_per_root``, a row's root is not a
-            normalized Arabic word of 3 or 4 letters, a row's peer id is not
-            one of the header's ``peer-1..peer-N``, ``queries.tsv`` holds no
-            queries, a query word is not one Arabic word or a query root has
-            no documents; the message names the file, and the line if any.
+            other than ``roots x words_per_root``, a doc id or word holds
+            whitespace, a root is not a normalized Arabic word of 3 or 4
+            letters, a peer id is not one of the header's ``peer-1..peer-N``,
+            ``queries.tsv`` holds no queries, a query word is not one Arabic
+            word or a query root has no documents; the message names the
+            file, and the line if any.
     """
     corpus_dir = Path(corpus_dir)
     manifest_path = corpus_dir / MANIFEST_NAME
@@ -586,10 +593,11 @@ def load_manifest(corpus_dir: str | Path) -> CorpusManifest:
     known = spec.peer_ids()
     doc_ids = {doc.doc_id for doc in documents}
     # an empty doc id or peer id shows in these sets, an empty word or root
-    # as two adjacent tabs, and a root derive would reject among the distinct
-    # roots: one scan of the text, no pass over the rows
+    # as two adjacent tabs, whitespace in a field after the header line, and
+    # a root derive would reject among the distinct roots: no pass over the rows
+    spaced = any(manifest_text.find(c, len(manifest_lines[0])) >= 0 for c in _FIELD_SPACES)
     unsound = "" in doc_ids or "\t\t" in manifest_text or not peers.keys() <= set(known)
-    if unsound or not all(map(is_root, roots)) or len(doc_ids) != len(documents):
+    if unsound or spaced or not all(map(is_root, roots)) or len(doc_ids) != len(documents):
         _checked_rows(
             manifest_path, manifest_lines, MANIFEST, lambda row: _bad_document(row, known)
         )

@@ -13,6 +13,10 @@ means out again.
 Relevance is the generator's record, not a stemmer's: a document is
 relevant to a query iff its manifest root is the query row's root.
 
+An engine error is not recorded per query: it propagates out of
+``run_evaluation``, and ``run-eval`` writes no file, so ``failures`` is 0
+in every summary that gets written.
+
 Output files, both ``corpus.TsvFormat`` files written by
 ``corpus.write_tsv`` and read back by ``corpus.read_table``, with a
 header line (corpus digest, seed and pattern-file version; a results
@@ -22,7 +26,7 @@ file also names its engine) and a column line:
                           relevant_count, precision, recall,
                           peers_contacted ("-" for centralized engines)
     results/summary.tsv   engine, queries, mean_precision, mean_recall,
-                          failures
+                          failures (always 0)
 """
 from __future__ import annotations
 
@@ -32,7 +36,6 @@ from pathlib import Path
 from typing import Iterable, NamedTuple
 
 from .corpus import CorpusManifest, TsvFormat, write_tsv
-from .errors import RootSearchError
 from .index import IndexMode, InvertedIndex, build_index
 from .p2p import ENGINE_MODES, Overlay, build_overlay, p2p_search
 from .search import (
@@ -105,7 +108,6 @@ class EvalRecord(NamedTuple):
     precision: Fraction
     recall: Fraction
     peers_contacted: int | None
-    error: str | None = None
 
 
 def make_record(
@@ -114,7 +116,6 @@ def make_record(
     s_found: Iterable[str],
     s_relevant: Iterable[str],
     peers_contacted: int | None = None,
-    error: str | None = None,
 ) -> EvalRecord:
     """The record of one query: ``precision`` and ``recall`` as those
     functions define them, from one intersection of the two sets."""
@@ -129,33 +130,31 @@ def make_record(
         Fraction(hit, len(found)) if found else Fraction(0),
         Fraction(hit, len(relevant)) if relevant else Fraction(1),
         peers_contacted,
-        error,
     )
 
 
 class EvalReport:
     def __init__(
         self,
-        engine_names: tuple[str, ...],
         records: dict[str, tuple[EvalRecord, ...]],
         corpus_digest: str,
         seed: int,
         patterns_version: str,
     ) -> None:
-        self.engine_names = engine_names
         self.records = records
         self.corpus_digest = corpus_digest
         self.seed = seed
         self.patterns_version = patterns_version
+
+    @property
+    def engine_names(self) -> tuple[str, ...]:
+        return tuple(self.records)
 
     def mean_precision(self, engine: str) -> Fraction:
         return _mean(r.precision for r in self.records[engine])
 
     def mean_recall(self, engine: str) -> Fraction:
         return _mean(r.recall for r in self.records[engine])
-
-    def failures(self, engine: str) -> int:
-        return sum(1 for r in self.records[engine] if r.error is not None)
 
 
 class BaselineEngine:
@@ -239,27 +238,19 @@ def run_evaluation(
     """Run every manifest query through every engine.
 
     Each query is parsed as ``query`` parses it; its relevant documents are
-    those of the root its ``queries.tsv`` row records. Engine errors are
-    captured per record (empty found set, error message), not raised.
+    those of the root its ``queries.tsv`` row records. An engine error propagates.
     """
-    engines = list(engines)
     queries = [Query.parse(q.query_id, q.word) for q in manifest.queries]
     docs_by_root = manifest.docs_by_root
     relevant = [frozenset(docs_by_root.get(q.root, ())) for q in manifest.queries]
-    records: dict[str, tuple[EvalRecord, ...]] = {}
-    for engine in engines:
-        recs = []
-        for query, rel in zip(queries, relevant):
-            found, peers, error = (), None, None
-            try:
-                out = engine.run(query)
-                found, peers = out.result.found, out.peers_contacted
-            except RootSearchError as exc:
-                error = str(exc)
-            recs.append(make_record(query.query_id, query.raw, found, rel, peers, error))
-        records[engine.name] = tuple(recs)
+    records = {
+        engine.name: tuple(
+            make_record(q.query_id, q.raw, out.result.found, rel, out.peers_contacted)
+            for q, rel, out in zip(queries, relevant, map(engine.run, queries))
+        )
+        for engine in engines
+    }
     return EvalReport(
-        engine_names=tuple(e.name for e in engines),
         records=records,
         corpus_digest=corpus_digest,
         seed=manifest.spec.seed,
@@ -291,7 +282,7 @@ def write_report(report: EvalReport, out_dir: str | Path) -> list[str]:
         f"{engine}\t{len(report.records[engine])}"
         f"\t{fixed4(report.mean_precision(engine))}"
         f"\t{fixed4(report.mean_recall(engine))}"
-        f"\t{report.failures(engine)}"
+        "\t0"
         for engine in report.engine_names
     ]
     write_tsv(out_dir / "summary.tsv", SUMMARY, meta, summary)

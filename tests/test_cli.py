@@ -9,8 +9,15 @@ import pytest
 
 import rootsearch
 from rootsearch import evaluation
-from rootsearch.cli import EXIT_INFRASTRUCTURE, EXIT_OK, EXIT_VALIDATION, main
-from rootsearch.corpus import tree_digest
+from rootsearch.cli import (
+    EXIT_INFRASTRUCTURE,
+    EXIT_OK,
+    EXIT_VALIDATION,
+    _build_parser,
+    _resolve_spec,
+    main,
+)
+from rootsearch.corpus import CorpusSpec, tree_digest
 
 
 @pytest.fixture()
@@ -55,6 +62,12 @@ class TestGenCorpus:
         assert err == "error: --peers must be at least 1, got 0\n"
         assert not (tmp_path / "c").exists()
 
+    def test_defaults_are_the_default_spec(self):
+        parser = _build_parser()
+        assert _resolve_spec(parser.parse_args(["gen-corpus"])) == CorpusSpec()
+        small = _resolve_spec(parser.parse_args(["gen-corpus", "--roots", "4", "--words", "5"]))
+        assert (small.peer_count, small.superpeer_count) == (4, 2)
+
     def test_rerun_same_seed_byte_identical(self, tmp_path):
         for name in ("a", "b"):
             assert main(
@@ -70,6 +83,13 @@ class TestParser:
             main(["build-index"])
         assert exc.value.code == 2
         assert "invalid choice: 'build-index'" in capsys.readouterr().err
+
+    def test_run_eval_takes_no_origin(self, capsys):
+        # every query reaches every super-peer: the origin changes no result
+        with pytest.raises(SystemExit) as exc:
+            main(["run-eval", "--origin", "peer-1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --origin peer-1" in capsys.readouterr().err
 
 
 class TestQuery:
@@ -235,20 +255,6 @@ class TestRunEvalAndReport:
         capsys.readouterr()
         assert main(["report", "--results", str(results)]) == EXIT_OK
         assert capsys.readouterr().err == ""
-
-    @pytest.mark.parametrize("engines", [["baseline"], ["p2p-advanced"]])
-    def test_unknown_origin_rejected(self, micro_args, tmp_path, capsys, engines):
-        results = tmp_path / "results"
-        code = main(
-            ["run-eval", "--corpus", str(micro_args), "--out", str(results),
-             "--engines", *engines, "--origin", "peer-9"]
-        )
-        captured = capsys.readouterr()
-        assert code == EXIT_VALIDATION
-        assert captured.err == (
-            "error: unknown origin peer 'peer-9': the peers are peer-1..peer-2\n"
-        )
-        assert not results.exists()
 
     def test_rerun_byte_identical(self, micro_args, tmp_path):
         for name in ("r1", "r2"):
@@ -558,6 +564,25 @@ class TestCorpusLoadErrors:
         assert err == (
             f"error: {path}:3: root {root!r} is not a normalized Arabic word of 3 or 4 letters\n"
         )
+
+    @pytest.mark.parametrize(
+        "column,name", [(0, "doc id"), (1, "word")], ids=["doc-id", "word"]
+    )
+    @pytest.mark.parametrize("value", [" ", "\u00a0"], ids=["space", "no-break-space"])
+    def test_whitespace_doc_id_or_word_names_its_line(
+        self, micro_args, tmp_path, capsys, column, name, value
+    ):
+        path = micro_args / "manifest.tsv"
+        lines = path.read_text("utf-8").splitlines()
+        fields = lines[2].split("\t")
+        fields[column] = value
+        lines[2] = "\t".join(fields)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code = main(["run-eval", "--corpus", str(micro_args), "--out", str(tmp_path / "r")])
+        err = capsys.readouterr().err
+        assert code == EXIT_VALIDATION
+        assert err == f"error: {path}:3: {name} {value!r} holds whitespace\n"
+        assert not (tmp_path / "r").exists()
 
     @pytest.mark.parametrize(
         "word", ["\u064e", "kitab", "كتب جديد"], ids=["diacritic-only", "latin", "two-words"]

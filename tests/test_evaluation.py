@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from rootsearch.cli import EXIT_OK, main
+from rootsearch import cli
+from rootsearch.cli import EXIT_OK, EXIT_VALIDATION, main
 from rootsearch.corpus import load_manifest, manifest_digest, tree_digest
 from rootsearch.errors import UnknownRoot
 from rootsearch.evaluation import (
@@ -143,8 +144,10 @@ class TestRunEvaluation:
         assert by_query[BASELINE] == by_query[P2P_SIMPLE]
         assert by_query[EXPANDED] == by_query[P2P_ADVANCED]
 
-    def test_engine_error_recorded_not_raised(self, micro_corpus):
-        _, manifest = micro_corpus
+    def test_engine_error_propagates_and_run_eval_writes_nothing(
+        self, micro_corpus, tmp_path, capsys, monkeypatch
+    ):
+        corpus_dir, manifest = micro_corpus
 
         class FailingEngine:
             name = "baseline"
@@ -152,11 +155,17 @@ class TestRunEvaluation:
             def run(self, query):
                 raise UnknownRoot(query.normalized)
 
-        report = run_evaluation(manifest, [FailingEngine()])
-        records = report.records["baseline"]
-        assert all(r.error is not None for r in records)
-        assert all(r.s_found == frozenset() for r in records)
-        assert report.failures("baseline") == len(manifest.queries)
+        with pytest.raises(UnknownRoot):
+            run_evaluation(manifest, [FailingEngine()])
+        monkeypatch.setattr(cli, "build_engines", lambda *args: [FailingEngine()])
+        results = tmp_path / "results"
+        code = main(["run-eval", "--corpus", str(corpus_dir), "--out", str(results)])
+        captured = capsys.readouterr()
+        assert code == EXIT_VALIDATION
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+        assert not results.exists()
 
     def test_hand_vocalized_query_evaluates_like_the_bare_word(
         self, micro_corpus, micro_report, tmp_path
@@ -198,7 +207,6 @@ class TestRunEvaluation:
         query = Query.parse(query_id, "فه")
         for engine in engines:
             record = report.records[engine.name][0]
-            assert record.error is None, engine.name
             assert record.s_relevant == frozenset(manifest.docs_by_root[root]), engine.name
             if engine.name in (EXPANDED, P2P_ADVANCED):
                 assert engine.run(query).result.degraded, engine.name
