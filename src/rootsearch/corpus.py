@@ -33,7 +33,10 @@ one pass, sharing one string per distinct root and peer id, then checks the
 whole file at once (an empty field, a repeated doc id, whitespace in a
 field, a peer id the header's peer count does not name, a distinct root
 that ``morphology.is_root`` rejects) by scans of sets and of the text, and
-walks the rows only to name the line of a fault it found.
+walks the rows only to name the line of a fault it found. It builds the
+lexicon before it returns, so a word filed under two roots is named by its
+line too. ``load_patterns`` reads the template file, ``PATTERNS``, through
+``read_table``.
 
 ``generate_corpus`` writes ``manifest.tsv`` last, after the bodies and
 ``queries.tsv``, so a run that fails on a body leaves no loadable manifest
@@ -53,7 +56,8 @@ from pathlib import Path
 from typing import Callable, Iterable, NamedTuple, TypeVar
 
 from .errors import CorpusSpecError, EmptyAfterNormalization, InsufficientRoots, PatternCollision
-from .morphology import PatternInventory, RootLexicon, derive, extract_root, is_root, load_patterns
+from .morphology import DerivationPattern, PatternInventory, RootLexicon, bad_template
+from .morphology import derive, extract_root, is_root
 from .normalize import normalize
 
 DEFAULT_SEED = 2011
@@ -159,6 +163,7 @@ class TsvFormat(NamedTuple):
 
 MANIFEST = TsvFormat("# rootsearch-manifest v1", Document._fields, "documents")
 QUERIES = TsvFormat("# rootsearch-queries v1", QueryEntry._fields, "queries")
+PATTERNS = TsvFormat("# rootsearch-patterns v1", DerivationPattern._fields, "patterns")
 
 
 DocIds = tuple[str, ...]
@@ -285,8 +290,9 @@ def generate_corpus(
     """Generate documents, manifest and query set under ``out_dir``.
 
     Raises:
-        CorpusSpecError: a spec invariant is violated, or more words per
-            root were requested than the template inventory can supply.
+        CorpusSpecError: a spec invariant is violated, the packaged pattern
+            file fails ``load_patterns``, or more words per root were
+            requested than the template inventory can supply.
         InsufficientRoots: the root pool is shorter than ``root_count``.
         PatternCollision: a template pair produced the same surface form
             for one root (a broken template set).
@@ -500,6 +506,31 @@ def read_table(
     return fields, rows
 
 
+def load_patterns(path: str | Path | None = None) -> PatternInventory:
+    """The template inventory in the ``PATTERNS`` file ``path``, or in the
+    packaged ``data/patterns.tsv``; its version is the magic's last word.
+
+    Raises:
+        CorpusSpecError: ``read_table`` rejects the file, or a template
+            fails ``morphology.bad_template`` or repeats an earlier row's;
+            naming the file, and the line if any.
+    """
+    path = Path(__file__).with_name("data") / "patterns.tsv" if path is None else Path(path)
+    # each template -> the id of the row that holds it first
+    first_id: dict[str, str] = {}
+
+    def check(fields: list[str]) -> str | None:
+        pattern_id, template = fields
+        first = first_id.setdefault(template, pattern_id)
+        if first != pattern_id:
+            return f"template {template!r} repeats pattern {first}"
+        return bad_template(template)
+
+    _, rows = read_table(path, PATTERNS, check=check)
+    version = PATTERNS.magic.split()[-1]
+    return PatternInventory(version, tuple(DerivationPattern(*row) for row in rows))
+
+
 def _documents(
     path: Path, lines: list[str]
 ) -> tuple[list[Document], dict[str, str], dict[str, str]]:
@@ -542,6 +573,14 @@ def _bad_document(fields: list[str], peer_ids: tuple[str, ...]) -> str | None:
     return None
 
 
+def _second_root(fields: list[str], root_of: dict[str, str]) -> str | None:
+    """Why a ``manifest.tsv`` row cannot be filed: ``root_of``, the root of
+    each word on the rows before it, files its word under another root."""
+    _, word, root, _ = fields
+    first = root_of.setdefault(word, root)
+    return None if first == root else f"word {word!r} has two roots: {first!r} and {root!r}"
+
+
 def _bad_query(fields: list[str], roots: dict[str, str]) -> str | None:
     """Why a ``queries.tsv`` row cannot be run: a word ``Query.parse``
     rejects (not one token, not Arabic, or nothing left after
@@ -571,8 +610,9 @@ def load_manifest(corpus_dir: str | Path) -> CorpusManifest:
             whitespace, a root is not a normalized Arabic word of 3 or 4
             letters, a peer id is not one of the header's ``peer-1..peer-N``,
             ``queries.tsv`` holds no queries, a query word is not one Arabic
-            word or a query root has no documents; the message names the
-            file, and the line if any.
+            word, a query root has no documents, or a word is filed under
+            two roots (found as the lexicon is built, before the return);
+            the message names the file, and the line if any.
     """
     corpus_dir = Path(corpus_dir)
     manifest_path = corpus_dir / MANIFEST_NAME
@@ -610,13 +650,23 @@ def load_manifest(corpus_dir: str | Path) -> CorpusManifest:
     _, rows = read_table(
         corpus_dir / QUERIES_NAME, QUERIES, fields, lambda row: _bad_query(row, roots)
     )
-    return CorpusManifest(
+    manifest = CorpusManifest(
         spec=spec,
         documents=tuple(documents),
         roots=tuple(sorted(roots)),
         queries=tuple(QueryEntry(*row) for row in rows),
         patterns_version=patterns_version,
     )
+    # the text is freed before the lexicon is built, and read again only to name a bad line
+    del manifest_text, manifest_lines
+    try:
+        manifest.lexicon
+    except ValueError:
+        seen: dict[str, str] = {}
+        lines = manifest_path.read_text("utf-8").splitlines()
+        _checked_rows(manifest_path, lines, MANIFEST, lambda row: _second_root(row, seen))
+        raise
+    return manifest
 
 
 def relevant_set(word: str, manifest: CorpusManifest) -> frozenset[str]:

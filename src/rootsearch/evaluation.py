@@ -4,8 +4,8 @@ Per query: precision = |relevant ∩ found| / |found| and
 recall = |relevant ∩ found| / |relevant|, held as exact fractions and only
 rendered to 4 decimal places on output, in integer arithmetic. Conventions
 for the empty cases: an empty found set gives precision 0, an empty
-relevant set gives recall 1. Each engine's means are exact too: summed in
-integers over one common denominator. ``EvalRecord`` is an immutable
+relevant set gives recall 1. Each engine's means are exact too: ``Fraction``
+sums divided by the query count. ``EvalRecord`` is an immutable
 ``NamedTuple`` and ``EvalReport`` a plain class; ``write_report`` returns
 the summary table it wrote, so ``run-eval`` prints it without working the
 means out again.
@@ -30,7 +30,6 @@ file also names its engine) and a column line:
 """
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, NamedTuple
@@ -87,19 +86,6 @@ def fixed4(value: Fraction) -> str:
     return f"{scaled // 10000}.{scaled % 10000:04d}"
 
 
-def _mean(values: Iterable[Fraction]) -> Fraction:
-    """The exact mean of ``values``: their numerators are summed in integers
-    over the least common denominator, and one Fraction is built at the end.
-
-    Raises:
-        ZeroDivisionError: ``values`` is empty.
-    """
-    values = list(values)
-    common = math.lcm(*(v.denominator for v in values))
-    total = sum(v.numerator * (common // v.denominator) for v in values)
-    return Fraction(total, common * len(values))
-
-
 class EvalRecord(NamedTuple):
     query_id: str
     word: str
@@ -151,10 +137,12 @@ class EvalReport:
         return tuple(self.records)
 
     def mean_precision(self, engine: str) -> Fraction:
-        return _mean(r.precision for r in self.records[engine])
+        records = self.records[engine]
+        return sum((r.precision for r in records), Fraction(0)) / len(records)
 
     def mean_recall(self, engine: str) -> Fraction:
-        return _mean(r.recall for r in self.records[engine])
+        records = self.records[engine]
+        return sum((r.recall for r in records), Fraction(0)) / len(records)
 
 
 class BaselineEngine:

@@ -6,8 +6,9 @@ one ``C1``/``C2``/... slot per root consonant plus fixed prefix, infix and
 suffix letters, e.g. template ``يC1C2C3ون`` applied to لعب yields يلعبون.
 ``derive`` is the one template fill, behind its root and arity checks;
 ``is_root`` is the one rule for what a root is, which ``corpus`` also
-applies to every root a manifest records. ``load_patterns`` names the file
-and line of a bad template record.
+applies to every root a manifest records; ``bad_template`` is the one rule
+for what a template is, which ``corpus.load_patterns`` applies to every row
+of the pattern file. This module reads no files.
 
 Root resolution is lexicon-first: the corpus manifest records every
 generated word's root, and the lexicon is built once from those (word,
@@ -19,8 +20,6 @@ from __future__ import annotations
 
 import re
 from collections import defaultdict
-from importlib import resources
-from pathlib import Path
 from typing import Iterable, NamedTuple
 
 from .errors import ArityMismatch, UnknownRoot
@@ -91,53 +90,15 @@ class PatternInventory:
         return len(self.patterns)
 
 
-def _validate_pattern(pattern: DerivationPattern) -> None:
-    slots = sorted({int(m) for m in _SLOT.findall(pattern.template)})
+def bad_template(template: str) -> str | None:
+    """Why ``template`` cannot derive words: it has no ``C<n>`` slot, or its
+    slots are not numbered 1..n; None if it can."""
+    slots = sorted({int(m) for m in _SLOT.findall(template)})
     if not slots:
-        raise ValueError(f"pattern {pattern.pattern_id}: no consonant slots")
+        return f"template {template!r} has no consonant slots"
     if slots != list(range(1, slots[-1] + 1)):
-        raise ValueError(f"pattern {pattern.pattern_id}: slot numbering has gaps")
-
-
-def load_patterns(path: str | Path | None = None) -> PatternInventory:
-    """Load the template inventory from ``path`` or the packaged data file.
-
-    File format: a ``# rootsearch-patterns <version>`` header line, then one
-    ``id TAB template`` record per line, UTF-8.
-
-    Raises:
-        ValueError: the header line is missing, a record is not two
-            tab-separated fields, a pattern id or a template repeats, or a
-            template's slots are missing or numbered with gaps; naming the
-            file and line.
-    """
-    source = (
-        resources.files("rootsearch") / "data/patterns.tsv" if path is None else Path(path)
-    )
-    lines = source.read_text("utf-8").splitlines()
-    if not lines or not lines[0].startswith("# rootsearch-patterns "):
-        raise ValueError(f"{source}:1: malformed pattern file: missing version header")
-    version = lines[0].split()[-1]
-    patterns = []
-    # each pattern id and template -> the line that holds it first
-    first_line: dict[tuple[str, str], int] = {}
-    for lineno, line in enumerate(lines[1:], 2):
-        if not line.strip():
-            continue
-        fields = line.split("\t")
-        try:
-            if len(fields) != 2:
-                raise ValueError(f"expected 2 tab-separated fields, got {len(fields)}")
-            pattern = DerivationPattern(*fields)
-            for key in zip(("pattern id", "template"), fields):
-                if key in first_line:
-                    raise ValueError(f"{key[0]} {key[1]!r} repeats line {first_line[key]}")
-                first_line[key] = lineno
-            _validate_pattern(pattern)
-        except ValueError as err:
-            raise ValueError(f"{source}:{lineno}: {err}") from None
-        patterns.append(pattern)
-    return PatternInventory(version, tuple(patterns))
+        return f"template {template!r} numbers its slots with gaps"
+    return None
 
 
 def is_root(root: str) -> bool:

@@ -34,7 +34,8 @@ node reads. All terms of one query share its root, which is why the default
 block assignment forwards to exactly one peer.
 
 The loop logs plain tuples and types them as ``OverlayMessage``s once, at
-the end.
+the end. A message's number is its place in the log: ``format_message_log``
+numbers the lines 1..n.
 """
 from __future__ import annotations
 
@@ -69,7 +70,6 @@ def merge(parts: Iterable[DocIds]) -> DocIds:
 
 
 class OverlayMessage(NamedTuple):
-    seq: int
     kind: str
     src: str
     dst: str
@@ -159,19 +159,18 @@ def p2p_search(query: Query, overlay: Overlay, origin: str) -> SearchOutcome:
         key = query.normalized
         terms, expanded, degraded = (key,), (), False
 
-    # (seq, kind, src, dst, payload) tuples, typed as OverlayMessages at the end
-    log = [(1, KIND_QUERY_UP, origin, parent, terms)]
+    # (kind, src, dst, payload) tuples, typed as OverlayMessages at the end
+    log = [(KIND_QUERY_UP, origin, parent, terms)]
     send = log.append
-    seq = 1
     # super-peer id -> (requester, number of answers expected, answers so far)
     gather: dict[str, tuple[str, int, list[DocIds]]] = {}
     # peers are handed only QUERY_FORWARDs, at most one each (one parent, one QUERY_UP)
     contacted = 0
     # the branches append to the log while it is walked, so this drains the queue
-    for _seq, kind, src, dst, payload in log:
+    for kind, src, dst, payload in log:
         if kind == KIND_QUERY_FORWARD:
             contacted += 1
-            send((seq := seq + 1, KIND_RESULTS_BACK, dst, src, peers[dst].get(key, ())))
+            send((KIND_RESULTS_BACK, dst, src, peers[dst].get(key, ())))
         elif kind == KIND_QUERY_UP:
             # from the origin peer, or flooded over from a sibling
             targets = routes[dst].get(key, ())
@@ -180,26 +179,27 @@ def p2p_search(query: Query, overlay: Overlay, origin: str) -> SearchOutcome:
             if expected:
                 gather[dst] = (src, expected, [])
             else:
-                send((seq := seq + 1, KIND_RESULTS_BACK, dst, src, ()))
+                send((KIND_RESULTS_BACK, dst, src, ()))
             for child in targets:
-                send((seq := seq + 1, KIND_QUERY_FORWARD, dst, child, terms))
+                send((KIND_QUERY_FORWARD, dst, child, terms))
             for sibling in siblings:
-                send((seq := seq + 1, KIND_QUERY_UP, dst, sibling, terms))
+                send((KIND_QUERY_UP, dst, sibling, terms))
         elif dst != origin:
             # into a super-peer's gather; the origin's one RESULTS_BACK is the last message
             requester, expected, parts = gather[dst]
             parts.append(payload)
             if len(parts) == expected:
                 answer = merge(parts) if expected > 1 else payload
-                send((seq := seq + 1, KIND_RESULTS_BACK, dst, requester, answer))
+                send((KIND_RESULTS_BACK, dst, requester, answer))
 
-    result = tuple.__new__(SearchResult, (log[-1][4], expanded, degraded))
+    result = tuple.__new__(SearchResult, (log[-1][3], expanded, degraded))
     messages = tuple(map(tuple.__new__, repeat(OverlayMessage), log))
     return tuple.__new__(SearchOutcome, (result, messages, contacted))
 
 
 def format_message_log(messages: tuple[OverlayMessage, ...]) -> str:
-    """One ``seq TAB kind TAB from TAB to TAB payload_size`` line per message."""
+    """One ``number TAB kind TAB from TAB to TAB payload_size`` line per message, from 1."""
     return "".join(
-        f"{m.seq}\t{m.kind}\t{m.src}\t{m.dst}\t{len(m.payload)}\n" for m in messages
+        f"{seq}\t{m.kind}\t{m.src}\t{m.dst}\t{len(m.payload)}\n"
+        for seq, m in enumerate(messages, 1)
     )

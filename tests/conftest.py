@@ -6,10 +6,9 @@ import random
 
 import pytest
 
-from rootsearch.corpus import CorpusSpec, generate_corpus, manifest_digest
+from rootsearch.corpus import CorpusSpec, generate_corpus, load_patterns, manifest_digest
 from rootsearch.evaluation import build_engines, run_evaluation
 from rootsearch.index import IndexMode, build_index
-from rootsearch.morphology import load_patterns
 from rootsearch.p2p import build_overlay
 
 MICRO_SPEC = CorpusSpec(

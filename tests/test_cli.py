@@ -17,7 +17,11 @@ from rootsearch.cli import (
     _resolve_spec,
     main,
 )
-from rootsearch.corpus import CorpusSpec, tree_digest
+from rootsearch.corpus import CorpusSpec, load_manifest, tree_digest
+from rootsearch.index import IndexMode
+from rootsearch.p2p import build_overlay
+from rootsearch.search import Query
+from tests.test_p2p import reference_p2p_search
 
 
 @pytest.fixture()
@@ -123,6 +127,21 @@ class TestQuery:
         assert "found (3):" in out
         assert "peers contacted: 1" in out
         assert "QUERY_UP" in out and "RESULTS_BACK" in out
+
+    def test_message_block_is_the_reference_log_numbered_from_1(self, micro_args, capsys):
+        word = self._word(micro_args)
+        code = main(
+            ["query", word, "--corpus", str(micro_args),
+             "--engine", "p2p-advanced", "--origin", "peer-2"]
+        )
+        out = capsys.readouterr().out
+        assert code == EXIT_OK
+        overlay = build_overlay(load_manifest(micro_args), IndexMode.ADVANCED)
+        log = reference_p2p_search(Query.parse("cli", word), overlay, "peer-2").messages
+        block = "".join(
+            f"{n}\t{m.kind}\t{m.src}\t{m.dst}\t{len(m.payload)}\n" for n, m in enumerate(log, 1)
+        )
+        assert out[out.index("messages:\n"):] == "messages:\n" + block
 
     def test_unknown_root_warns_but_succeeds(self, micro_args, capsys):
         code = main(["query", "فه", "--corpus", str(micro_args), "--engine", "expanded"])
@@ -582,6 +601,20 @@ class TestCorpusLoadErrors:
         err = capsys.readouterr().err
         assert code == EXIT_VALIDATION
         assert err == f"error: {path}:3: {name} {value!r} holds whitespace\n"
+        assert not (tmp_path / "r").exists()
+
+    def test_word_under_two_roots_names_the_later_line(self, micro_args, tmp_path, capsys):
+        path = micro_args / "manifest.tsv"
+        lines = path.read_text("utf-8").splitlines()
+        _, word, root, _ = lines[2].split("\t")
+        fields = lines[5].split("\t")
+        other, fields[1] = fields[2], word
+        lines[5] = "\t".join(fields)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code = main(["run-eval", "--corpus", str(micro_args), "--out", str(tmp_path / "r")])
+        err = capsys.readouterr().err
+        assert code == EXIT_VALIDATION
+        assert err == f"error: {path}:6: word {word!r} has two roots: {root!r} and {other!r}\n"
         assert not (tmp_path / "r").exists()
 
     @pytest.mark.parametrize(

@@ -5,8 +5,11 @@ import shutil
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rootsearch.corpus import (
+    _FIELD_SPACES,
     ANCHOR_ROOTS,
     CorpusSpec,
     MANIFEST_NAME,
@@ -24,7 +27,7 @@ from rootsearch.errors import (
     PatternCollision,
     UnknownRoot,
 )
-from rootsearch.morphology import DerivationPattern, PatternInventory
+from rootsearch.morphology import DerivationPattern, PatternInventory, is_root
 from tests.conftest import MICRO_SPEC
 
 
@@ -398,3 +401,90 @@ class TestLoadManifest:
         with pytest.raises(CorpusSpecError) as info:
             load_manifest(tmp_path / "c")
         assert str(info.value) == f"{path}:4: query id {query_id!r} repeats line 2"
+
+
+# a field of one line: no tab, and nothing splitlines() breaks a line at
+_cells = st.text(
+    st.characters(
+        blacklist_categories=("Cs",),
+        blacklist_characters="\t\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029",
+    ),
+    min_size=1,
+    max_size=6,
+)
+_FAULTS = (
+    "none", "field-count", "empty-field", "whitespace", "repeated-doc-id",
+    "bad-root", "bad-peer", "two-roots",
+)
+
+
+@st.composite
+def _manifest_faults(draw, documents, peer_ids):
+    """The rows of ``documents``, split into fields, with one fault of a
+    drawn kind at a drawn row, and the line the error must name (None for
+    no fault)."""
+    rows = [list(doc) for doc in documents]
+    kind = draw(st.sampled_from(_FAULTS))
+    if kind == "none":
+        return rows, None
+    i = draw(st.integers(1 if kind == "repeated-doc-id" else 0, len(rows) - 1))
+    line = i + 2
+    fields = rows[i]
+    if kind == "field-count":
+        width = draw(st.sampled_from([1, 2, 3, 5, 6]))
+        rows[i] = (fields + draw(st.lists(_cells, min_size=2, max_size=2)))[:width]
+    elif kind == "empty-field":
+        fields[draw(st.integers(0, 3))] = ""
+    elif kind == "whitespace":
+        column = draw(st.integers(0, 1))
+        at = draw(st.integers(0, len(fields[column])))
+        space = draw(st.sampled_from(_FIELD_SPACES))
+        fields[column] = fields[column][:at] + space + fields[column][at:]
+    elif kind == "repeated-doc-id":
+        fields[0] = rows[draw(st.integers(0, i - 1))][0]
+    elif kind == "bad-root":
+        fields[2] = draw(_cells.filter(lambda cell: not is_root(cell)))
+    elif kind == "bad-peer":
+        fields[3] = draw(_cells.filter(lambda cell: cell not in peer_ids))
+    else:  # two-roots: the word of a row filed under another root
+        j = draw(st.sampled_from([j for j, row in enumerate(rows) if row[2] != fields[2]]))
+        fields[1] = rows[j][1]
+        line = max(i, j) + 2
+    return rows, line
+
+
+class TestLoadManifestFaults:
+    """``load_manifest`` finds faults by scans of sets and of the text, and
+    names their line with ``_checked_rows``: the two agree on one fault of
+    each kind at any row of the micro corpus, and on none."""
+
+    @pytest.fixture(scope="class")
+    def corpus(self, micro_corpus, tmp_path_factory):
+        corpus_dir, manifest = micro_corpus
+        copy = tmp_path_factory.mktemp("micro-faults") / "c"
+        shutil.copytree(corpus_dir, copy)
+        header = (copy / MANIFEST_NAME).read_text("utf-8").splitlines()[0]
+        return copy, manifest, header
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_a_fault_is_named_by_its_line(self, corpus, data):
+        corpus_dir, manifest, header = corpus
+        path = corpus_dir / MANIFEST_NAME
+        rows, line = data.draw(
+            _manifest_faults(manifest.documents, manifest.spec.peer_ids()), label="fault"
+        )
+        path.write_text(
+            "\n".join([header, *("\t".join(row) for row in rows)]) + "\n", encoding="utf-8"
+        )
+        if line is None:
+            loaded = load_manifest(corpus_dir)
+            assert loaded.spec == manifest.spec
+            assert loaded.documents == manifest.documents
+            assert loaded.queries == manifest.queries
+            assert loaded.roots == manifest.roots
+            assert loaded.patterns_version == manifest.patterns_version
+            return
+        with pytest.raises(CorpusSpecError) as info:
+            load_manifest(corpus_dir)
+        assert str(info.value).startswith(f"{path}:{line}: ")

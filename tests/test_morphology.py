@@ -2,15 +2,15 @@
 
 import pytest
 
-from rootsearch.corpus import ROOT_INVENTORY
-from rootsearch.errors import ArityMismatch, UnknownRoot
+from rootsearch.corpus import ROOT_INVENTORY, load_patterns
+from rootsearch.errors import ArityMismatch, CorpusSpecError, UnknownRoot
 from rootsearch.morphology import (
     DerivationPattern,
     RootLexicon,
+    bad_template,
     derive,
     extract_root,
     light_stem,
-    load_patterns,
 )
 from rootsearch.normalize import normalize
 
@@ -34,45 +34,57 @@ class TestPatternInventory:
         assert all(p.arity == 3 for p in patterns.patterns)
 
     def test_rejects_gapped_or_missing_slots(self):
-        from rootsearch.morphology import _validate_pattern
-
-        with pytest.raises(ValueError):
-            _validate_pattern(DerivationPattern("px", "C1C3"))
-        with pytest.raises(ValueError):
-            _validate_pattern(DerivationPattern("px", "ابت"))
+        assert bad_template("C1C3") == "template 'C1C3' numbers its slots with gaps"
+        assert bad_template("ابت") == "template 'ابت' has no consonant slots"
+        assert bad_template("يC1C2C3C4") is None
 
     def test_load_rejects_duplicate_templates(self, tmp_path):
         bad = tmp_path / "patterns.tsv"
         bad.write_text(
-            "# rootsearch-patterns v0\np001\tC1C2C3\np002\tC1C2C3\n",
+            "# rootsearch-patterns v1\np001\tC1C2C3\np002\tC1C2C3\n",
             encoding="utf-8",
         )
-        with pytest.raises(ValueError):
+        with pytest.raises(CorpusSpecError):
             load_patterns(bad)
 
     @pytest.mark.parametrize(
         "records, message",
         [
-            ("p001\tC1C2C3\np002C1C2C3\n", "3: expected 2 tab-separated fields, got 1"),
-            ("p001\tC1C2C3\tx\n", "2: expected 2 tab-separated fields, got 3"),
-            ("p001\tC1C2C3\n\np001\tC1C2C3ون\n", "4: pattern id 'p001' repeats line 2"),
-            ("p001\tC1C2C3\np002\tC1C2C3\n", "3: template 'C1C2C3' repeats line 2"),
-            ("p001\tC1C3\n", "2: pattern p001: slot numbering has gaps"),
+            ("p001\tC1C2C3\np002C1C2C3\n", ":3: expected 2 tab-separated fields, got 1"),
+            ("p001\tC1C2C3\tx\n", ":2: expected 2 tab-separated fields, got 3"),
+            ("p001\tC1C2C3\n\np001\tC1C2C3ون\n", ":4: pattern id 'p001' repeats line 2"),
+            ("p001\tC1C2C3\np002\tC1C2C3\n", ":3: template 'C1C2C3' repeats pattern p001"),
+            ("p001\tC1C3\n", ":2: template 'C1C3' numbers its slots with gaps"),
+            ("p001\tC1C2C3\n\tC1C2اC3\n", ":3: empty pattern id field"),
+            ("", ": no patterns after the header line"),
         ],
-        ids=["no-tab", "three-fields", "repeated-id", "repeated-template", "slot-gap"],
+        ids=[
+            "no-tab", "three-fields", "repeated-id", "repeated-template", "slot-gap",
+            "empty-id", "header-only",
+        ],
     )
     def test_load_errors_name_file_and_line(self, tmp_path, records, message):
         bad = tmp_path / "patterns.tsv"
-        bad.write_text("# rootsearch-patterns v0\n" + records, encoding="utf-8")
-        with pytest.raises(ValueError) as info:
+        bad.write_text("# rootsearch-patterns v1\n" + records, encoding="utf-8")
+        with pytest.raises(CorpusSpecError) as info:
             load_patterns(bad)
-        assert str(info.value) == f"{bad}:{message}"
+        assert str(info.value) == f"{bad}{message}"
 
     def test_load_rejects_missing_header(self, tmp_path):
         bad = tmp_path / "patterns.tsv"
         bad.write_text("p001\tC1C2C3\n", encoding="utf-8")
-        with pytest.raises(ValueError):
+        with pytest.raises(CorpusSpecError) as info:
             load_patterns(bad)
+        assert str(info.value).startswith(f"{bad}:1: expected header '# rootsearch-patterns v1'")
+
+    def test_load_rejects_another_version(self, tmp_path):
+        bad = tmp_path / "patterns.tsv"
+        bad.write_text("# rootsearch-patterns v2\np001\tC1C2C3\n", encoding="utf-8")
+        with pytest.raises(CorpusSpecError) as info:
+            load_patterns(bad)
+        assert str(info.value) == (
+            f"{bad}:1: expected header '# rootsearch-patterns v1', got '# rootsearch-patterns v2'"
+        )
 
 
 class TestDerive:

@@ -321,9 +321,11 @@ class TestMessageLog:
         return p2p_search(Query.parse(entry.query_id, entry.word), overlay_advanced, "peer-4")
 
     def test_sequence_numbers_are_dense(self, outcome):
-        assert [m.seq for m in outcome.messages] == list(
-            range(1, len(outcome.messages) + 1)
-        )
+        # a message's number is its place in the log, printed from 1
+        lines = format_message_log(outcome.messages).splitlines()
+        assert [line.split("\t")[0] for line in lines] == [
+            str(n) for n in range(1, len(outcome.messages) + 1)
+        ]
 
     def test_every_results_back_answers_a_prior_request(self, outcome):
         for i, msg in enumerate(outcome.messages):
@@ -439,7 +441,7 @@ class _ReferenceTransport:
         self.log = []
 
     def send(self, kind, src, dst, payload):
-        self.log.append(OverlayMessage(len(self.log) + 1, kind, src, dst, payload))
+        self.log.append(OverlayMessage(kind, src, dst, payload))
 
 
 def _reference_keys(payload, overlay):
@@ -509,10 +511,10 @@ def _striped(manifest):
 
 
 class TestReferenceRouter:
-    """``p2p_search`` against the reference router: every message's seq,
-    kind, src, dst and payload, the answer, its expansion terms, whether it
-    degraded and the peers contacted, which the golden digest does not all
-    cover."""
+    """``p2p_search`` against the reference router: every message's place in
+    the log, kind, src, dst and payload, the answer, its expansion terms,
+    whether it degraded and the peers contacted, which the golden digest does
+    not all cover."""
 
     @staticmethod
     def _assert_same_outcomes(words, overlays):
