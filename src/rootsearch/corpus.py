@@ -41,7 +41,8 @@ line too. ``load_patterns`` reads the template file, ``PATTERNS``, through
 ``generate_corpus`` writes ``manifest.tsv`` last, after the bodies and
 ``queries.tsv``, so a run that fails on a body leaves no loadable manifest
 in a fresh directory. ``gc_paused`` keeps the cyclic garbage collector off
-during the bulk builds, here and in ``index`` and ``p2p``.
+during the bulk builds, here and in ``index`` and ``p2p``; in a CLI process
+``cli.entry`` keeps it off throughout.
 """
 from __future__ import annotations
 
@@ -184,6 +185,10 @@ def gc_paused(build: _Build) -> _Build:
     hundreds of young collections and a full one over a 100,000-document
     build and finds nothing to free. The pause is process-wide: rootsearch
     is single-threaded, so no other thread's allocations go uncollected.
+
+    This pause owns the collector only for in-process callers (``cli.main``,
+    tests, benchmarks); in a CLI process ``cli.entry`` keeps it off
+    throughout, so the pause does nothing there.
     """
 
     @wraps(build)
@@ -474,6 +479,20 @@ def _checked_rows(
     return rows
 
 
+def _read_text(path: Path) -> str:
+    """The text of ``path``; a byte that is not UTF-8 raises CorpusSpecError
+    naming the file and the byte's line."""
+    try:
+        return path.read_text("utf-8")
+    except UnicodeDecodeError as err:
+        # the decoder had the whole file, so err.start is a file offset; "?"
+        # stands in for the bad byte, which counts a line it opens
+        lineno = len((err.object[: err.start].decode("utf-8") + "?").splitlines())
+        raise CorpusSpecError(
+            f"{path}:{lineno}: not UTF-8: byte {err.object[err.start]:#04x} ({err.reason})"
+        ) from None
+
+
 def read_table(
     path: Path,
     fmt: TsvFormat,
@@ -488,10 +507,10 @@ def read_table(
             and column line, its header fields are not ``header`` (when
             given), a row's field count is not ``fmt``'s, a row holds an
             empty field, a row's first field repeats, ``check(fields)``
-            returns a message for a row, or no row follows the header;
-            naming the file, and the line if any.
+            returns a message for a row, no row follows the header, or a
+            byte is not UTF-8; naming the file, and the line if any.
     """
-    lines = path.read_text("utf-8").splitlines()
+    lines = _read_text(path).splitlines()
     fields = _parse_header(lines, path, fmt)
     if header is not None and fields != header:
         key = next(k for k in {**header, **fields} if fields.get(k) != header.get(k))
@@ -600,8 +619,8 @@ def load_manifest(corpus_dir: str | Path) -> CorpusManifest:
     """Reload a generated corpus from its manifest and query files.
 
     Raises:
-        CorpusSpecError: a file is empty or does not start with its
-            header line, the manifest header lacks a field, holds a
+        CorpusSpecError: a file is not UTF-8, is empty or does not start
+            with its header line, the manifest header lacks a field, holds a
             non-integer count or counts that ``CorpusSpec.validate`` rejects,
             the query file's header fields differ from the manifest's,
             a row has the wrong field count or an empty field, a doc id or
@@ -616,7 +635,7 @@ def load_manifest(corpus_dir: str | Path) -> CorpusManifest:
     """
     corpus_dir = Path(corpus_dir)
     manifest_path = corpus_dir / MANIFEST_NAME
-    manifest_text = manifest_path.read_text("utf-8")
+    manifest_text = _read_text(manifest_path)
     manifest_lines = manifest_text.splitlines()
     fields = _parse_header(manifest_lines, manifest_path, MANIFEST)
     spec = CorpusSpec(**{
@@ -663,7 +682,7 @@ def load_manifest(corpus_dir: str | Path) -> CorpusManifest:
         manifest.lexicon
     except ValueError:
         seen: dict[str, str] = {}
-        lines = manifest_path.read_text("utf-8").splitlines()
+        lines = _read_text(manifest_path).splitlines()
         _checked_rows(manifest_path, lines, MANIFEST, lambda row: _second_root(row, seen))
         raise
     return manifest

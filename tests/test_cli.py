@@ -1,5 +1,6 @@
 """CLI subcommands end to end on scaled-down corpora."""
 
+import gc
 import os
 import subprocess
 import sys
@@ -22,6 +23,15 @@ from rootsearch.index import IndexMode
 from rootsearch.p2p import build_overlay
 from rootsearch.search import Query
 from tests.test_p2p import reference_p2p_search
+
+
+def _break_utf8(path, lineno):
+    """Start line ``lineno`` of ``path`` with a byte that is not UTF-8; return
+    the error message that names it."""
+    lines = path.read_bytes().split(b"\n")
+    lines[lineno - 1] = b"\xff" + lines[lineno - 1]
+    path.write_bytes(b"\n".join(lines))
+    return f"error: {path}:{lineno}: not UTF-8: byte 0xff (invalid start byte)\n"
 
 
 @pytest.fixture()
@@ -395,6 +405,11 @@ class TestReportInputErrors:
             " got '# rootsearch-summary v1'\n"
         )
 
+    @pytest.mark.parametrize("name", ["expanded.tsv", "summary.tsv"])
+    def test_byte_that_is_not_utf8_names_file_and_line(self, results, capsys, name):
+        message = _break_utf8(results / name, 4)
+        assert self._report_error(results, capsys) == message
+
     @staticmethod
     def _set_line(path, lineno, text):
         """Replace line ``lineno`` of ``path`` with ``text``; return the old line."""
@@ -448,6 +463,13 @@ class TestCorpusLoadErrors:
         err = capsys.readouterr().err
         assert code == EXIT_VALIDATION
         assert f"{micro_args / name}:1: empty file" in err
+
+    @pytest.mark.parametrize("name", ["manifest.tsv", "queries.tsv"])
+    def test_byte_that_is_not_utf8_names_file_and_line(self, micro_args, tmp_path, capsys, name):
+        message = _break_utf8(micro_args / name, 3)
+        code = main(["run-eval", "--corpus", str(micro_args), "--out", str(tmp_path / "r")])
+        assert code == EXIT_VALIDATION
+        assert capsys.readouterr().err == message
 
     @pytest.mark.parametrize("name,width", [("manifest.tsv", 4), ("queries.tsv", 3)])
     def test_short_row_names_line(self, micro_args, tmp_path, capsys, name, width):
@@ -692,3 +714,76 @@ class TestStartup:
     )
     def test_each_module_imports_first(self, module):
         _fresh_python(f"import rootsearch.{module}")
+
+
+class TestCollectorOwner:
+    """``entry``, where both ways of starting the CLI begin, owns the cyclic
+    collector for its process; ``main`` leaves the collector as it found it."""
+
+    @pytest.fixture()
+    def cases(self, micro_args, tmp_path):
+        """Exit code -> an argv that exits with it."""
+        return {
+            EXIT_OK: ["run-eval", "--corpus", str(micro_args), "--out", str(tmp_path / "r")],
+            EXIT_VALIDATION: ["gen-corpus", "--peers", "0", "--out", str(tmp_path / "c")],
+            EXIT_INFRASTRUCTURE: ["run-eval", "--corpus", str(tmp_path / "nope")],
+        }
+
+    # how each way of starting the CLI calls into it: the console script
+    # runs sys.exit(entry()), and ``python -m`` runs the module as __main__
+    STARTS = {
+        "script": "from rootsearch.cli import entry\ncode = entry()",
+        "module": (
+            "try: runpy.run_module('rootsearch.cli', run_name='__main__')\n"
+            "except SystemExit as exit: code = exit.code"
+        ),
+    }
+
+    @classmethod
+    def _start(cls, start, argv):
+        """Start the CLI over ``argv`` in a fresh interpreter; return its exit
+        code, whether the collector is on after it, and the frozen count."""
+        out = _fresh_python(
+            f"import gc, runpy, sys\n"
+            f"sys.argv = ['rootsearch', *{argv!r}]\n{cls.STARTS[start]}\n"
+            "print(code, gc.isenabled(), gc.get_freeze_count())"
+        )
+        code, enabled, frozen = out.splitlines()[-1].split()
+        return int(code), enabled == "True", int(frozen)
+
+    @pytest.mark.parametrize("start", sorted(STARTS))
+    @pytest.mark.parametrize("want", [EXIT_OK, EXIT_VALIDATION, EXIT_INFRASTRUCTURE])
+    def test_start_passes_the_exit_code_and_leaves_the_collector_off_and_frozen(
+        self, cases, start, want
+    ):
+        code, enabled, frozen = self._start(start, cases[want])
+        assert code == want
+        assert not enabled
+        assert frozen > 0
+
+    def test_console_script_starts_in_entry(self):
+        pyproject = Path(rootsearch.__file__).resolve().parents[2] / "pyproject.toml"
+        assert 'rootsearch = "rootsearch.cli:entry"' in pyproject.read_text("utf-8").splitlines()
+
+    def test_entry_writes_the_results_main_writes(self, micro_args, tmp_path, capsys):
+        by_entry, by_main = tmp_path / "by-entry", tmp_path / "by-main"
+        argv = ["run-eval", "--corpus", str(micro_args), "--out", str(by_entry)]
+        assert self._start("script", argv)[0] == EXIT_OK
+        assert main(["run-eval", "--corpus", str(micro_args), "--out", str(by_main)]) == EXIT_OK
+        files = sorted(p.name for p in by_main.iterdir())
+        assert files == sorted(p.name for p in by_entry.iterdir())
+        for name in files:
+            assert (by_entry / name).read_bytes() == (by_main / name).read_bytes()
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+    @pytest.mark.parametrize("want", [EXIT_OK, EXIT_VALIDATION, EXIT_INFRASTRUCTURE])
+    def test_main_leaves_the_collector_as_it_found_it(self, cases, capsys, want, enabled):
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            frozen = gc.get_freeze_count()
+            assert main(cases[want]) == want
+            assert gc.isenabled() is enabled
+            assert gc.get_freeze_count() == frozen
+        finally:
+            (gc.enable if was else gc.disable)()

@@ -70,6 +70,13 @@ class TestPatternInventory:
             load_patterns(bad)
         assert str(info.value) == f"{bad}{message}"
 
+    def test_load_names_the_line_of_a_byte_that_is_not_utf8(self, tmp_path):
+        bad = tmp_path / "patterns.tsv"
+        bad.write_bytes(b"# rootsearch-patterns v1\np001\tC1C2C3\np002\tC1\xff")
+        with pytest.raises(CorpusSpecError) as info:
+            load_patterns(bad)
+        assert str(info.value) == f"{bad}:3: not UTF-8: byte 0xff (invalid start byte)"
+
     def test_load_rejects_missing_header(self, tmp_path):
         bad = tmp_path / "patterns.tsv"
         bad.write_text("p001\tC1C2C3\n", encoding="utf-8")
