@@ -10,12 +10,18 @@ Exit codes: 0 success, 1 validation error, 2 infrastructure error.
 ``python -m rootsearch.cli`` and the ``rootsearch`` script both start in
 ``entry``, which owns the cyclic garbage collector in that process: off for
 the whole command, whose tables hold no reference cycles, and frozen before
-exit. ``main`` is the in-process API and leaves the collector as it found it.
+exit. Run as ``__main__``, this module turns it off before it imports the
+other rootsearch modules too. ``main`` is the in-process API and leaves the
+collector as it found it.
 """
 from __future__ import annotations
 
-import argparse
 import gc
+
+if __name__ == "__main__":  # off for the imports below too; an import leaves it on
+    gc.disable()
+
+import argparse
 import sys
 from pathlib import Path
 

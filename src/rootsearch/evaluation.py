@@ -1,11 +1,13 @@
 """Precision/recall evaluation of the four engine configurations.
 
 Per query: precision = |relevant ∩ found| / |found| and
-recall = |relevant ∩ found| / |relevant|, held as exact fractions and only
-rendered to 4 decimal places on output, in integer arithmetic. Conventions
-for the empty cases: an empty found set gives precision 0, an empty
-relevant set gives recall 1. Each engine's means are exact too: ``Fraction``
-sums divided by the query count. ``EvalRecord`` is an immutable
+recall = |relevant ∩ found| / |relevant|, held as integer ratios (a record
+keeps ``hits`` and both doc-id tuples) and rendered to 4 decimal places in
+integer arithmetic. Conventions for the empty cases: an empty found set
+gives precision 0, an empty relevant set gives recall 1. Each engine's
+means are exact too: sums over the lcm of the denominators, divided by the
+query count. ``Fraction``s are built only when asked for, so ``run-eval``
+never imports ``fractions``. ``EvalRecord`` is an immutable
 ``NamedTuple`` and ``EvalReport`` a plain class; ``write_report`` returns
 the summary table it wrote, so ``run-eval`` prints it without working the
 means out again.
@@ -30,11 +32,11 @@ file also names its engine) and a column line:
 """
 from __future__ import annotations
 
-from fractions import Fraction
+from math import lcm
 from pathlib import Path
-from typing import Iterable, NamedTuple
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
-from .corpus import CorpusManifest, TsvFormat, write_tsv
+from .corpus import CorpusManifest, DocIds, TsvFormat, write_tsv
 from .index import IndexMode, InvertedIndex, build_index
 from .p2p import ENGINE_MODES, Overlay, build_overlay, p2p_search
 from .search import (
@@ -46,6 +48,9 @@ from .search import (
     search_exact,
     search_expanded,
 )
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 RESULTS = TsvFormat(
     "# rootsearch-results v1",
@@ -62,38 +67,64 @@ SUMMARY = TsvFormat(
 )
 
 
+def _fraction(n: int, d: int) -> Fraction:
+    """``n/d`` exactly; ``fractions``, which loads ``decimal``, is imported on first use."""
+    from fractions import Fraction
+    return Fraction(n, d)
+
+
 def precision(s_found: Iterable[str], s_relevant: Iterable[str]) -> Fraction:
     """Fraction of found documents that are relevant; 0 when nothing found."""
-    found = set(s_found)
-    if not found:
-        return Fraction(0)
-    return Fraction(len(set(s_relevant) & found), len(found))
+    return make_record("", "", s_found, s_relevant).precision
 
 
 def recall(s_found: Iterable[str], s_relevant: Iterable[str]) -> Fraction:
     """Fraction of relevant documents found; vacuously 1 when none are relevant."""
-    relevant = set(s_relevant)
-    if not relevant:
-        return Fraction(1)
-    return Fraction(len(relevant & set(s_found)), len(relevant))
+    return make_record("", "", s_found, s_relevant).recall
 
 
-def fixed4(value: Fraction) -> str:
-    """Render an exact fraction with 4 decimal places, halves rounded up:
-    floor(value * 10000 + 1/2), worked out in integers."""
-    n, d = value.numerator, value.denominator
+def fixed4(n: int | Fraction, d: int = 1) -> str:
+    """Render ``n/d`` with 4 decimal places, halves rounded up:
+    floor(n/d * 10000 + 1/2), worked out in integers. ``n`` is an int, or
+    an exact fraction whose own denominator joins ``d``."""
+    d *= n.denominator
+    n = n.numerator
     scaled = (20000 * n + d) // (2 * d)
     return f"{scaled // 10000}.{scaled % 10000:04d}"
+
+
+def _mean(ratios: list[tuple[int, int]]) -> tuple[int, int]:
+    """The exact mean of the ratios ``n/d``, unreduced: their sum over the lcm
+    of the denominators, divided by their count."""
+    common = lcm(*{d for _, d in ratios})
+    return sum(n * (common // d) for n, d in ratios), common * len(ratios)
 
 
 class EvalRecord(NamedTuple):
     query_id: str
     word: str
-    s_found: frozenset[str]
-    s_relevant: frozenset[str]
-    precision: Fraction
-    recall: Fraction
+    hits: int
+    s_found: DocIds
+    s_relevant: DocIds
     peers_contacted: int | None
+
+    @property
+    def p_ratio(self) -> tuple[int, int]:
+        """Precision as (numerator, denominator); 0/1 when nothing was found."""
+        return (self.hits, len(self.s_found)) if self.s_found else (0, 1)
+
+    @property
+    def r_ratio(self) -> tuple[int, int]:
+        """Recall as (numerator, denominator); 1/1 when nothing is relevant."""
+        return (self.hits, len(self.s_relevant)) if self.s_relevant else (1, 1)
+
+    @property
+    def precision(self) -> Fraction:
+        return _fraction(*self.p_ratio)
+
+    @property
+    def recall(self) -> Fraction:
+        return _fraction(*self.r_ratio)
 
 
 def make_record(
@@ -102,21 +133,16 @@ def make_record(
     s_found: Iterable[str],
     s_relevant: Iterable[str],
     peers_contacted: int | None = None,
+    relevant: frozenset[str] | None = None,
 ) -> EvalRecord:
-    """The record of one query: ``precision`` and ``recall`` as those
-    functions define them, from one intersection of the two sets."""
-    found = frozenset(s_found)
-    relevant = frozenset(s_relevant)
-    hit = len(found & relevant)
-    return EvalRecord(
-        query_id,
-        word,
-        found,
-        relevant,
-        Fraction(hit, len(found)) if found else Fraction(0),
-        Fraction(hit, len(relevant)) if relevant else Fraction(1),
-        peers_contacted,
-    )
+    """The record of one query, from one intersection with ``relevant``, the
+    set of ``s_relevant`` (built here when not given). A tuple is taken to be
+    sorted and duplicate-free, as answers and postings are; another iterable
+    is made one."""
+    s_found = s_found if type(s_found) is tuple else tuple(sorted(set(s_found)))
+    s_relevant = s_relevant if type(s_relevant) is tuple else tuple(sorted(set(s_relevant)))
+    hits = len((frozenset(s_relevant) if relevant is None else relevant).intersection(s_found))
+    return EvalRecord(query_id, word, hits, s_found, s_relevant, peers_contacted)
 
 
 class EvalReport:
@@ -137,12 +163,10 @@ class EvalReport:
         return tuple(self.records)
 
     def mean_precision(self, engine: str) -> Fraction:
-        records = self.records[engine]
-        return sum((r.precision for r in records), Fraction(0)) / len(records)
+        return _fraction(*_mean([r.p_ratio for r in self.records[engine]]))
 
     def mean_recall(self, engine: str) -> Fraction:
-        records = self.records[engine]
-        return sum((r.recall for r in records), Fraction(0)) / len(records)
+        return _fraction(*_mean([r.r_ratio for r in self.records[engine]]))
 
 
 class BaselineEngine:
@@ -230,11 +254,12 @@ def run_evaluation(
     """
     queries = [Query.parse(q.query_id, q.word) for q in manifest.queries]
     docs_by_root = manifest.docs_by_root
-    relevant = [frozenset(docs_by_root.get(q.root, ())) for q in manifest.queries]
+    rel = [docs_by_root.get(q.root, ()) for q in manifest.queries]
+    relevant = list(zip(rel, map(frozenset, rel)))
     records = {
         engine.name: tuple(
-            make_record(q.query_id, q.raw, out.result.found, rel, out.peers_contacted)
-            for q, rel, out in zip(queries, relevant, map(engine.run, queries))
+            make_record(q.query_id, q.raw, out.result.found, ids, out.peers_contacted, id_set)
+            for q, (ids, id_set), out in zip(queries, relevant, map(engine.run, queries))
         )
         for engine in engines
     }
@@ -260,18 +285,16 @@ def write_report(report: EvalReport, out_dir: str | Path) -> list[str]:
     for engine in report.engine_names:
         rows = (
             f"{rec.query_id}\t{rec.word}\t{len(rec.s_found)}"
-            f"\t{len(rec.s_relevant)}\t{fixed4(rec.precision)}\t{fixed4(rec.recall)}"
+            f"\t{len(rec.s_relevant)}\t{fixed4(*rec.p_ratio)}\t{fixed4(*rec.r_ratio)}"
             f"\t{'-' if rec.peers_contacted is None else rec.peers_contacted}"
             for rec in report.records[engine]
         )
         write_tsv(out_dir / f"{engine}.tsv", RESULTS, {"engine": engine, **meta}, rows)
 
     summary = [
-        f"{engine}\t{len(report.records[engine])}"
-        f"\t{fixed4(report.mean_precision(engine))}"
-        f"\t{fixed4(report.mean_recall(engine))}"
-        "\t0"
-        for engine in report.engine_names
+        f"{engine}\t{len(records)}\t{fixed4(*_mean([r.p_ratio for r in records]))}"
+        f"\t{fixed4(*_mean([r.r_ratio for r in records]))}\t0"
+        for engine, records in report.records.items()
     ]
     write_tsv(out_dir / "summary.tsv", SUMMARY, meta, summary)
     for stale in set(ENGINES).difference(report.engine_names):

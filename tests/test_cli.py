@@ -1,5 +1,6 @@
 """CLI subcommands end to end on scaled-down corpora."""
 
+import ast
 import gc
 import os
 import subprocess
@@ -732,24 +733,37 @@ class TestCollectorOwner:
     # how each way of starting the CLI calls into it: the console script
     # runs sys.exit(entry()), and ``python -m`` runs the module as __main__
     STARTS = {
-        "script": "from rootsearch.cli import entry\ncode = entry()",
+        "script": (
+            "from rootsearch.cli import entry\n"
+            "try: code = entry()\n"
+            "except SystemExit as exit: code = exit.code"
+        ),
         "module": (
             "try: runpy.run_module('rootsearch.cli', run_name='__main__')\n"
             "except SystemExit as exit: code = exit.code"
         ),
     }
 
+    # records, per rootsearch module, whether the collector was on at its first import
+    IMPORT_STATES = (
+        "states = {}\n"
+        "def hook(event, args):\n"
+        "    if event == 'import' and args[0].startswith('rootsearch.'):\n"
+        "        states.setdefault(args[0], gc.isenabled())\n"
+        "sys.addaudithook(hook)\n"
+    )
+
     @classmethod
-    def _start(cls, start, argv):
-        """Start the CLI over ``argv`` in a fresh interpreter; return its exit
-        code, whether the collector is on after it, and the frozen count."""
+    def _start(cls, start, argv, probe="gc.isenabled(), gc.get_freeze_count()", setup=""):
+        """Start the CLI over ``argv`` in a fresh interpreter, after running
+        ``setup``; return its exit code and the values of ``probe`` after it
+        (by default whether the collector is on, and the frozen count)."""
         out = _fresh_python(
-            f"import gc, runpy, sys\n"
+            f"import gc, runpy, sys\n{setup}"
             f"sys.argv = ['rootsearch', *{argv!r}]\n{cls.STARTS[start]}\n"
-            "print(code, gc.isenabled(), gc.get_freeze_count())"
+            f"print(repr((code, {probe})))"
         )
-        code, enabled, frozen = out.splitlines()[-1].split()
-        return int(code), enabled == "True", int(frozen)
+        return ast.literal_eval(out.splitlines()[-1])
 
     @pytest.mark.parametrize("start", sorted(STARTS))
     @pytest.mark.parametrize("want", [EXIT_OK, EXIT_VALIDATION, EXIT_INFRASTRUCTURE])
@@ -760,6 +774,30 @@ class TestCollectorOwner:
         assert code == want
         assert not enabled
         assert frozen > 0
+
+    def test_run_as_main_imports_the_other_modules_with_the_collector_off(self):
+        code, states = self._start("module", ["--help"], "states", self.IMPORT_STATES)
+        assert code == EXIT_OK
+        assert "rootsearch.evaluation" in states
+        assert not any(states.values()), states
+
+    def test_import_leaves_the_collector_on(self):
+        out = _fresh_python(
+            f"import gc, sys\n{self.IMPORT_STATES}"
+            "import rootsearch.cli\nprint(repr((states, gc.isenabled())))"
+        )
+        states, enabled = ast.literal_eval(out.splitlines()[-1])
+        assert "rootsearch.evaluation" in states
+        assert all(states.values()), states
+        assert enabled
+
+    # run-eval scores in integers: Fractions are built only on request
+    @pytest.mark.parametrize("start", sorted(STARTS))
+    @pytest.mark.parametrize("command", ["run-eval", "--help"])
+    def test_start_imports_neither_fractions_nor_decimal(self, cases, start, command):
+        argv = cases[EXIT_OK] if command == "run-eval" else [command]
+        probe = "[m for m in ('fractions', 'decimal') if m in sys.modules]"
+        assert self._start(start, argv, probe) == (EXIT_OK, [])
 
     def test_console_script_starts_in_entry(self):
         pyproject = Path(rootsearch.__file__).resolve().parents[2] / "pyproject.toml"

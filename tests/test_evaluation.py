@@ -207,7 +207,7 @@ class TestRunEvaluation:
         query = Query.parse(query_id, "فه")
         for engine in engines:
             record = report.records[engine.name][0]
-            assert record.s_relevant == frozenset(manifest.docs_by_root[root]), engine.name
+            assert record.s_relevant == manifest.docs_by_root[root], engine.name
             if engine.name in (EXPANDED, P2P_ADVANCED):
                 assert engine.run(query).result.degraded, engine.name
 

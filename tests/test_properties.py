@@ -1,11 +1,12 @@
 """Property tests: the lexicon, the postings builder, normalization, query
-parsing, the light stemmer and the 4-place rendering of exact fractions
-against plain dict/set/regex/split/scan/Fraction references over generated
-inputs, plus normalization's idempotence and the light stemmer's length
-floor."""
+parsing, the light stemmer, the 4-place rendering of exact fractions and
+the integer means of an evaluation against plain
+dict/set/regex/split/scan/Fraction references over generated inputs, plus
+normalization's idempotence and the light stemmer's length floor."""
 
 import math
 import re
+import tempfile
 from fractions import Fraction
 from operator import attrgetter
 
@@ -15,10 +16,10 @@ from hypothesis import strategies as st
 
 from rootsearch.corpus import Document, _bad_query, postings
 from rootsearch.errors import EmptyAfterNormalization
-from rootsearch.evaluation import fixed4
+from rootsearch.evaluation import EvalReport, fixed4, make_record, write_report
 from rootsearch.morphology import RootLexicon, light_stem
 from rootsearch.normalize import is_normalized, match_word, normalize
-from rootsearch.search import Query
+from rootsearch.search import BASELINE, Query
 
 # small alphabets, so that generated words and roots often repeat
 _words = st.text(alphabet="ابتث", min_size=1, max_size=3)
@@ -276,3 +277,38 @@ _halves = st.integers(min_value=0, max_value=10**6).map(lambda k: Fraction(2 * k
 @example(Fraction(0))
 def test_fixed4_matches_the_fraction_reference(value):
     assert fixed4(value) == _fixed4_reference(value)
+
+
+@st.composite
+def _query_counts(draw):
+    """(hits, found, relevant) counts of one query; either set may be empty."""
+    found = draw(st.integers(0, 60))
+    relevant = draw(st.integers(0, 60))
+    return draw(st.integers(0, min(found, relevant))), found, relevant
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(_query_counts(), min_size=1, max_size=20))
+@example([(0, 0, 0)])
+@example([(0, 0, 7), (0, 3, 0), (1, 1, 100)])
+def test_integer_means_match_the_fraction_sums(counts):
+    records = []
+    for i, (hits, found, relevant) in enumerate(counts):
+        # "h" ids are found and relevant, "f" ids only found, "r" ids only relevant
+        both = [f"h{k}" for k in range(hits)]
+        records.append(make_record(
+            f"q{i}", "w",
+            both + [f"f{k}" for k in range(found - hits)],
+            both + [f"r{k}" for k in range(relevant - hits)],
+        ))
+    # the conventions: an empty found set gives P = 0, an empty relevant set R = 1
+    mean_p = sum(Fraction(h, f) if f else Fraction(0) for h, f, _ in counts) / len(counts)
+    mean_r = sum(Fraction(h, r) if r else Fraction(1) for h, _, r in counts) / len(counts)
+    report = EvalReport({BASELINE: tuple(records)}, "digest", 0, "v1")
+    with tempfile.TemporaryDirectory() as out:
+        summary = write_report(report, out)
+    assert summary[1].split("\t") == [
+        BASELINE, str(len(counts)), _fixed4_reference(mean_p), _fixed4_reference(mean_r), "0"
+    ]
+    assert report.mean_precision(BASELINE) == mean_p
+    assert report.mean_recall(BASELINE) == mean_r
