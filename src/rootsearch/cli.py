@@ -11,8 +11,9 @@ Exit codes: 0 success, 1 validation error, 2 infrastructure error.
 ``entry``, which owns the cyclic garbage collector in that process: off for
 the whole command, whose tables hold no reference cycles, and frozen before
 exit. Run as ``__main__``, this module turns it off before it imports the
-other rootsearch modules too. ``main`` is the in-process API and leaves the
-collector as it found it.
+other rootsearch modules too; the script imports this module first, so its
+imports run with the collector on. ``main`` is the in-process API and leaves
+the collector as it found it.
 """
 from __future__ import annotations
 

@@ -206,10 +206,9 @@ def gc_paused(build: _Build) -> _Build:
 
 def postings(docs: Iterable[Document], key: Callable[[Document], str]) -> dict[str, DocIds]:
     """``key(doc)`` -> sorted, duplicate-free doc ids; the one grouping of
-    documents by key, for the indexes, the SIMPLE overlay peers and
-    ``docs_by_root`` (whose tuples the ADVANCED peers store). A key's first
-    id is a 1-tuple and only its second makes a list, so the one-id word keys
-    of a generated corpus leave no list for the collector."""
+    documents by key. A key's first id is a 1-tuple and only its second makes
+    a list, so the one-id word keys of a generated corpus leave no list for
+    the collector."""
     grouped: dict = {}
     for doc in docs:
         k = key(doc)

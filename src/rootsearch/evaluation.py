@@ -75,12 +75,18 @@ def _fraction(n: int, d: int) -> Fraction:
 
 def precision(s_found: Iterable[str], s_relevant: Iterable[str]) -> Fraction:
     """Fraction of found documents that are relevant; 0 when nothing found."""
-    return make_record("", "", s_found, s_relevant).precision
+    found = set(s_found)
+    if not found:
+        return _fraction(0, 1)
+    return _fraction(len(found.intersection(s_relevant)), len(found))
 
 
 def recall(s_found: Iterable[str], s_relevant: Iterable[str]) -> Fraction:
     """Fraction of relevant documents found; vacuously 1 when none are relevant."""
-    return make_record("", "", s_found, s_relevant).recall
+    relevant = set(s_relevant)
+    if not relevant:
+        return _fraction(1, 1)
+    return _fraction(len(relevant.intersection(s_found)), len(relevant))
 
 
 def fixed4(n: int | Fraction, d: int = 1) -> str:
@@ -133,15 +139,13 @@ def make_record(
     s_found: Iterable[str],
     s_relevant: Iterable[str],
     peers_contacted: int | None = None,
-    relevant: frozenset[str] | None = None,
 ) -> EvalRecord:
-    """The record of one query, from one intersection with ``relevant``, the
-    set of ``s_relevant`` (built here when not given). A tuple is taken to be
-    sorted and duplicate-free, as answers and postings are; another iterable
-    is made one."""
+    """The record of one query, from one intersection of the two sets. A
+    tuple is taken to be sorted and duplicate-free, as answers and postings
+    are; another iterable is made one."""
     s_found = s_found if type(s_found) is tuple else tuple(sorted(set(s_found)))
     s_relevant = s_relevant if type(s_relevant) is tuple else tuple(sorted(set(s_relevant)))
-    hits = len((frozenset(s_relevant) if relevant is None else relevant).intersection(s_found))
+    hits = len(frozenset(s_relevant).intersection(s_found))
     return EvalRecord(query_id, word, hits, s_found, s_relevant, peers_contacted)
 
 
@@ -254,12 +258,11 @@ def run_evaluation(
     """
     queries = [Query.parse(q.query_id, q.word) for q in manifest.queries]
     docs_by_root = manifest.docs_by_root
-    rel = [docs_by_root.get(q.root, ()) for q in manifest.queries]
-    relevant = list(zip(rel, map(frozenset, rel)))
+    relevant = [docs_by_root.get(q.root, ()) for q in manifest.queries]
     records = {
         engine.name: tuple(
-            make_record(q.query_id, q.raw, out.result.found, ids, out.peers_contacted, id_set)
-            for q, (ids, id_set), out in zip(queries, relevant, map(engine.run, queries))
+            make_record(q.query_id, q.raw, out.result.found, ids, out.peers_contacted)
+            for q, ids, out in zip(queries, relevant, map(engine.run, queries))
         )
         for engine in engines
     }

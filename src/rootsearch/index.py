@@ -13,9 +13,9 @@ documents. It answers a root-aware query with one lookup per root instead
 of one per root-mate.
 
 ``corpus.postings`` builds every key -> sorted doc-id tuple map: this
-index's, each SIMPLE overlay peer's and the manifest's ``docs_by_root``,
-whose tuples the ADVANCED overlay peers store (see ``p2p``). The
-centralized engines search one SIMPLE index over the whole corpus.
+index's, each overlay peer's (see ``p2p``) and the manifest's
+``docs_by_root``. The centralized engines search one SIMPLE index over the
+whole corpus.
 """
 from __future__ import annotations
 

@@ -4,11 +4,8 @@ The overlay is four tables keyed by node id, as Yang & Garcia-Molina
 describe a super-peer network: which super-peer each peer belongs to, and
 each super-peer's index of its children's keys. Each peer holds one
 postings map from key to the doc ids of its shard, built by
-``corpus.postings`` in SIMPLE mode; in ADVANCED mode it stores the
-manifest's ``docs_by_root`` tuple itself for a root it holds alone, and the
-sorted tuple of its own ids for a root split across peers. Each super-peer
-holds one route table, which maps every key its children hold to the tuple
-of those children, in peer order.
+``corpus.postings``. Each super-peer holds one route table, which maps
+every key its children hold to the tuple of those children, in peer order.
 The key is a document's word in SIMPLE mode, its root in ADVANCED mode.
 ``p2p_search`` decides a query's one key once, at the origin: the
 normalized word in SIMPLE mode, the root ``search.resolve`` found in
@@ -46,7 +43,7 @@ from itertools import repeat
 from operator import attrgetter
 from typing import Iterable, NamedTuple
 
-from .corpus import CorpusManifest, DocIds, Document, gc_paused, postings
+from .corpus import CorpusManifest, DocIds, gc_paused, postings
 from .errors import OverlayMismatch
 from .index import IndexMode
 from .morphology import RootLexicon
@@ -102,20 +99,6 @@ class Overlay:
         self.lexicon = lexicon
 
 
-def _root_postings(shard: tuple[Document, ...], by_root: dict[str, DocIds]) -> dict[str, DocIds]:
-    """A peer's ADVANCED postings: ``by_root``'s own tuple for each root the
-    peer holds alone, and for a root split across peers that tuple's ids on
-    this peer, which stay sorted."""
-    filed = {root: by_root[root] for root in dict.fromkeys(map(attrgetter("root"), shard))}
-    if sum(map(len, filed.values())) > len(shard):  # some root is split across peers
-        own = {doc.doc_id for doc in shard}
-        for root, ids in filed.items():
-            mine = tuple(filter(own.__contains__, ids))
-            if len(mine) < len(ids):
-                filed[root] = mine
-    return filed
-
-
 @gc_paused
 def build_overlay(manifest: CorpusManifest, mode: IndexMode) -> Overlay:
     """Build the overlay's tables from the manifest: each super-peer's
@@ -131,6 +114,7 @@ def build_overlay(manifest: CorpusManifest, mode: IndexMode) -> Overlay:
     """
     spec = manifest.spec
     shard_size = spec.roots_per_peer * spec.words_per_root
+    key = attrgetter("root" if mode is IndexMode.ADVANCED else "word")
     per_sp = spec.peer_count // spec.superpeer_count
     parent = {peer: f"sp-{i // per_sp + 1}" for i, peer in enumerate(spec.peer_ids())}
     peers: dict[str, dict[str, DocIds]] = {}
@@ -141,10 +125,7 @@ def build_overlay(manifest: CorpusManifest, mode: IndexMode) -> Overlay:
             raise OverlayMismatch(
                 f"{peer_id} holds {len(shard)} documents, spec says {shard_size}"
             )
-        peer_postings = peers[peer_id] = (
-            _root_postings(shard, manifest.docs_by_root) if mode is IndexMode.ADVANCED
-            else postings(shard, attrgetter("word"))
-        )
+        peer_postings = peers[peer_id] = postings(shard, key)
         route = routes.get(sp_id, {})
         merged = dict.fromkeys(peer_postings, (peer_id,))
         merged.update(route)

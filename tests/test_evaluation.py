@@ -54,6 +54,9 @@ EQUATION_CASES = [
     ({"d1"}, {f"d{i}" for i in range(1, 21)}, Fraction(1), Fraction(1, 20)),
     ({f"d{i}" for i in range(3)}, {f"d{i}" for i in range(93)}, Fraction(1), Fraction(3, 93)),
     ({"a", "b", "c", "d"}, {"a"}, Fraction(1, 4), Fraction(1)),
+    # a repeated id counts once
+    (("d1", "d1"), ("d1",), Fraction(1), Fraction(1)),
+    (("d2", "d1", "d2"), ("d2", "d3", "d3"), Fraction(1, 2), Fraction(1, 2)),
 ]
 
 

@@ -112,13 +112,6 @@ class TestBuildOverlay:
                 )
                 assert filed == expected, (overlay.mode, peer_id)
 
-    def test_advanced_peers_store_docs_by_root_itself(self, manifest, overlay_advanced):
-        # on the block layout each peer holds its roots alone
-        for peer_id, peer_postings in overlay_advanced.peers.items():
-            assert len(peer_postings) == 25, peer_id
-            for root, ids in peer_postings.items():
-                assert ids is manifest.docs_by_root[root], (peer_id, root)
-
     def test_shard_mismatch_rejected(self, micro_corpus):
         _, manifest = micro_corpus
         broken = _with_documents(
@@ -565,20 +558,6 @@ def small_corpus(tmp_path_factory):
     return manifest, index
 
 
-def _check_root_postings(layout, overlay):
-    """Each ADVANCED peer files, under each root it holds, the sorted ids of
-    its own documents, and ``docs_by_root``'s tuple itself for a root it
-    holds alone."""
-    for peer_id, filed in overlay.peers.items():
-        own = {}
-        for doc in sorted(layout.docs_by_peer[peer_id], key=attrgetter("doc_id")):
-            own.setdefault(doc.root, []).append(doc.doc_id)
-        assert filed == {root: tuple(ids) for root, ids in own.items()}, peer_id
-        for root, ids in filed.items():
-            whole = layout.docs_by_root[root]
-            assert (ids is whole) == (len(ids) == len(whole)), (peer_id, root)
-
-
 class TestRouterOverLayouts:
     """Any assignment of documents to peers that keeps every shard's size:
     ``p2p_search`` equals the reference router, its answer the centralized
@@ -595,8 +574,6 @@ class TestRouterOverLayouts:
         words = [entry.word for entry in manifest.queries] + ["١٢٣"]
         for mode in IndexMode:
             overlay = build_overlay(layout, mode)
-            if mode is IndexMode.ADVANCED:
-                _check_root_postings(layout, overlay)
             for word in words:
                 query = Query.parse("q", word)
                 if mode is IndexMode.ADVANCED:
