@@ -33,7 +33,7 @@ from .corpus import (
     manifest_digest,
     read_table,
 )
-from .errors import CorpusSpecError, RootSearchError
+from .errors import CorpusSpecError
 from .evaluation import RESULTS, SUMMARY, build_engines, run_evaluation, write_report
 from .p2p import format_message_log
 from .search import BASELINE, ENGINES, EXPANDED, P2P_ADVANCED, Query
@@ -192,7 +192,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (RootSearchError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except OSError as exc:

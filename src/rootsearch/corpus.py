@@ -20,7 +20,9 @@ Every TSV file rootsearch writes (these two, and ``evaluation``'s results
 and summary) has one format, a ``TsvFormat``: a header line (magic, then
 ``key=value`` fields), an optional column line, and fixed-width rows whose
 first field is an id. ``write_tsv`` writes each through a sibling ``.part``
-file renamed into place. On load, one walk over the rows (``_checked_rows``)
+file renamed into place. On load, "\n", "\r\n" and "\r" end a line and no
+other separator does, so a line number is the one an editor shows and a
+U+2028 is a character of a field. One walk over the rows (``_checked_rows``)
 splits and checks them, naming the file and line of the first bad one;
 ``read_table`` uses it alone. Both corpus files carry one header made from
 the spec, and a query file with another header is rejected.
@@ -33,9 +35,11 @@ one pass, sharing one string per distinct root and peer id, then checks the
 whole file at once (an empty field, a repeated doc id, whitespace in a
 field, a peer id the header's peer count does not name, a distinct root
 that ``morphology.is_root`` rejects) by scans of sets and of the text, and
-walks the rows only to name the line of a fault it found. It builds the
-lexicon before it returns, so a word filed under two roots is named by its
-line too. ``load_patterns`` reads the template file, ``PATTERNS``, through
+walks the rows only to name the line of a fault it found. It checks each
+peer's share of ``roots_per_peer x words_per_root`` documents on
+``docs_by_peer``, naming the first row past one, and it builds the lexicon,
+so a word filed under two roots is named by its line too, all before it
+returns. ``load_patterns`` reads the template file, ``PATTERNS``, through
 ``read_table``.
 
 ``generate_corpus`` writes ``manifest.tsv`` last, after the bodies and
@@ -56,7 +60,7 @@ from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple, TypeVar
 
-from .errors import CorpusSpecError, EmptyAfterNormalization, InsufficientRoots, PatternCollision
+from .errors import CorpusSpecError
 from .morphology import DerivationPattern, PatternInventory, RootLexicon, bad_template
 from .morphology import derive, extract_root, is_root
 from .normalize import normalize
@@ -97,8 +101,12 @@ ROOT_INVENTORY: tuple[str, ...] = ANCHOR_ROOTS + (
     "جري", "بني", "سقي", "شفي", "غني", "عطي", "قوي", "قلل",
 )
 
-# every str.isspace() code point that splitlines() and the tab split leave in a field
-_FIELD_SPACES = "\x1f \xa0\u1680\u202f\u205f\u3000" + "".join(map(chr, range(0x2000, 0x200B)))
+# every str.isspace() code point but "\t", "\n" and "\r" (read as "\n"): those
+# that the line split and the tab split leave in a field
+_FIELD_SPACES = (
+    "\x0b\x0c\x1c\x1d\x1e\x1f\x85 \xa0\u1680\u2028\u2029\u202f\u205f\u3000"
+    + "".join(map(chr, range(0x2000, 0x200B)))
+)
 
 # Appended, possibly repeatedly, when two roots derive the same surface form;
 # the later root's word gets the first unused variant.
@@ -268,7 +276,7 @@ class CorpusManifest:
 
 def _select_roots(spec: CorpusSpec, pool: tuple[str, ...], rng: random.Random) -> list[str]:
     if spec.root_count > len(pool):
-        raise InsufficientRoots(
+        raise CorpusSpecError(
             f"root inventory has {len(pool)} roots, spec needs {spec.root_count}"
         )
     anchors = [r for r in ANCHOR_ROOTS if r in pool][: spec.root_count]
@@ -296,11 +304,10 @@ def generate_corpus(
 
     Raises:
         CorpusSpecError: a spec invariant is violated, the packaged pattern
-            file fails ``load_patterns``, or more words per root were
-            requested than the template inventory can supply.
-        InsufficientRoots: the root pool is shorter than ``root_count``.
-        PatternCollision: a template pair produced the same surface form
-            for one root (a broken template set).
+            file fails ``load_patterns``, more words per root were requested
+            than the template inventory can supply, the root pool is shorter
+            than ``root_count``, or a template pair produced the same surface
+            form for one root (a broken template set).
         OSError: a file could not be written; the message names its path.
     """
     spec.validate()
@@ -329,7 +336,7 @@ def generate_corpus(
             # template set; a clash with an already-claimed word (another
             # root, or a disambiguated sibling) just gets a clitic appended
             if word in raw_surfaces:
-                raise PatternCollision(
+                raise CorpusSpecError(
                     f"root {root}: pattern {pattern.pattern_id} repeats "
                     f"an earlier surface form {word!r}"
                 )
@@ -422,7 +429,7 @@ def _parse_header(lines: list[str], path: Path, fmt: TsvFormat) -> dict[str, str
     """The ``key=value`` fields of a ``fmt`` file's header line; raises,
     naming the line, unless the file starts with ``fmt``'s magic and, if it
     has one, its column line."""
-    if not lines:
+    if lines == [""]:
         raise CorpusSpecError(f"{path}:1: empty file, expected header {fmt.magic!r}")
     magic, *parts = lines[0].split("\t")
     if magic != fmt.magic:
@@ -480,14 +487,15 @@ def _checked_rows(
 
 
 def _read_text(path: Path) -> str:
-    """The text of ``path``; a byte that is not UTF-8 raises CorpusSpecError
-    naming the file and the byte's line."""
+    """The text of ``path``, each line end ("\n", "\r\n" or "\r") read as
+    "\n"; a byte that is not UTF-8 raises CorpusSpecError naming the file and
+    the byte's line."""
     try:
         return path.read_text("utf-8")
     except UnicodeDecodeError as err:
-        # the decoder had the whole file, so err.start is a file offset; "?"
-        # stands in for the bad byte, which counts a line it opens
-        lineno = len((err.object[: err.start].decode("utf-8") + "?").splitlines())
+        # the decoder had the whole file, so err.start is a file offset
+        before = err.object[: err.start].replace(b"\r\n", b"\n")
+        lineno = before.count(b"\n") + before.count(b"\r") + 1
         raise CorpusSpecError(
             f"{path}:{lineno}: not UTF-8: byte {err.object[err.start]:#04x} ({err.reason})"
         ) from None
@@ -510,7 +518,7 @@ def read_table(
             returns a message for a row, no row follows the header, or a
             byte is not UTF-8; naming the file, and the line if any.
     """
-    lines = _read_text(path).splitlines()
+    lines = _read_text(path).split("\n")
     fields = _parse_header(lines, path, fmt)
     if header is not None and fields != header:
         key = next(k for k in {**header, **fields} if fields.get(k) != header.get(k))
@@ -600,6 +608,14 @@ def _second_root(fields: list[str], root_of: dict[str, str]) -> str | None:
     return None if first == root else f"word {word!r} has two roots: {first!r} and {root!r}"
 
 
+def _past_share(fields: list[str], held: dict[str, int], share: int) -> str | None:
+    """Why a ``manifest.tsv`` row cannot be filed: ``held``, the number of
+    rows of each peer before it, shows that its peer holds its ``share``."""
+    peer_id = fields[3]
+    held[peer_id] = count = held.get(peer_id, 0) + 1
+    return f"peer {peer_id} holds more than its {share} documents" if count > share else None
+
+
 def _bad_query(fields: list[str], roots: dict[str, str]) -> str | None:
     """Why a ``queries.tsv`` row cannot be run: a word ``Query.parse``
     rejects (not one token, not Arabic, or nothing left after
@@ -609,7 +625,7 @@ def _bad_query(fields: list[str], roots: dict[str, str]) -> str | None:
     query_id, word, root = fields
     try:
         Query.parse(query_id, word)
-    except (ValueError, EmptyAfterNormalization):
+    except ValueError:
         return f"query word {word!r} is not one Arabic word"
     return None if root in roots else f"query root {root!r} has no documents"
 
@@ -628,15 +644,16 @@ def load_manifest(corpus_dir: str | Path) -> CorpusManifest:
             other than ``roots x words_per_root``, a doc id or word holds
             whitespace, a root is not a normalized Arabic word of 3 or 4
             letters, a peer id is not one of the header's ``peer-1..peer-N``,
-            ``queries.tsv`` holds no queries, a query word is not one Arabic
-            word, a query root has no documents, or a word is filed under
+            a peer holds more than ``roots_per_peer x words_per_root``
+            documents, ``queries.tsv`` holds no queries, a query word is not
+            one Arabic word, a query root has no documents, or a word is filed under
             two roots (found as the lexicon is built, before the return);
             the message names the file, and the line if any.
     """
     corpus_dir = Path(corpus_dir)
     manifest_path = corpus_dir / MANIFEST_NAME
     manifest_text = _read_text(manifest_path)
-    manifest_lines = manifest_text.splitlines()
+    manifest_lines = manifest_text.split("\n")
     fields = _parse_header(manifest_lines, manifest_path, MANIFEST)
     spec = CorpusSpec(**{
         name: _header_field(fields, key, manifest_path, int) for key, name in _SPEC_HEADER.items()
@@ -676,13 +693,21 @@ def load_manifest(corpus_dir: str | Path) -> CorpusManifest:
         queries=tuple(QueryEntry(*row) for row in rows),
         patterns_version=patterns_version,
     )
+    # every peer is known and all hold peer_count x share documents, so a peer
+    # off its share means one past it
+    share = spec.roots_per_peer * spec.words_per_root
+    if any(len(docs) != share for docs in manifest.docs_by_peer.values()):
+        held: dict[str, int] = {}
+        _checked_rows(
+            manifest_path, manifest_lines, MANIFEST, lambda row: _past_share(row, held, share)
+        )
     # the text is freed before the lexicon is built, and read again only to name a bad line
     del manifest_text, manifest_lines
     try:
         manifest.lexicon
     except ValueError:
         seen: dict[str, str] = {}
-        lines = _read_text(manifest_path).splitlines()
+        lines = _read_text(manifest_path).split("\n")
         _checked_rows(manifest_path, lines, MANIFEST, lambda row: _second_root(row, seen))
         raise
     return manifest

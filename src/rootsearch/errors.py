@@ -1,34 +1,14 @@
-"""Exception types shared across the package."""
+"""The two exception types the package raises by name; both are
+``ValueError``s, so ``cli.main`` maps every bad input to exit 1 through one
+``except ValueError``. Any other bad input (an empty or non-Arabic word, a
+template whose slot count is not the root's length, a document word that
+is not in the lexicon) raises a plain ``ValueError``."""
 
 
-class RootSearchError(Exception):
-    """Base class for all rootsearch errors."""
+class CorpusSpecError(ValueError):
+    """A corpus file, spec, template set or peer layout breaks its rules;
+    for a file, the message names it, and the line if any."""
 
 
-class EmptyAfterNormalization(RootSearchError):
-    """The input consisted only of diacritics/tatweel; nothing indexable left."""
-
-
-class UnknownRoot(RootSearchError):
+class UnknownRoot(ValueError):
     """A word is not in the lexicon and light stemming found no plausible root."""
-
-
-class ArityMismatch(RootSearchError):
-    """Root length does not match the template's consonant slot count."""
-
-
-class InsufficientRoots(RootSearchError):
-    """The built-in root inventory is smaller than the requested root count."""
-
-
-class PatternCollision(RootSearchError):
-    """The template set produced duplicate surface forms for a single root."""
-
-
-class CorpusSpecError(RootSearchError):
-    """A corpus specification violates one of its invariants, or a TSV file
-    rootsearch wrote fails its checks on load."""
-
-
-class OverlayMismatch(RootSearchError):
-    """Overlay topology does not match the manifest's spec."""

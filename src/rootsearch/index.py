@@ -24,7 +24,6 @@ from operator import attrgetter
 from typing import Iterable
 
 from .corpus import DocIds, Document, gc_paused, postings
-from .errors import UnknownRoot
 from .morphology import RootLexicon
 
 
@@ -55,7 +54,7 @@ def build_index(
     ``root_postings``; only ADVANCED mode reads the lexicon.
 
     Raises:
-        UnknownRoot: in ADVANCED mode, a document word is not in the lexicon.
+        ValueError: in ADVANCED mode, a document word is not in the lexicon.
     """
     docs = tuple(docs)
     root_postings = postings(docs, attrgetter("root"))
@@ -64,7 +63,7 @@ def build_index(
 
     for doc in docs:
         if doc.word not in lexicon:
-            raise UnknownRoot(f"document word {doc.word!r} not in lexicon")
+            raise ValueError(f"document word {doc.word!r} not in lexicon")
     # every root-mate key shares its root's posting tuple; the lexicon maps
     # each word to one root, so no key is written twice
     entries = {

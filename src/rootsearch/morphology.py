@@ -22,7 +22,7 @@ import re
 from collections import defaultdict
 from typing import Iterable, NamedTuple
 
-from .errors import ArityMismatch, UnknownRoot
+from .errors import UnknownRoot
 from .normalize import is_normalized
 
 _SLOT = re.compile(r"C([1-9])")
@@ -113,13 +113,13 @@ def derive(root: str, pattern: DerivationPattern) -> str:
     Deterministic: the same (root, pattern) pair always yields the same word.
 
     Raises:
-        ValueError: ``root`` is not a 3- or 4-letter normalized form.
-        ArityMismatch: slot count differs from the root's length.
+        ValueError: ``root`` is not a 3- or 4-letter normalized form, or the
+            template's slot count differs from the root's length.
     """
     if not is_root(root):
         raise ValueError(f"not a normalized 3/4-letter root: {root!r}")
     if pattern.arity != len(root):
-        raise ArityMismatch(
+        raise ValueError(
             f"pattern {pattern.pattern_id} has {pattern.arity} slots, "
             f"root {root!r} has {len(root)} letters"
         )

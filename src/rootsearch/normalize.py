@@ -20,8 +20,6 @@ from __future__ import annotations
 
 import re
 
-from .errors import EmptyAfterNormalization
-
 # Deleted: tatweel, and the diacritics U+0610-061A (honorific marks),
 # U+064B-065F (harakat, tanwin, shadda, sukun), U+0670 (dagger alef) and
 # U+06D6-06ED (Quranic annotation signs).
@@ -60,11 +58,11 @@ def translate_word(word: str) -> str:
     """Apply rules 1-5 to ``word``, which ``match_word`` has accepted.
 
     Raises:
-        EmptyAfterNormalization: ``word`` consisted only of diacritics/tatweel.
+        ValueError: ``word`` consisted only of diacritics/tatweel.
     """
     normalized = word.translate(_NORMALIZE)
     if not normalized:
-        raise EmptyAfterNormalization(f"nothing left after normalization: {word!r}")
+        raise ValueError(f"nothing left after normalization: {word!r}")
     return normalized
 
 
@@ -77,8 +75,8 @@ def normalize(word: str) -> str:
     'اكل'
 
     Raises:
-        ValueError: ``word`` is empty or contains non-Arabic code points.
-        EmptyAfterNormalization: ``word`` consisted only of diacritics/tatweel.
+        ValueError: ``word`` is empty, contains non-Arabic code points, or
+            consisted only of diacritics/tatweel.
     """
     match = match_word(word)
     if match is None:

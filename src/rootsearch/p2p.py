@@ -3,13 +3,14 @@
 The overlay is four tables keyed by node id, as Yang & Garcia-Molina
 describe a super-peer network: which super-peer each peer belongs to, and
 each super-peer's index of its children's keys. Each peer holds one
-postings map from key to the doc ids of its shard, built by
-``corpus.postings``. Each super-peer holds one route table, which maps
-every key its children hold to the tuple of those children, in peer order.
-The key is a document's word in SIMPLE mode, its root in ADVANCED mode.
-``p2p_search`` decides a query's one key once, at the origin: the
-normalized word in SIMPLE mode, the root ``search.resolve`` found in
-ADVANCED mode (``None``, which no node holds, when the query degrades).
+postings map from key to the doc ids of its shard, whose size
+``corpus.load_manifest`` checks, built by ``corpus.postings``. Each
+super-peer holds one route table, which maps every key its children hold
+to the tuple of those children, in peer order. The key is a document's
+word in SIMPLE mode, its root in ADVANCED mode. ``p2p_search`` decides a
+query's one key once, at the origin: the normalized word in SIMPLE mode,
+the root ``search.resolve`` found in ADVANCED mode (``None``, which no node
+holds, when the query degrades).
 
 Routing for one query, all on a deterministic FIFO message queue that
 ``p2p_search`` drains in one loop:
@@ -44,7 +45,6 @@ from operator import attrgetter
 from typing import Iterable, NamedTuple
 
 from .corpus import CorpusManifest, DocIds, gc_paused, postings
-from .errors import OverlayMismatch
 from .index import IndexMode
 from .morphology import RootLexicon
 from .search import P2P_ADVANCED, P2P_SIMPLE, Query, SearchOutcome, SearchResult, resolve
@@ -107,25 +107,17 @@ def build_overlay(manifest: CorpusManifest, mode: IndexMode) -> Overlay:
 
     Each document is filed under its word (SIMPLE) or its root (ADVANCED);
     the manifest's lexicon maps every word to that root by construction.
-
-    Raises:
-        OverlayMismatch: the manifest's peer assignment does not match its
-            own spec (missing peer or wrong shard size).
+    Shards are taken as they are: ``corpus.load_manifest`` checks that each
+    peer holds ``roots_per_peer x words_per_root`` documents.
     """
     spec = manifest.spec
-    shard_size = spec.roots_per_peer * spec.words_per_root
     key = attrgetter("root" if mode is IndexMode.ADVANCED else "word")
     per_sp = spec.peer_count // spec.superpeer_count
     parent = {peer: f"sp-{i // per_sp + 1}" for i, peer in enumerate(spec.peer_ids())}
     peers: dict[str, dict[str, DocIds]] = {}
     routes: dict[str, dict[str, tuple[str, ...]]] = {}
     for peer_id, sp_id in parent.items():
-        shard = manifest.docs_by_peer.get(peer_id, ())
-        if len(shard) != shard_size:
-            raise OverlayMismatch(
-                f"{peer_id} holds {len(shard)} documents, spec says {shard_size}"
-            )
-        peer_postings = peers[peer_id] = postings(shard, key)
+        peer_postings = peers[peer_id] = postings(manifest.docs_by_peer.get(peer_id, ()), key)
         route = routes.get(sp_id, {})
         merged = dict.fromkeys(peer_postings, (peer_id,))
         merged.update(route)

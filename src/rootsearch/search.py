@@ -40,8 +40,8 @@ class Query(NamedTuple):
         and only text the probe rejects is split into tokens and normalized.
 
         Raises:
-            ValueError: empty input, multiple words, or non-Arabic text.
-            EmptyAfterNormalization: the word consisted only of diacritics/tatweel.
+            ValueError: empty input, multiple words, non-Arabic text, or a
+                word that consisted only of diacritics/tatweel.
         """
         match = match_word(raw)
         if match is None:

@@ -19,7 +19,7 @@ from rootsearch.cli import (
     _resolve_spec,
     main,
 )
-from rootsearch.corpus import CorpusSpec, load_manifest, tree_digest
+from rootsearch.corpus import ROOT_INVENTORY, CorpusSpec, load_manifest, tree_digest
 from rootsearch.index import IndexMode
 from rootsearch.p2p import build_overlay
 from rootsearch.search import Query
@@ -676,6 +676,63 @@ class TestCorpusLoadErrors:
         err = capsys.readouterr().err
         assert code == EXIT_VALIDATION
         assert err == f"error: {path}:1: {message}\n"
+
+
+def _too_many_roots(corpus, out):
+    return (
+        ["gen-corpus", "--roots", "200", "--words-per-root", "5", "--out", str(out)],
+        f"root inventory has {len(ROOT_INVENTORY)} roots, spec needs 200",
+    )
+
+
+def _edit_line_3(corpus, edit):
+    """Apply ``edit`` to line 3 of the manifest; return the manifest's path."""
+    path = corpus / "manifest.tsv"
+    lines = path.read_text("utf-8").split("\n")
+    assert lines[2].endswith("\tpeer-1")
+    lines[2] = edit(lines[2])
+    path.write_text("\n".join(lines), encoding="utf-8")
+    return path
+
+
+def _moved_peer(corpus, out, engines=()):
+    # peer-2's own rows are lines 5-7: line 7 is its fourth
+    path = _edit_line_3(corpus, lambda line: line[: -len("peer-1")] + "peer-2")
+    return (
+        ["run-eval", "--corpus", str(corpus), "--out", str(out), *engines],
+        f"{path}:7: peer peer-2 holds more than its 3 documents",
+    )
+
+
+def _line_separator_at_row_end(corpus, out):
+    # not a line end: the row's peer id is "peer-1" and a U+2028
+    path = _edit_line_3(corpus, lambda line: line + "\u2028")
+    return (
+        ["run-eval", "--corpus", str(corpus), "--out", str(out)],
+        f"{path}:3: peer id 'peer-1\\u2028' is not one of peer-1..peer-2",
+    )
+
+
+class TestBadInputExitsOne:
+    @pytest.mark.parametrize(
+        "case",
+        [
+            _too_many_roots,
+            _moved_peer,
+            lambda corpus, out: _moved_peer(corpus, out, ["--engines", "baseline", "expanded"]),
+            _line_separator_at_row_end,
+        ],
+        ids=["too-many-roots", "moved-peer", "moved-peer-centralized", "line-separator"],
+    )
+    def test_one_error_line_and_no_traceback(self, micro_args, tmp_path, capsys, case):
+        argv, message = case(micro_args, tmp_path / "out")
+        capsys.readouterr()
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert code == EXIT_VALIDATION
+        assert err == f"error: {message}\n"
+        assert out == ""
+        assert not (tmp_path / "out").exists()
 
 
 def _fresh_python(code):

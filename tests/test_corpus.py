@@ -21,12 +21,7 @@ from rootsearch.corpus import (
     relevant_set,
     tree_digest,
 )
-from rootsearch.errors import (
-    CorpusSpecError,
-    InsufficientRoots,
-    PatternCollision,
-    UnknownRoot,
-)
+from rootsearch.errors import CorpusSpecError, UnknownRoot
 from rootsearch.morphology import DerivationPattern, PatternInventory, is_root
 from tests.conftest import MICRO_SPEC
 
@@ -204,7 +199,7 @@ class TestGenerationErrors:
             root_count=4, words_per_root=2, peer_count=2,
             superpeer_count=1, roots_per_peer=2, seed=1,
         )
-        with pytest.raises(InsufficientRoots):
+        with pytest.raises(CorpusSpecError, match="^root inventory has 3 roots, spec needs 4$"):
             generate_corpus(spec, tmp_path, root_pool=("اكل", "لعب", "كتب"))
 
     def test_words_per_root_beyond_inventory(self, tmp_path):
@@ -228,7 +223,9 @@ class TestGenerationErrors:
             root_count=2, words_per_root=2, peer_count=2,
             superpeer_count=1, roots_per_peer=1, seed=1,
         )
-        with pytest.raises(PatternCollision):
+        with pytest.raises(
+            CorpusSpecError, match="^root اكل: pattern p2 repeats an earlier surface form 'ااكل'$"
+        ):
             generate_corpus(spec, tmp_path, inventory=broken)
 
     def test_cross_root_collision_resolved(self, tmp_path):
@@ -365,6 +362,35 @@ class TestLoadManifest:
             load_manifest(tmp_path / "c")
         assert str(info.value) == f"{path}:4: peer id 'peer-9' is not one of peer-1..peer-4"
 
+    def test_crlf_line_ends_are_accepted_and_counted_once(self, tiny_corpus, tmp_path):
+        shutil.copytree(tiny_corpus, tmp_path / "c")
+        for name in (MANIFEST_NAME, QUERIES_NAME):
+            path = tmp_path / "c" / name
+            path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+        loaded, expected = load_manifest(tmp_path / "c"), load_manifest(tiny_corpus)
+        assert loaded.spec == expected.spec
+        assert loaded.documents == expected.documents
+        assert loaded.queries == expected.queries
+        lines = path.read_bytes().split(b"\r\n")
+        lines[4] = b"\xff" + lines[4]
+        path.write_bytes(b"\r\n".join(lines))
+        with pytest.raises(CorpusSpecError) as info:
+            load_manifest(tmp_path / "c")
+        assert str(info.value) == f"{path}:5: not UTF-8: byte 0xff (invalid start byte)"
+
+    def test_peer_past_its_share_names_its_line(self, tiny_corpus, tmp_path):
+        # line 3 moves from peer-1 to peer-2, whose own five rows are lines
+        # 7-11: line 11 is its sixth
+        shutil.copytree(tiny_corpus, tmp_path / "c")
+        path = tmp_path / "c" / MANIFEST_NAME
+        lines = path.read_text("utf-8").splitlines()
+        assert [line.rsplit("\t", 1)[1] for line in lines[1:11]] == ["peer-1"] * 5 + ["peer-2"] * 5
+        lines[2] = lines[2][: -len("peer-1")] + "peer-2"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(CorpusSpecError) as info:
+            load_manifest(tmp_path / "c")
+        assert str(info.value) == f"{path}:11: peer peer-2 holds more than its 5 documents"
+
     @pytest.mark.parametrize(
         "field, message",
         [
@@ -403,18 +429,18 @@ class TestLoadManifest:
         assert str(info.value) == f"{path}:4: query id {query_id!r} repeats line 2"
 
 
-# a field of one line: no tab, and nothing splitlines() breaks a line at
+# a field of one line: no tab, and no line end ("\n", or "\r", which is read as one)
 _cells = st.text(
-    st.characters(
-        blacklist_categories=("Cs",),
-        blacklist_characters="\t\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029",
-    ),
+    st.characters(blacklist_categories=("Cs",), blacklist_characters="\t\n\r"),
     min_size=1,
     max_size=6,
 )
+# what str.splitlines() breaks a line at besides "\n" and "\r": no line end
+# in a manifest, but whitespace in a field
+_LINE_SEPARATORS = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 _FAULTS = (
-    "none", "field-count", "empty-field", "whitespace", "repeated-doc-id",
-    "bad-root", "bad-peer", "two-roots",
+    "none", "field-count", "empty-field", "whitespace", "line-separator", "repeated-doc-id",
+    "bad-root", "bad-peer", "moved-peer", "two-roots",
 )
 
 
@@ -440,12 +466,29 @@ def _manifest_faults(draw, documents, peer_ids):
         at = draw(st.integers(0, len(fields[column])))
         space = draw(st.sampled_from(_FIELD_SPACES))
         fields[column] = fields[column][:at] + space + fields[column][at:]
+    elif kind == "line-separator":
+        # in any field, or at the end of the row
+        column = draw(st.integers(0, 3))
+        at = draw(st.integers(0, len(fields[column])))
+        separator = draw(st.sampled_from(_LINE_SEPARATORS))
+        fields[column] = fields[column][:at] + separator + fields[column][at:]
     elif kind == "repeated-doc-id":
         fields[0] = rows[draw(st.integers(0, i - 1))][0]
     elif kind == "bad-root":
         fields[2] = draw(_cells.filter(lambda cell: not is_root(cell)))
     elif kind == "bad-peer":
         fields[3] = draw(_cells.filter(lambda cell: cell not in peer_ids))
+    elif kind == "moved-peer":
+        # to another peer the header names: the error names the first row
+        # past that peer's share
+        fields[3] = draw(st.sampled_from([p for p in peer_ids if p != fields[3]]))
+        share = len(rows) // len(peer_ids)
+        held = Counter()
+        for k, row in enumerate(rows):
+            held[row[3]] += 1
+            if held[row[3]] > share:
+                line = k + 2
+                break
     else:  # two-roots: the word of a row filed under another root
         j = draw(st.sampled_from([j for j, row in enumerate(rows) if row[2] != fields[2]]))
         fields[1] = rows[j][1]

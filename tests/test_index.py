@@ -5,7 +5,6 @@ from operator import attrgetter
 import pytest
 
 from rootsearch.corpus import Document, postings, relevant_set
-from rootsearch.errors import UnknownRoot
 from rootsearch.index import IndexMode, build_index
 from rootsearch.morphology import RootLexicon
 
@@ -42,7 +41,7 @@ class TestAdvancedBuild:
     def test_unknown_word_raises(self):
         lexicon = RootLexicon()
         docs = [Document("d0", "يلعبون", "لعب", "peer-1")]
-        with pytest.raises(UnknownRoot):
+        with pytest.raises(ValueError, match="^document word 'يلعبون' not in lexicon$"):
             build_index(docs, IndexMode.ADVANCED, lexicon)
 
     def test_root_groups_restricted_to_shard(self, manifest):

@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rootsearch.corpus import CorpusManifest, CorpusSpec, generate_corpus, relevant_set
-from rootsearch.errors import OverlayMismatch
 from rootsearch.index import IndexMode, build_index
 from rootsearch.p2p import (
     KIND_QUERY_FORWARD,
@@ -111,14 +110,6 @@ class TestBuildOverlay:
                     (key(d), d.doc_id) for d in manifest.docs_by_peer[peer_id]
                 )
                 assert filed == expected, (overlay.mode, peer_id)
-
-    def test_shard_mismatch_rejected(self, micro_corpus):
-        _, manifest = micro_corpus
-        broken = _with_documents(
-            manifest, tuple(d for d in manifest.documents if d.peer_id != "peer-2")
-        )
-        with pytest.raises(OverlayMismatch):
-            build_overlay(broken, IndexMode.SIMPLE)
 
 
 class TestP2PSearch:

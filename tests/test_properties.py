@@ -2,22 +2,24 @@
 parsing, the light stemmer, the 4-place rendering of exact fractions and
 the integer means of an evaluation against plain
 dict/set/regex/split/scan/Fraction references over generated inputs, plus
-normalization's idempotence and the light stemmer's length floor."""
+normalization's idempotence, the light stemmer's length floor and the error
+contract: every error a bad word, template or pattern file raises is a
+ValueError."""
 
 import math
 import re
 import tempfile
 from fractions import Fraction
 from operator import attrgetter
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rootsearch.corpus import Document, _bad_query, postings
-from rootsearch.errors import EmptyAfterNormalization
+from rootsearch.corpus import PATTERNS, Document, _bad_query, load_patterns, postings
 from rootsearch.evaluation import EvalReport, fixed4, make_record, write_report
-from rootsearch.morphology import RootLexicon, light_stem
+from rootsearch.morphology import DerivationPattern, RootLexicon, derive, light_stem
 from rootsearch.normalize import is_normalized, match_word, normalize
 from rootsearch.search import BASELINE, Query
 
@@ -79,19 +81,20 @@ def _reference_strip(text):
 
 def _reference_normalize(word):
     if not _REF_WORD.match(word):
-        raise ValueError(word)
+        raise ValueError(f"not a single Arabic word: {word!r}")
     stripped = _reference_strip(word)
     if not stripped:
-        raise EmptyAfterNormalization(word)
+        raise ValueError(f"nothing left after normalization: {word!r}")
     return stripped.translate(_REF_LETTERS)
 
 
 def _outcome(fn, word):
-    """The value ``fn`` returns for ``word``, or the type of what it raises."""
+    """The value ``fn`` returns for ``word``, or the ValueError it raises as
+    a (type, message) pair."""
     try:
         return fn(word)
-    except (ValueError, EmptyAfterNormalization) as exc:
-        return type(exc)
+    except ValueError as exc:
+        return type(exc), str(exc)
 
 
 def _assert_normalize_matches_reference(word):
@@ -139,7 +142,7 @@ _query_text = st.text(
 def _reference_parse(raw):
     tokens = raw.split()
     if len(tokens) != 1:
-        raise ValueError(raw)
+        raise ValueError(f"queries are single words, got {raw!r}")
     return Query("q", raw, _reference_normalize(tokens[0]))
 
 
@@ -192,7 +195,7 @@ def test_query_file_check_accepts_exactly_the_words_query_parse_accepts(word):
 def test_normalize_is_idempotent(word):
     try:
         normalized = normalize(word)
-    except (ValueError, EmptyAfterNormalization):
+    except ValueError:
         return
     assert normalize(normalized) == normalized, ascii(word)
 
@@ -312,3 +315,63 @@ def test_integer_means_match_the_fraction_sums(counts):
     ]
     assert report.mean_precision(BASELINE) == mean_p
     assert report.mean_recall(BASELINE) == mean_r
+
+
+@st.composite
+def _wrong_arity(draw):
+    """A root and a template whose slot count is not the root's length; the
+    root is a real one, or any short text."""
+    root = draw(st.one_of(st.sampled_from(["لعب", "اكل", "دحرج"]), st.text(max_size=5)))
+    slots = draw(st.integers(1, 5).filter(lambda n: n != len(root)))
+    letters = draw(st.lists(st.sampled_from("يتمنا"), min_size=slots + 1, max_size=slots + 1))
+    template = letters[0] + "".join(f"C{i}{letter}" for i, letter in enumerate(letters[1:], 1))
+    return root, DerivationPattern("p", template)
+
+
+def _load_patterns_from(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "patterns.tsv"
+        path.write_bytes(data)
+        return load_patterns(path)
+
+
+# a pattern file: a right or wrong header line, good and bad rows, and a
+# tail of bytes that may not be UTF-8
+_pattern_files = st.builds(
+    lambda head, rows, tail: "\n".join([head, *rows]).encode("utf-8") + tail,
+    st.sampled_from([PATTERNS.magic, "# rootsearch-patterns v2", ""]),
+    st.lists(
+        st.one_of(
+            st.sampled_from(
+                ["p1\tC1C2C3", "p2\tيC1C2C3ون", "p3\tC1C3", "p4\tابت", "p1\tC1C2C3\tx", "\tC1"]
+            ),
+            st.text(max_size=10),
+        ),
+        max_size=6,
+    ),
+    st.binary(max_size=2),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.tuples(st.just(normalize), st.tuples(st.one_of(_query_text, _arabic_text, st.text()))),
+    st.tuples(
+        st.just(Query.parse),
+        st.tuples(st.just("q"), st.one_of(_query_text, _arabic_text, st.text())),
+    ),
+    st.tuples(st.just(derive), _wrong_arity()),
+    st.tuples(st.just(_load_patterns_from), st.tuples(_pattern_files)),
+))
+@example((normalize, ("ـــ",)))
+@example((Query.parse, ("q", "\u064e")))
+@example((derive, ("لعب", DerivationPattern("p", "يC1C2C3C4"))))
+def test_every_error_that_escapes_is_a_value_error(call_and_args):
+    # an error of any other type escapes the test and fails it
+    call, args = call_and_args
+    try:
+        call(*args)
+    except ValueError:
+        return
+    # derive refuses every drawn pair: the root's length is never the slot count
+    assert call is not derive, ascii(args)
