@@ -76,7 +76,7 @@ def cmd_gen_corpus(args: argparse.Namespace) -> int:
     spec = _resolve_spec(args)
     manifest = generate_corpus(spec, args.out)
     print(
-        f"generated {len(manifest.documents)} documents"
+        f"generated {len(manifest.doc_ids)} documents"
         f" ({len(manifest.roots)} roots x {spec.words_per_root} words)"
         f" across {spec.peer_count} peers -> {args.out}"
     )

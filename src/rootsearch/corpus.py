@@ -27,20 +27,19 @@ splits and checks them, naming the file and line of the first bad one;
 ``read_table`` uses it alone. Both corpus files carry one header made from
 the spec, and a query file with another header is rejected.
 
-The spec and the rows (``CorpusSpec``, ``Document``, ``QueryEntry``) are
-immutable ``NamedTuple``s; ``CorpusManifest`` is a plain class whose
-groupings (lexicon, ``docs_by_root``, ``docs_by_peer``) are built on first
-use. ``load_manifest`` keeps a fast path: it builds every manifest row in
-one pass, sharing one string per distinct root and peer id, then checks the
-whole file at once (an empty field, a repeated doc id, whitespace in a
-field, a peer id the header's peer count does not name, a distinct root
-that ``morphology.is_root`` rejects) by scans of sets and of the text, and
-walks the rows only to name the line of a fault it found. It checks each
-peer's share of ``roots_per_peer x words_per_root`` documents on
-``docs_by_peer``, naming the first row past one, and it builds the lexicon,
-so a word filed under two roots is named by its line too, all before it
-returns. ``load_patterns`` reads the template file, ``PATTERNS``, through
-``read_table``.
+``CorpusManifest`` holds a manifest as four columns (doc ids, words, roots
+and peer ids) that ``generate_corpus`` and ``load_manifest`` fill; its
+``documents`` zips them into ``Document`` rows for each reader that asks.
+``postings`` is the one grouping: the lexicon's words per root and the
+manifest's ``docs_by_root``, ``docs_by_word`` and ``peers_of_root`` are one
+pass each over two columns, built on first use. ``load_manifest`` splits
+the rows a chunk at a time, sharing one string per distinct root and peer
+id, then checks the whole file at once, by scans of the columns and of
+sets: an empty field, a repeated doc id, whitespace in a doc id or word, a
+peer id the header does not name, a distinct root ``morphology.is_root``
+rejects, a peer off its ``roots_per_peer x words_per_root`` documents. It
+walks the rows only to name the line of a fault it found, and builds the
+lexicon before it returns, so a word filed under two roots is named too.
 
 ``generate_corpus`` writes ``manifest.tsv`` last, after the bodies and
 ``queries.tsv``, so a run that fails on a body leaves no loadable manifest
@@ -55,10 +54,10 @@ import hashlib
 import itertools
 import os
 import random
+from collections import Counter
 from functools import cached_property, wraps
-from operator import attrgetter
 from pathlib import Path
-from typing import Callable, Iterable, NamedTuple, TypeVar
+from typing import Callable, Iterable, NamedTuple, Sequence, TypeVar
 
 from .errors import CorpusSpecError
 from .morphology import DerivationPattern, PatternInventory, RootLexicon, bad_template
@@ -101,12 +100,8 @@ ROOT_INVENTORY: tuple[str, ...] = ANCHOR_ROOTS + (
     "جري", "بني", "سقي", "شفي", "غني", "عطي", "قوي", "قلل",
 )
 
-# every str.isspace() code point but "\t", "\n" and "\r" (read as "\n"): those
-# that the line split and the tab split leave in a field
-_FIELD_SPACES = (
-    "\x0b\x0c\x1c\x1d\x1e\x1f\x85 \xa0\u1680\u2028\u2029\u202f\u205f\u3000"
-    + "".join(map(chr, range(0x2000, 0x200B)))
-)
+# rows ``_columns`` splits at once, not a whole file's copy of every root and peer id
+_CHUNK_ROWS = 4096
 
 # Appended, possibly repeatedly, when two roots derive the same surface form;
 # the later root's word gets the first unused variant.
@@ -176,6 +171,7 @@ PATTERNS = TsvFormat("# rootsearch-patterns v1", DerivationPattern._fields, "pat
 
 
 DocIds = tuple[str, ...]
+Columns = tuple[Sequence[str], Sequence[str], Sequence[str], Sequence[str]]
 # a row's fields -> why the row is bad, or None
 RowCheck = Callable[[list[str]], str | None]
 
@@ -185,18 +181,12 @@ _Build = TypeVar("_Build", bound=Callable)
 def gc_paused(build: _Build) -> _Build:
     """Run ``build`` with the cyclic garbage collector off, then restore its
     earlier state, also when ``build`` raises; a call made while the
-    collector is already off leaves it off.
-
-    The pause is safe because the bulk builds it wraps create no reference
-    cycles: rows, tuples, strings and dicts that refer only downwards, which
-    reference counting frees on its own. Left on, the collector runs
-    hundreds of young collections and a full one over a 100,000-document
-    build and finds nothing to free. The pause is process-wide: rootsearch
-    is single-threaded, so no other thread's allocations go uncollected.
-
-    This pause owns the collector only for in-process callers (``cli.main``,
-    tests, benchmarks); in a CLI process ``cli.entry`` keeps it off
-    throughout, so the pause does nothing there.
+    collector is off leaves it off. The builds it wraps make no reference
+    cycles, only rows, tuples, strings and dicts that refer downwards, so
+    the hundreds of collections it skips over a 100,000-document build would
+    free nothing; rootsearch is single-threaded. In a CLI process
+    ``cli.entry`` keeps the collector off throughout, so the pause matters
+    only to in-process callers (``cli.main``, tests, benchmarks).
     """
 
     @wraps(build)
@@ -212,65 +202,69 @@ def gc_paused(build: _Build) -> _Build:
     return paused
 
 
-def postings(docs: Iterable[Document], key: Callable[[Document], str]) -> dict[str, DocIds]:
-    """``key(doc)`` -> sorted, duplicate-free doc ids; the one grouping of
-    documents by key. A key's first id is a 1-tuple and only its second makes
-    a list, so the one-id word keys of a generated corpus leave no list for
-    the collector."""
+def postings(keys: Iterable[str], ids: Iterable[str]) -> dict[str, DocIds]:
+    """Each of ``keys`` -> the sorted, duplicate-free ``ids`` read in step
+    with it; the one grouping, of doc ids by word or root, and of words or
+    peer ids by root. A key's first id is a 1-tuple and only its second
+    makes a list, so a generated corpus's one-id word keys leave no list."""
     grouped: dict = {}
-    for doc in docs:
-        k = key(doc)
-        ids = grouped.get(k)
-        if ids is None:
-            grouped[k] = (doc.doc_id,)
-        elif type(ids) is tuple:
-            grouped[k] = [ids[0], doc.doc_id]
+    for k, doc_id in zip(keys, ids):
+        held = grouped.get(k)
+        if held is None:
+            grouped[k] = (doc_id,)
+        elif type(held) is tuple:
+            grouped[k] = [held[0], doc_id]
         else:
-            ids.append(doc.doc_id)
-    for k, ids in grouped.items():
-        if type(ids) is list:
-            grouped[k] = tuple(dict.fromkeys(sorted(ids)))
+            held.append(doc_id)
+    for k, held in grouped.items():
+        if type(held) is list:
+            grouped[k] = tuple(dict.fromkeys(sorted(held)))
     return grouped
 
 
 class CorpusManifest:
-    """Ground truth for a generated corpus: every document's word, root and peer."""
+    """Ground truth for a generated corpus: four columns, each document's id,
+    word, root and peer id in manifest order, which share one string per root and peer."""
 
     def __init__(
         self,
         spec: CorpusSpec,
-        documents: tuple[Document, ...],
+        columns: Columns,
         roots: tuple[str, ...],
         queries: tuple[QueryEntry, ...],
         patterns_version: str,
     ) -> None:
         self.spec = spec
-        self.documents = documents
+        self.doc_ids, self.doc_words, self.doc_roots, self.doc_peers = columns
         self.roots = roots
         self.queries = queries
         self.patterns_version = patterns_version
 
+    @property
+    @gc_paused
+    def documents(self) -> tuple[Document, ...]:
+        """The columns zipped into rows, anew for each reader, which frees them."""
+        columns = zip(self.doc_ids, self.doc_words, self.doc_roots, self.doc_peers)
+        return tuple(map(tuple.__new__, itertools.repeat(Document), columns))
+
     @cached_property
     @gc_paused
     def lexicon(self) -> RootLexicon:
-        return RootLexicon((doc.word, doc.root) for doc in self.documents)
+        return RootLexicon(postings(self.doc_roots, self.doc_words))
 
     @cached_property
+    @gc_paused
     def docs_by_root(self) -> dict[str, DocIds]:
-        return postings(self.documents, attrgetter("root"))
+        return postings(self.doc_roots, self.doc_ids)
 
     @cached_property
-    def docs_by_peer(self) -> dict[str, tuple[Document, ...]]:
-        grouped: dict[str, list[Document]] = {}
-        for doc in self.documents:
-            grouped.setdefault(doc.peer_id, []).append(doc)
-        return {peer: tuple(docs) for peer, docs in grouped.items()}
+    @gc_paused
+    def docs_by_word(self) -> dict[str, DocIds]:
+        return postings(self.doc_words, self.doc_ids)
 
     @cached_property
     def peers_of_root(self) -> dict[str, frozenset[str]]:
-        grouped: dict[str, set[str]] = {}
-        for doc in self.documents:
-            grouped.setdefault(doc.root, set()).add(doc.peer_id)
+        grouped = postings(self.doc_roots, self.doc_peers)
         return {root: frozenset(peers) for root, peers in grouped.items()}
 
 
@@ -319,13 +313,12 @@ def generate_corpus(
         )
     rng = random.Random(spec.seed)
     roots = sorted(_select_roots(spec, root_pool, rng))
+    peer_ids = spec.peer_ids()
 
-    doc_width = max(5, len(str(spec.total_documents - 1)))
     query_width = max(3, len(str(spec.root_count - 1)))
-    documents: list[Document] = []
+    doc_words, doc_roots, doc_peers = [], [], []
     queries: list[QueryEntry] = []
     used: dict[str, str] = {}
-    doc_index = 0
     for root_index, root in enumerate(roots):
         chosen = rng.sample(inventory.patterns, spec.words_per_root)
         words: list[str] = []
@@ -345,18 +338,17 @@ def generate_corpus(
                 word = _disambiguate(word, used)
             used[word] = root
             words.append(word)
-        peer_id = spec.peer_ids()[root_index // spec.roots_per_peer]
-        for word in words:
-            documents.append(
-                Document(f"d{doc_index:0{doc_width}d}", word, root, peer_id)
-            )
-            doc_index += 1
+        doc_words += words
+        doc_roots += [root] * len(words)
+        doc_peers += [peer_ids[root_index // spec.roots_per_peer]] * len(words)
         query_word = words[rng.randrange(len(words))]
         queries.append(QueryEntry(f"q{root_index:0{query_width}d}", query_word, root))
 
+    doc_width = max(5, len(str(spec.total_documents - 1)))
+    doc_ids = [f"d{i:0{doc_width}d}" for i in range(len(doc_words))]
     manifest = CorpusManifest(
         spec=spec,
-        documents=tuple(documents),
+        columns=(doc_ids, doc_words, doc_roots, doc_peers),
         roots=tuple(roots),
         queries=tuple(queries),
         patterns_version=inventory.version,
@@ -378,9 +370,9 @@ def _write_corpus(manifest: CorpusManifest, out_dir: Path) -> None:
         (out_dir / peer_id).mkdir(exist_ok=True)
     base = os.fspath(out_dir)
     flags = os.O_WRONLY | os.O_CREAT | os.O_TRUNC
-    for doc in manifest.documents:
-        path = f"{base}/{doc.peer_id}/{doc.doc_id}.txt"
-        body = f"{doc.word}\n".encode()
+    for doc_id, word, peer_id in zip(manifest.doc_ids, manifest.doc_words, manifest.doc_peers):
+        path = f"{base}/{peer_id}/{doc_id}.txt"
+        body = f"{word}\n".encode()
         fd = os.open(path, flags, 0o666)
         try:
             written = os.write(fd, body)
@@ -394,7 +386,8 @@ def _write_corpus(manifest: CorpusManifest, out_dir: Path) -> None:
     write_tsv(out_dir / QUERIES_NAME, QUERIES, header,
               (f"{q.query_id}\t{q.word}\t{q.root}" for q in manifest.queries))
     write_tsv(out_dir / MANIFEST_NAME, MANIFEST, header,
-              (f"{d.doc_id}\t{d.word}\t{d.root}\t{d.peer_id}" for d in manifest.documents))
+              map("\t".join, zip(manifest.doc_ids, manifest.doc_words, manifest.doc_roots,
+                                 manifest.doc_peers)))
 
 
 def _header_line(magic: str, fields: dict[str, object]) -> str:
@@ -558,46 +551,44 @@ def load_patterns(path: str | Path | None = None) -> PatternInventory:
     return PatternInventory(version, tuple(DerivationPattern(*row) for row in rows))
 
 
-def _documents(
-    path: Path, lines: list[str]
-) -> tuple[list[Document], dict[str, str], dict[str, str]]:
-    """The manifest rows, plus the distinct roots and peer ids among them.
-
-    Each row's root and peer id is the one string of its value that the
-    returned maps hold, not a copy per row: each repeats across a root's or
-    a peer's rows.
-    """
-    new = tuple.__new__
+def _columns(path: Path, lines: list[str]) -> tuple[Columns, dict[str, str], dict[str, str]]:
+    """The manifest's columns, plus the distinct roots and peer ids, whose one
+    string each row shares. Chunks of rows are joined with "\t\n" and split
+    at the tabs: a row of other than 4 fields moves the "\n" that starts the
+    next row's first cell out of the doc-id column, which then holds fewer
+    than one "\n" per row after the chunk's first."""
+    doc_ids, doc_words, doc_roots, doc_peers = columns = ([], [], [], [])
     roots: dict[str, str] = {}
     peers: dict[str, str] = {}
-    share_root, share_peer = roots.setdefault, peers.setdefault
-    try:
-        documents = [
-            # tuple.__new__ builds the NamedTuple without its Python-level __new__ frame
-            new(Document, (doc_id, word, share_root(root, root), share_peer(peer, peer)))
-            for line in lines[1:]
-            if line.strip()
-            # binds the row's fields; a wrong field count raises ValueError
-            for doc_id, word, root, peer in (line.split("\t"),)
-        ]
-    except ValueError:
-        _checked_rows(path, lines, MANIFEST)
-        raise
-    return documents, roots, peers
+    rows = list(itertools.filterfalse(str.isspace, filter(None, itertools.islice(lines, 1, None))))
+    for start in range(0, len(rows), _CHUNK_ROWS):
+        chunk = rows[start:start + _CHUNK_ROWS]
+        cells = "\t\n".join(chunk).split("\t")
+        ids = "".join(cells[0::4]).split("\n")
+        if len(ids) != len(chunk) or len(cells) != 4 * len(chunk):
+            _checked_rows(path, lines, MANIFEST)  # raises, naming the first such row
+        doc_ids += ids
+        doc_words += cells[1::4]
+        doc_roots += map(roots.setdefault, cells[2::4], cells[2::4])
+        doc_peers += map(peers.setdefault, cells[3::4], cells[3::4])
+    return columns, roots, peers
+
+
+def _spaced(names: tuple[str, str], fields: list[str]) -> str | None:
+    """Why a row cannot be loaded: its id or word, named ``names``, holds whitespace."""
+    spaced = [f"{n} {v!r} holds whitespace" for n, v in zip(names, fields) if v.split() != [v]]
+    return spaced[0] if spaced else None
 
 
 def _bad_document(fields: list[str], peer_ids: tuple[str, ...]) -> str | None:
-    """Why a ``manifest.tsv`` row cannot be loaded: whitespace in its doc id
-    or word, a root ``derive`` would reject, or a peer id the header does not name."""
-    for name, value in zip(("doc id", "word"), fields):
-        if value.split() != [value]:
-            return f"{name} {value!r} holds whitespace"
+    """Why a ``manifest.tsv`` row cannot be loaded: a root ``derive`` would
+    reject, a peer id the header does not name, or whitespace in its doc id or word."""
     root, peer_id = fields[2:]
     if not is_root(root):
         return f"root {root!r} is not a normalized Arabic word of 3 or 4 letters"
     if peer_id not in peer_ids:
         return f"peer id {peer_id!r} is not one of {peer_ids[0]}..{peer_ids[-1]}"
-    return None
+    return _spaced(("doc id", "word"), fields)
 
 
 def _second_root(fields: list[str], root_of: dict[str, str]) -> str | None:
@@ -617,9 +608,9 @@ def _past_share(fields: list[str], held: dict[str, int], share: int) -> str | No
 
 
 def _bad_query(fields: list[str], roots: dict[str, str]) -> str | None:
-    """Why a ``queries.tsv`` row cannot be run: a word ``Query.parse``
-    rejects (not one token, not Arabic, or nothing left after
-    normalization), or a root no document is filed under."""
+    """Why a ``queries.tsv`` row cannot be run: a word ``Query.parse`` rejects
+    (not one token, not Arabic, or nothing left after normalization), a root
+    no document is filed under, or whitespace in its query id or word."""
     from .search import Query  # search imports index, which imports this module
 
     query_id, word, root = fields
@@ -627,7 +618,9 @@ def _bad_query(fields: list[str], roots: dict[str, str]) -> str | None:
         Query.parse(query_id, word)
     except ValueError:
         return f"query word {word!r} is not one Arabic word"
-    return None if root in roots else f"query root {root!r} has no documents"
+    if root not in roots:
+        return f"query root {root!r} has no documents"
+    return _spaced(("query id", "query word"), fields)
 
 
 @gc_paused
@@ -646,14 +639,14 @@ def load_manifest(corpus_dir: str | Path) -> CorpusManifest:
             letters, a peer id is not one of the header's ``peer-1..peer-N``,
             a peer holds more than ``roots_per_peer x words_per_root``
             documents, ``queries.tsv`` holds no queries, a query word is not
-            one Arabic word, a query root has no documents, or a word is filed under
-            two roots (found as the lexicon is built, before the return);
-            the message names the file, and the line if any.
+            one Arabic word, a query root has no documents, a query id or
+            word holds whitespace, or a word is filed under two roots (found
+            as the lexicon is built, before the return); the message names
+            the file, and the line if any.
     """
     corpus_dir = Path(corpus_dir)
     manifest_path = corpus_dir / MANIFEST_NAME
-    manifest_text = _read_text(manifest_path)
-    manifest_lines = manifest_text.split("\n")
+    manifest_lines = _read_text(manifest_path).split("\n")
     fields = _parse_header(manifest_lines, manifest_path, MANIFEST)
     spec = CorpusSpec(**{
         name: _header_field(fields, key, manifest_path, int) for key, name in _SPEC_HEADER.items()
@@ -663,23 +656,22 @@ def load_manifest(corpus_dir: str | Path) -> CorpusManifest:
         spec.validate()
     except CorpusSpecError as err:
         raise CorpusSpecError(f"{manifest_path}:1: {err}") from None
-    documents, roots, peers = _documents(manifest_path, manifest_lines)
-    if not documents:
+    columns, roots, peers = _columns(manifest_path, manifest_lines)
+    if not columns[0]:
         raise CorpusSpecError(f"{manifest_path}: no documents after the header line")
     known = spec.peer_ids()
-    doc_ids = {doc.doc_id for doc in documents}
-    # an empty doc id or peer id shows in these sets, an empty word or root
-    # as two adjacent tabs, whitespace in a field after the header line, and
-    # a root derive would reject among the distinct roots: no pass over the rows
-    spaced = any(manifest_text.find(c, len(manifest_lines[0])) >= 0 for c in _FIELD_SPACES)
-    unsound = "" in doc_ids or "\t\t" in manifest_text or not peers.keys() <= set(known)
-    if unsound or spaced or not all(map(is_root, roots)) or len(doc_ids) != len(documents):
+    doc_ids = set(columns[0])
+    # whitespace in a doc id or word splits its column's text; an empty or
+    # spaced root or peer id is no root or known peer: no pass over the rows
+    spaced = any(text.split() != [text] for text in map("".join, columns[:2]))
+    unsound = "" in doc_ids or "" in columns[1] or not peers.keys() <= set(known)
+    if unsound or spaced or not all(map(is_root, roots)) or len(doc_ids) != len(columns[0]):
         _checked_rows(
             manifest_path, manifest_lines, MANIFEST, lambda row: _bad_document(row, known)
         )
-    if len(documents) != spec.total_documents:
+    if len(columns[0]) != spec.total_documents:
         raise CorpusSpecError(
-            f"{manifest_path}: {len(documents)} documents, header says"
+            f"{manifest_path}: {len(columns[0])} documents, header says"
             f" roots={spec.root_count} x words_per_root={spec.words_per_root}"
             f" = {spec.total_documents}"
         )
@@ -688,7 +680,7 @@ def load_manifest(corpus_dir: str | Path) -> CorpusManifest:
     )
     manifest = CorpusManifest(
         spec=spec,
-        documents=tuple(documents),
+        columns=columns,
         roots=tuple(sorted(roots)),
         queries=tuple(QueryEntry(*row) for row in rows),
         patterns_version=patterns_version,
@@ -696,13 +688,13 @@ def load_manifest(corpus_dir: str | Path) -> CorpusManifest:
     # every peer is known and all hold peer_count x share documents, so a peer
     # off its share means one past it
     share = spec.roots_per_peer * spec.words_per_root
-    if any(len(docs) != share for docs in manifest.docs_by_peer.values()):
+    if any(n != share for n in Counter(manifest.doc_peers).values()):
         held: dict[str, int] = {}
         _checked_rows(
             manifest_path, manifest_lines, MANIFEST, lambda row: _past_share(row, held, share)
         )
-    # the text is freed before the lexicon is built, and read again only to name a bad line
-    del manifest_text, manifest_lines
+    # the lines are freed before the lexicon is built, and read again only to name a bad line
+    del manifest_lines
     try:
         manifest.lexicon
     except ValueError:

@@ -13,7 +13,8 @@ the summary table it wrote, so ``run-eval`` prints it without working the
 means out again.
 
 Relevance is the generator's record, not a stemmer's: a document is
-relevant to a query iff its manifest root is the query row's root.
+relevant to a query iff its manifest root is the query row's root, so the
+relevant ids are the manifest's ``docs_by_root`` tuple of that root.
 
 An engine error is not recorded per query: it propagates out of
 ``run_evaluation``, and ``run-eval`` writes no file, so ``failures`` is 0
@@ -37,7 +38,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from .corpus import CorpusManifest, DocIds, TsvFormat, write_tsv
-from .index import IndexMode, InvertedIndex, build_index
+from .index import InvertedIndex
 from .p2p import ENGINE_MODES, Overlay, build_overlay, p2p_search
 from .search import (
     BASELINE,
@@ -215,9 +216,10 @@ def build_engines(
     names: Iterable[str] = ENGINES,
     origin: str = "peer-1",
 ) -> list[BaselineEngine | ExpandedEngine | P2PEngine]:
-    """Construct the requested engines, each name once in first-seen order,
-    sharing indexes where possible; the one dispatch from engine name to
-    searcher, for ``run-eval`` and ``query``.
+    """Construct the requested engines, each name once in first-seen order;
+    the one dispatch from engine name to searcher, for ``run-eval`` and
+    ``query``. The SIMPLE index is the manifest's ``docs_by_word`` and
+    ``docs_by_root``, whose tuples the overlays' peers share.
 
     Raises:
         ValueError: an unknown engine name, or an ``origin`` that is not one
@@ -235,7 +237,7 @@ def build_engines(
     engines: list[BaselineEngine | ExpandedEngine | P2PEngine] = []
     simple_index = None
     if BASELINE in names or EXPANDED in names:
-        simple_index = build_index(manifest.documents, IndexMode.SIMPLE, manifest.lexicon)
+        simple_index = InvertedIndex(manifest.docs_by_word, manifest.docs_by_root)
     for name in names:
         if name == BASELINE:
             engines.append(BaselineEngine(simple_index))

@@ -13,9 +13,9 @@ documents. It answers a root-aware query with one lookup per root instead
 of one per root-mate.
 
 ``corpus.postings`` builds every key -> sorted doc-id tuple map: this
-index's, each overlay peer's (see ``p2p``) and the manifest's
-``docs_by_root``. The centralized engines search one SIMPLE index over the
-whole corpus.
+index's, and the manifest's ``docs_by_word`` and ``docs_by_root``, of which
+``evaluation.build_engines`` makes the one SIMPLE index the centralized
+engines search, and whose tuples each overlay peer (see ``p2p``) stores.
 """
 from __future__ import annotations
 
@@ -57,9 +57,10 @@ def build_index(
         ValueError: in ADVANCED mode, a document word is not in the lexicon.
     """
     docs = tuple(docs)
-    root_postings = postings(docs, attrgetter("root"))
+    doc_ids = [doc.doc_id for doc in docs]
+    root_postings = postings(map(attrgetter("root"), docs), doc_ids)
     if mode is IndexMode.SIMPLE:
-        return InvertedIndex(postings(docs, attrgetter("word")), root_postings)
+        return InvertedIndex(postings(map(attrgetter("word"), docs), doc_ids), root_postings)
 
     for doc in docs:
         if doc.word not in lexicon:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import re
 from collections import defaultdict
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 from .errors import UnknownRoot
 from .normalize import is_normalized
@@ -131,19 +131,15 @@ def derive(root: str, pattern: DerivationPattern) -> str:
 
 class RootLexicon:
     """Bidirectional word/root maps over a corpus vocabulary, built once from
-    (word, root) pairs; a repeated pair counts once. Each root keeps its words
-    as one sorted tuple, and all of them map to the root object seen first, so
-    root-mates resolve to one object rather than one per manifest row.
+    ``words_of``, each root -> its words as one sorted, duplicate-free tuple:
+    ``corpus.postings(roots, words)``. Root-mates resolve to one root object.
 
     Raises:
-        ValueError: a word is paired with two different roots.
+        ValueError: a word is filed under two different roots.
     """
 
-    def __init__(self, pairs: Iterable[tuple[str, str]] = ()) -> None:
-        grouped: dict[str, list[str]] = defaultdict(list)
-        for word, root in pairs:
-            grouped[root].append(word)
-        self._words_of = {r: tuple(dict.fromkeys(sorted(ws))) for r, ws in grouped.items()}
+    def __init__(self, words_of: dict[str, tuple[str, ...]] | None = None) -> None:
+        self._words_of = words_of or {}
         self._root_of = {w: r for r, ws in self._words_of.items() for w in ws}
         if len(self._root_of) != sum(map(len, self._words_of.values())):
             word, root = next(

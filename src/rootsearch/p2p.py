@@ -3,9 +3,10 @@
 The overlay is four tables keyed by node id, as Yang & Garcia-Molina
 describe a super-peer network: which super-peer each peer belongs to, and
 each super-peer's index of its children's keys. Each peer holds one
-postings map from key to the doc ids of its shard, whose size
-``corpus.load_manifest`` checks, built by ``corpus.postings``. Each
-super-peer holds one route table, which maps every key its children hold
+postings map from key to the doc ids of its shard: the manifest's own
+corpus-wide tuple (``docs_by_word`` or ``docs_by_root``) for a key the peer
+holds alone, filtered to the peer's ids only for a key split across peers.
+Each super-peer holds one route table, which maps every key its children hold
 to the tuple of those children, in peer order. The key is a document's
 word in SIMPLE mode, its root in ADVANCED mode. ``p2p_search`` decides a
 query's one key once, at the origin: the normalized word in SIMPLE mode,
@@ -41,10 +42,9 @@ numbers the lines 1..n.
 from __future__ import annotations
 
 from itertools import repeat
-from operator import attrgetter
 from typing import Iterable, NamedTuple
 
-from .corpus import CorpusManifest, DocIds, gc_paused, postings
+from .corpus import CorpusManifest, DocIds, gc_paused
 from .index import IndexMode
 from .morphology import RootLexicon
 from .search import P2P_ADVANCED, P2P_SIMPLE, Query, SearchOutcome, SearchResult, resolve
@@ -101,23 +101,32 @@ class Overlay:
 
 @gc_paused
 def build_overlay(manifest: CorpusManifest, mode: IndexMode) -> Overlay:
-    """Build the overlay's tables from the manifest: each super-peer's
-    children are one contiguous block of peers, peer-1..peer-k under sp-1,
-    the next k under sp-2 and so on.
+    """Build the overlay's tables from the manifest's columns: each
+    super-peer's children are one contiguous block of peers, peer-1..peer-k
+    under sp-1, the next k under sp-2 and so on.
 
-    Each document is filed under its word (SIMPLE) or its root (ADVANCED);
-    the manifest's lexicon maps every word to that root by construction.
-    Shards are taken as they are: ``corpus.load_manifest`` checks that each
-    peer holds ``roots_per_peer x words_per_root`` documents.
+    Each document is filed under its word (SIMPLE) or its root (ADVANCED),
+    with the manifest's corpus-wide tuple of the key. Shards are taken as
+    they are: ``corpus.load_manifest`` checks each peer's size.
     """
     spec = manifest.spec
-    key = attrgetter("root" if mode is IndexMode.ADVANCED else "word")
+    advanced = mode is IndexMode.ADVANCED
+    key_column = manifest.doc_roots if advanced else manifest.doc_words
+    by_key = manifest.docs_by_root if advanced else manifest.docs_by_word
     per_sp = spec.peer_count // spec.superpeer_count
     parent = {peer: f"sp-{i // per_sp + 1}" for i, peer in enumerate(spec.peer_ids())}
-    peers: dict[str, dict[str, DocIds]] = {}
+    peers: dict[str, dict[str, DocIds]] = {peer_id: {} for peer_id in parent}
+    for k, peer_id in zip(key_column, manifest.doc_peers):
+        peers[peer_id][k] = by_key[k]
+    if sum(map(len, peers.values())) > len(by_key):  # a key held by two or more peers
+        peer_of = dict(zip(manifest.doc_ids, manifest.doc_peers))
+        for peer_id, held in peers.items():
+            for k, ids in held.items():
+                own = tuple(doc_id for doc_id in ids if peer_of[doc_id] == peer_id)
+                held[k] = own if len(own) < len(ids) else ids
     routes: dict[str, dict[str, tuple[str, ...]]] = {}
     for peer_id, sp_id in parent.items():
-        peer_postings = peers[peer_id] = postings(manifest.docs_by_peer.get(peer_id, ()), key)
+        peer_postings = peers[peer_id]
         route = routes.get(sp_id, {})
         merged = dict.fromkeys(peer_postings, (peer_id,))
         merged.update(route)

@@ -196,7 +196,7 @@ class TestQuery:
         def no_build(*args):
             raise AssertionError("built an engine for an unknown origin")
 
-        monkeypatch.setattr(evaluation, "build_index", no_build)
+        monkeypatch.setattr(evaluation, "InvertedIndex", no_build)
         monkeypatch.setattr(evaluation, "build_overlay", no_build)
         code = main(
             ["query", self._word(micro_args), "--corpus", str(micro_args),
@@ -653,6 +653,27 @@ class TestCorpusLoadErrors:
         err = capsys.readouterr().err
         assert code == EXIT_VALIDATION
         assert err == f"error: {path}:3: query word {word!r} is not one Arabic word\n"
+
+    @pytest.mark.parametrize(
+        "column,edit,name",
+        [(0, "q {}".format, "query id"), (1, "{} ".format, "query word"),
+         (1, "{}\u2028".format, "query word")],
+        ids=["spaced-id", "trailing-space", "line-separator"],
+    )
+    def test_whitespace_in_query_id_or_word_names_its_line(
+        self, micro_args, tmp_path, capsys, column, edit, name
+    ):
+        path = micro_args / "queries.tsv"
+        lines = path.read_text("utf-8").splitlines()
+        fields = lines[2].split("\t")
+        fields[column] = value = edit(fields[column])
+        lines[2] = "\t".join(fields)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code = main(["run-eval", "--corpus", str(micro_args), "--out", str(tmp_path / "r")])
+        err = capsys.readouterr().err
+        assert code == EXIT_VALIDATION
+        assert err == f"error: {path}:3: {name} {value!r} holds whitespace\n"
+        assert not (tmp_path / "r").exists()
 
     @pytest.mark.parametrize(
         "field,replacement,message",

@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rootsearch.corpus import (
-    _FIELD_SPACES,
     ANCHOR_ROOTS,
     CorpusSpec,
     MANIFEST_NAME,
@@ -362,6 +361,28 @@ class TestLoadManifest:
             load_manifest(tmp_path / "c")
         assert str(info.value) == f"{path}:4: peer id 'peer-9' is not one of peer-1..peer-4"
 
+    def test_short_row_then_long_row_names_the_short_one(self, tiny_corpus, tmp_path):
+        # line 3 hands its peer id to line 4: 3 fields, then 5, whose cells
+        # would still fill whole rows if the two were split as one text
+        shutil.copytree(tiny_corpus, tmp_path / "c")
+        path = tmp_path / "c" / MANIFEST_NAME
+        lines = path.read_text("utf-8").splitlines()
+        lines[2], peer_id = lines[2].rsplit("\t", 1)
+        lines[3] = f"{peer_id}\t{lines[3]}"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(CorpusSpecError) as info:
+            load_manifest(tmp_path / "c")
+        assert str(info.value) == f"{path}:3: expected 4 tab-separated fields, got 3"
+
+    def test_whitespace_only_line_is_skipped(self, tiny_corpus, tmp_path):
+        shutil.copytree(tiny_corpus, tmp_path / "c")
+        path = tmp_path / "c" / MANIFEST_NAME
+        lines = path.read_text("utf-8").splitlines()
+        lines.insert(3, " \t\u2028\t\t")
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        loaded, expected = load_manifest(tmp_path / "c"), load_manifest(tiny_corpus)
+        assert loaded.documents == expected.documents
+
     def test_crlf_line_ends_are_accepted_and_counted_once(self, tiny_corpus, tmp_path):
         shutil.copytree(tiny_corpus, tmp_path / "c")
         for name in (MANIFEST_NAME, QUERIES_NAME):
@@ -438,6 +459,12 @@ _cells = st.text(
 # what str.splitlines() breaks a line at besides "\n" and "\r": no line end
 # in a manifest, but whitespace in a field
 _LINE_SEPARATORS = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+# every str.isspace() code point but "\t", "\n" and "\r": those that the
+# line split and the tab split leave in a field
+_FIELD_SPACES = (
+    "\x0b\x0c\x1c\x1d\x1e\x1f\x85 \xa0\u1680\u2028\u2029\u202f\u205f\u3000"
+    + "".join(map(chr, range(0x2000, 0x200B)))
+)
 _FAULTS = (
     "none", "field-count", "empty-field", "whitespace", "line-separator", "repeated-doc-id",
     "bad-root", "bad-peer", "moved-peer", "two-roots",
@@ -497,7 +524,7 @@ def _manifest_faults(draw, documents, peer_ids):
 
 
 class TestLoadManifestFaults:
-    """``load_manifest`` finds faults by scans of sets and of the text, and
+    """``load_manifest`` finds faults by scans of sets and of the columns, and
     names their line with ``_checked_rows``: the two agree on one fault of
     each kind at any row of the micro corpus, and on none."""
 

@@ -173,15 +173,15 @@ class TestRunEvaluation:
     def test_hand_vocalized_query_evaluates_like_the_bare_word(
         self, micro_corpus, micro_report, tmp_path
     ):
-        # queries are parsed as `rootsearch query` parses them: surrounding
-        # spaces, diacritics and tatweel in queries.tsv are dropped before
-        # any engine and before the relevance oracle
+        # queries are parsed as `rootsearch query` parses them: diacritics
+        # and tatweel in queries.tsv are dropped before any engine and
+        # before the relevance oracle
         corpus_dir, _ = micro_corpus
         shutil.copytree(corpus_dir, tmp_path / "c")
         path = tmp_path / "c" / "queries.tsv"
         lines = path.read_text("utf-8").splitlines()
         query_id, word, root = lines[1].split("\t")
-        vocalized = " " + word[0] + "ـ" + "".join(ch + "َ" for ch in word[1:])
+        vocalized = word[0] + "ـ" + "".join(ch + "َ" for ch in word[1:])
         lines[1] = "\t".join([query_id, vocalized, root])
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         manifest = load_manifest(tmp_path / "c")

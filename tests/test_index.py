@@ -1,7 +1,5 @@
 """Index builds in both modes, exact lookup, and the mode invariants."""
 
-from operator import attrgetter
-
 import pytest
 
 from rootsearch.corpus import Document, postings, relevant_set
@@ -9,9 +7,14 @@ from rootsearch.index import IndexMode, build_index
 from rootsearch.morphology import RootLexicon
 
 
+def _shard(manifest, peer_id):
+    """The rows of ``peer_id``'s documents, in manifest order."""
+    return tuple(d for d in manifest.documents if d.peer_id == peer_id)
+
+
 class TestSimpleBuild:
     def test_peer_shard_has_one_key_per_document(self, manifest):
-        shard = manifest.docs_by_peer["peer-1"]
+        shard = _shard(manifest, "peer-1")
         index = build_index(shard, IndexMode.SIMPLE, manifest.lexicon)
         assert len(index.entries) == 2500
         assert all(len(ids) == 1 for ids in index.entries.values())
@@ -26,7 +29,7 @@ class TestSimpleBuild:
 
 class TestAdvancedBuild:
     def test_peer_shard_keys_and_posting_sizes(self, manifest):
-        shard = manifest.docs_by_peer["peer-2"]
+        shard = _shard(manifest, "peer-2")
         index = build_index(shard, IndexMode.ADVANCED, manifest.lexicon)
         assert len(index.entries) == 2500
         assert all(len(ids) == 100 for ids in index.entries.values())
@@ -45,7 +48,7 @@ class TestAdvancedBuild:
             build_index(docs, IndexMode.ADVANCED, lexicon)
 
     def test_root_groups_restricted_to_shard(self, manifest):
-        shard = manifest.docs_by_peer["peer-3"]
+        shard = _shard(manifest, "peer-3")
         index = build_index(shard, IndexMode.ADVANCED, manifest.lexicon)
         assert set(index.root_postings) == {d.root for d in shard}
         assert len(index.root_postings) == 25
@@ -128,14 +131,15 @@ def _set_reference(pairs):
 class TestPostings:
     def test_unsorted_input_comes_back_sorted(self):
         docs = _docs(("d3", "w"), ("d1", "w"), ("d2", "w"))
-        assert postings(docs, attrgetter("word")) == {"w": ("d1", "d2", "d3")}
+        filed = postings([d.word for d in docs], [d.doc_id for d in docs])
+        assert filed == {"w": ("d1", "d2", "d3")}
 
     def test_repeated_id_collapses_to_one(self):
         docs = _docs(("d2", "w"), ("d1", "w"), ("d2", "w"))
-        assert postings(docs, attrgetter("word")) == {"w": ("d1", "d2")}
+        assert postings([d.word for d in docs], [d.doc_id for d in docs]) == {"w": ("d1", "d2")}
 
     def test_lone_id_is_stored_as_a_one_tuple(self):
-        filed = postings(_docs(("d1", "w"), ("d2", "x"), ("d3", "x")), attrgetter("word"))
+        filed = postings(["w", "x", "x"], ["d1", "d2", "d3"])
         assert filed == {"w": ("d1",), "x": ("d2", "d3")}
         assert all(type(ids) is tuple for ids in filed.values())
 
@@ -159,6 +163,6 @@ class TestPostings:
         }
         for overlay, key in ((overlay_simple, "word"), (overlay_advanced, "root")):
             for peer_id, peer_postings in overlay.peers.items():
-                shard = manifest.docs_by_peer[peer_id]
+                shard = _shard(manifest, peer_id)
                 expected = _set_reference((getattr(d, key), d.doc_id) for d in shard)
                 assert peer_postings == expected, (overlay.mode, peer_id)

@@ -35,8 +35,14 @@ from rootsearch.search import (
 def _with_documents(manifest, documents):
     """A copy of ``manifest`` holding ``documents`` instead of its own."""
     return CorpusManifest(
-        manifest.spec, documents, manifest.roots, manifest.queries, manifest.patterns_version
+        manifest.spec, tuple(zip(*documents)), manifest.roots, manifest.queries,
+        manifest.patterns_version,
     )
+
+
+def _shard(manifest, peer_id):
+    """The rows of ``peer_id``'s documents, in manifest order."""
+    return tuple(d for d in manifest.documents if d.peer_id == peer_id)
 
 
 def _children(overlay, sp):
@@ -57,7 +63,7 @@ class TestBuildOverlay:
         for sp, route in overlay_simple.routes.items():
             for child in _children(overlay_simple, sp):
                 summary = {k for k, holders in route.items() if child in holders}
-                assert summary == {d.word for d in manifest.docs_by_peer[child]}
+                assert summary == {d.word for d in _shard(manifest, child)}
                 assert len(summary) == 2500
 
     def test_advanced_summaries_are_root_sets(self, manifest, overlay_advanced):
@@ -65,7 +71,7 @@ class TestBuildOverlay:
             for child in _children(overlay_advanced, sp):
                 summary = {k for k, holders in route.items() if child in holders}
                 assert len(summary) == 25
-                assert summary == {d.root for d in manifest.docs_by_peer[child]}
+                assert summary == {d.root for d in _shard(manifest, child)}
             assert len(route) == 50
 
     def test_route_lists_the_children_holding_each_key(
@@ -83,7 +89,7 @@ class TestBuildOverlay:
             for sp, route in overlay.routes.items():
                 children = _children(overlay, sp)
                 held = {
-                    child: {getattr(d, key) for d in layout.docs_by_peer[child]}
+                    child: {getattr(d, key) for d in _shard(layout, child)}
                     for child in children
                 }
                 assert [len(keys) for keys in held.values()] == [per_child] * 2
@@ -107,7 +113,7 @@ class TestBuildOverlay:
                     (k, doc_id) for k, ids in peer_postings.items() for doc_id in ids
                 )
                 expected = sorted(
-                    (key(d), d.doc_id) for d in manifest.docs_by_peer[peer_id]
+                    (key(d), d.doc_id) for d in _shard(manifest, peer_id)
                 )
                 assert filed == expected, (overlay.mode, peer_id)
 

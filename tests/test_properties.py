@@ -1,4 +1,5 @@
-"""Property tests: the lexicon, the postings builder, normalization, query
+"""Property tests: the lexicon, the postings builder, the manifest's column
+groupings and the overlay peers against row-by-row references, normalization, query
 parsing, the light stemmer, the 4-place rendering of exact fractions and
 the integer means of an evaluation against plain
 dict/set/regex/split/scan/Fraction references over generated inputs, plus
@@ -10,17 +11,27 @@ import math
 import re
 import tempfile
 from fractions import Fraction
-from operator import attrgetter
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rootsearch.corpus import PATTERNS, Document, _bad_query, load_patterns, postings
-from rootsearch.evaluation import EvalReport, fixed4, make_record, write_report
+from rootsearch.corpus import (
+    PATTERNS,
+    CorpusManifest,
+    CorpusSpec,
+    Document,
+    _bad_query,
+    generate_corpus,
+    load_patterns,
+    postings,
+)
+from rootsearch.evaluation import EvalReport, build_engines, fixed4, make_record, write_report
+from rootsearch.index import IndexMode, build_index
 from rootsearch.morphology import DerivationPattern, RootLexicon, derive, light_stem
 from rootsearch.normalize import is_normalized, match_word, normalize
+from rootsearch.p2p import build_overlay
 from rootsearch.search import BASELINE, Query
 
 # small alphabets, so that generated words and roots often repeat
@@ -41,9 +52,9 @@ def test_lexicon_matches_a_dict_reference(pairs):
     roots = _roots_by_word(pairs)
     if any(len(found) > 1 for found in roots.values()):
         with pytest.raises(ValueError, match="has two roots"):
-            RootLexicon(pairs)
+            RootLexicon(postings([r for _, r in pairs], [w for w, _ in pairs]))
         return
-    lex = RootLexicon(pairs)
+    lex = RootLexicon(postings([r for _, r in pairs], [w for w, _ in pairs]))
     root_of = {word: found.pop() for word, found in roots.items()}
     assert len(lex) == len(root_of)
     assert lex.vocabulary() == frozenset(root_of)
@@ -63,9 +74,72 @@ def test_postings_match_a_set_reference(rows):
         grouped = {}
         for doc in docs:
             grouped.setdefault(getattr(doc, field), set()).add(doc.doc_id)
-        filed = postings(docs, attrgetter(field))
+        filed = postings([getattr(doc, field) for doc in docs], [doc.doc_id for doc in docs])
         assert filed == {key: tuple(sorted(ids)) for key, ids in grouped.items()}
         assert all(type(ids) is tuple for ids in filed.values())
+
+
+def _row_postings(docs, field, value="doc_id"):
+    """Each row's ``field`` -> the sorted, duplicate-free ``value``s of its
+    rows: the grouping row by row, over ``Document`` rows."""
+    grouped = {}
+    for doc in docs:
+        grouped.setdefault(getattr(doc, field), []).append(getattr(doc, value))
+    return {key: tuple(dict.fromkeys(sorted(values))) for key, values in grouped.items()}
+
+
+@st.composite
+def _layouts(draw):
+    """A small corpus shape and its peer layout: None for the generator's
+    block layout, else a permutation of its peer column."""
+    peers = draw(st.integers(1, 4))
+    roots_per_peer = draw(st.integers(1, 2))
+    spec = CorpusSpec(
+        root_count=peers * roots_per_peer,
+        words_per_root=draw(st.integers(1, 4)),
+        peer_count=peers,
+        superpeer_count=draw(st.sampled_from([d for d in range(1, peers + 1) if peers % d == 0])),
+        roots_per_peer=roots_per_peer,
+        seed=draw(st.integers(0, 99)),
+    )
+    return spec, draw(st.none() | st.permutations(range(spec.total_documents)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_layouts())
+def test_column_groupings_and_overlay_peers_match_row_references(layout):
+    spec, order = layout
+    with tempfile.TemporaryDirectory() as out:
+        manifest = generate_corpus(spec, out)
+    if order is not None:
+        peer_column = [manifest.doc_peers[j] for j in order]
+        manifest = CorpusManifest(
+            spec, (manifest.doc_ids, manifest.doc_words, manifest.doc_roots, peer_column),
+            manifest.roots, manifest.queries, manifest.patterns_version,
+        )
+    docs = manifest.documents
+    assert manifest.docs_by_root == _row_postings(docs, "root")
+    assert manifest.docs_by_word == _row_postings(docs, "word")
+    lexicon = manifest.lexicon
+    assert lexicon.vocabulary() == {doc.word for doc in docs}
+    for root, words in _row_postings(docs, "root", "word").items():
+        assert lexicon.words_of(root) == words
+        assert all(lexicon.root_of(word) == root for word in words)
+    (baseline,) = build_engines(manifest, [BASELINE])
+    reference = build_index(docs, IndexMode.SIMPLE, lexicon)
+    assert baseline.index.entries == reference.entries
+    assert baseline.index.root_postings == reference.root_postings
+    for mode, field, corpus_wide in (
+        (IndexMode.SIMPLE, "word", manifest.docs_by_word),
+        (IndexMode.ADVANCED, "root", manifest.docs_by_root),
+    ):
+        for peer_id, held in build_overlay(manifest, mode).peers.items():
+            shard = [doc for doc in docs if doc.peer_id == peer_id]
+            assert held == _row_postings(shard, field), (mode, peer_id)
+            for key, ids in held.items():
+                holders = {doc.peer_id for doc in docs if getattr(doc, field) == key}
+                if holders == {peer_id}:
+                    assert ids is corpus_wide[key], (mode, peer_id, key)
 
 
 # normalization written out as three passes: tatweel, diacritics, letters
@@ -185,9 +259,10 @@ def test_is_normalized_matches_the_reference(word):
 @example("ـــ")
 @example("كتب لعب")
 def test_query_file_check_accepts_exactly_the_words_query_parse_accepts(word):
+    # ... and that hold no whitespace, as a manifest word may not
     parsed = _outcome(lambda text: Query.parse("q", text), word)
     accepted = _bad_query(["q", word, "كتب"], {"كتب": "كتب"}) is None
-    assert accepted == isinstance(parsed, Query), ascii(word)
+    assert accepted == (isinstance(parsed, Query) and word.split() == [word]), ascii(word)
 
 
 @settings(max_examples=500)

@@ -81,7 +81,8 @@ def assert_peers_answer_like_shard_index(overlay, mode, probe_words, manifest, l
     queries = [Query.parse(f"q{i}", word) for i, word in enumerate(probe_words)]
     routed = [routed_key_and_terms(query, mode, lexicon) for query in queries]
     for peer_id, peer_postings in overlay.peers.items():
-        index = build_index(manifest.docs_by_peer[peer_id], mode, lexicon)
+        shard = [d for d in manifest.documents if d.peer_id == peer_id]
+        index = build_index(shard, mode, lexicon)
         for key, terms in routed:
             expected = tuple(sorted(union_of_terms(terms, index)))
             assert peer_postings.get(key, ()) == expected, (terms, peer_id)
