@@ -34,17 +34,15 @@ and peer ids) that ``generate_corpus`` and ``load_manifest`` fill; its
 manifest's ``docs_by_root``, ``docs_by_word`` and ``peers_of_root`` are one
 pass each over two columns, built on first use. ``load_manifest`` splits
 the rows a chunk at a time, sharing one string per distinct root and peer
-id, then checks the whole file at once, by scans of the columns and of
-sets: an empty field, a repeated doc id, whitespace in a doc id or word, a
-peer id the header does not name, a distinct root ``morphology.is_root``
-rejects, a peer off its ``roots_per_peer x words_per_root`` documents. It
-walks the rows only to name the line of a fault it found, and builds the
-lexicon before it returns, so a word filed under two roots is named too.
+id, and checks every row rule on the whole file at once, the lexicon built
+with them; only a file that fails is walked, once, with the one row rule
+``_bad_document``, so the first bad line is named whatever its fault.
 
 ``generate_corpus`` writes ``manifest.tsv`` last, after the bodies and
 ``queries.tsv``, so a run that fails on a body leaves no loadable manifest
 in a fresh directory. ``gc_paused`` keeps the cyclic garbage collector off
-during the bulk builds, here and in ``index`` and ``p2p``; in a CLI process
+in the three builds that make one tracked object per row: ``load_manifest``,
+the manifest's ``documents`` and ``index.build_index``; in a CLI process
 ``cli.entry`` keeps it off throughout.
 """
 from __future__ import annotations
@@ -181,13 +179,12 @@ _Build = TypeVar("_Build", bound=Callable)
 def gc_paused(build: _Build) -> _Build:
     """Run ``build`` with the cyclic garbage collector off, then restore its
     earlier state, also when ``build`` raises; a call made while the
-    collector is off leaves it off. The builds it wraps make no reference
-    cycles, only rows, tuples, strings and dicts that refer downwards, so
-    the hundreds of collections it skips over a 100,000-document build would
-    free nothing; rootsearch is single-threaded. In a CLI process
-    ``cli.entry`` keeps the collector off throughout, so the pause matters
-    only to in-process callers (``cli.main``, tests, benchmarks).
-    """
+    collector is off leaves it off. Each build it wraps makes one tracked
+    object per row and no reference cycle, so the collections it skips over a
+    100,000-document build would walk the rows and free nothing; rootsearch
+    is single-threaded. In a CLI process ``cli.entry`` keeps the collector off
+    throughout, so the pause matters only to in-process callers (``cli.main``,
+    tests, benchmarks)."""
 
     @wraps(build)
     def paused(*args, **kwargs):
@@ -248,17 +245,14 @@ class CorpusManifest:
         return tuple(map(tuple.__new__, itertools.repeat(Document), columns))
 
     @cached_property
-    @gc_paused
     def lexicon(self) -> RootLexicon:
         return RootLexicon(postings(self.doc_roots, self.doc_words))
 
     @cached_property
-    @gc_paused
     def docs_by_root(self) -> dict[str, DocIds]:
         return postings(self.doc_roots, self.doc_ids)
 
     @cached_property
-    @gc_paused
     def docs_by_word(self) -> dict[str, DocIds]:
         return postings(self.doc_words, self.doc_ids)
 
@@ -287,7 +281,6 @@ def _disambiguate(word: str, used: dict[str, str]) -> str:
     raise AssertionError("unreachable")
 
 
-@gc_paused
 def generate_corpus(
     spec: CorpusSpec,
     out_dir: str | Path,
@@ -421,7 +414,7 @@ def write_tsv(path: Path, fmt: TsvFormat, fields: dict[str, object], rows: Itera
 def _parse_header(lines: list[str], path: Path, fmt: TsvFormat) -> dict[str, str]:
     """The ``key=value`` fields of a ``fmt`` file's header line; raises,
     naming the line, unless the file starts with ``fmt``'s magic and, if it
-    has one, its column line."""
+    has one, its column line, and each field is a ``key=value`` of its own key."""
     if lines == [""]:
         raise CorpusSpecError(f"{path}:1: empty file, expected header {fmt.magic!r}")
     magic, *parts = lines[0].split("\t")
@@ -431,7 +424,14 @@ def _parse_header(lines: list[str], path: Path, fmt: TsvFormat) -> dict[str, str
     if fmt.column_line and lines[1:2] != [columns]:
         got = lines[1][:40] if len(lines) > 1 else ""
         raise CorpusSpecError(f"{path}:2: expected column line {columns!r}, got {got!r}")
-    return dict(part.partition("=")[::2] for part in parts)
+    fields: dict[str, str] = {}
+    for part in parts:
+        key, eq, value = part.partition("=")
+        if not key or not eq or key in fields:
+            problem = f"{key!r} repeats" if key and eq else f"{part!r} is not key=value"
+            raise CorpusSpecError(f"{path}:1: header field {problem}")
+        fields[key] = value
+    return fields
 
 
 def _header_field(fields: dict[str, str], name: str, path: Path, convert=str):
@@ -505,11 +505,12 @@ def read_table(
 
     Raises:
         CorpusSpecError: the file does not start with ``fmt``'s header line
-            and column line, its header fields are not ``header`` (when
-            given), a row's field count is not ``fmt``'s, a row holds an
-            empty field, a row's first field repeats, ``check(fields)``
-            returns a message for a row, no row follows the header, or a
-            byte is not UTF-8; naming the file, and the line if any.
+            and column line, a header field repeats or is not ``key=value``,
+            its header fields are not ``header`` (when given), a row's field
+            count is not ``fmt``'s, a row holds an empty field, a row's first
+            field repeats, ``check(fields)`` returns a message for a row, no
+            row follows the header, or a byte is not UTF-8; naming the file,
+            and the line if any.
     """
     lines = _read_text(path).split("\n")
     fields = _parse_header(lines, path, fmt)
@@ -551,12 +552,12 @@ def load_patterns(path: str | Path | None = None) -> PatternInventory:
     return PatternInventory(version, tuple(DerivationPattern(*row) for row in rows))
 
 
-def _columns(path: Path, lines: list[str]) -> tuple[Columns, dict[str, str], dict[str, str]]:
-    """The manifest's columns, plus the distinct roots and peer ids, whose one
-    string each row shares. Chunks of rows are joined with "\t\n" and split
-    at the tabs: a row of other than 4 fields moves the "\n" that starts the
-    next row's first cell out of the doc-id column, which then holds fewer
-    than one "\n" per row after the chunk's first."""
+def _columns(lines: list[str]) -> tuple[Columns, dict[str, str]] | None:
+    """The manifest's columns and its distinct roots, one string each that the
+    rows share, as they do each peer id; None if a row is not 4 fields. Chunks
+    of rows are joined with "\t\n" and split at the tabs: a row of other than
+    4 fields moves the "\n" that starts the next row's first cell out of the
+    doc-id column, which then holds fewer than one "\n" per row after the first."""
     doc_ids, doc_words, doc_roots, doc_peers = columns = ([], [], [], [])
     roots: dict[str, str] = {}
     peers: dict[str, str] = {}
@@ -566,12 +567,12 @@ def _columns(path: Path, lines: list[str]) -> tuple[Columns, dict[str, str], dic
         cells = "\t\n".join(chunk).split("\t")
         ids = "".join(cells[0::4]).split("\n")
         if len(ids) != len(chunk) or len(cells) != 4 * len(chunk):
-            _checked_rows(path, lines, MANIFEST)  # raises, naming the first such row
+            return None
         doc_ids += ids
         doc_words += cells[1::4]
         doc_roots += map(roots.setdefault, cells[2::4], cells[2::4])
         doc_peers += map(peers.setdefault, cells[3::4], cells[3::4])
-    return columns, roots, peers
+    return columns, roots
 
 
 def _spaced(names: tuple[str, str], fields: list[str]) -> str | None:
@@ -580,31 +581,27 @@ def _spaced(names: tuple[str, str], fields: list[str]) -> str | None:
     return spaced[0] if spaced else None
 
 
-def _bad_document(fields: list[str], peer_ids: tuple[str, ...]) -> str | None:
+def _bad_document(
+    fields: list[str], peer_ids: tuple[str, ...], share: int, root_of: dict[str, str], held: Counter
+) -> str | None:
     """Why a ``manifest.tsv`` row cannot be loaded: a root ``derive`` would
-    reject, a peer id the header does not name, or whitespace in its doc id or word."""
-    root, peer_id = fields[2:]
+    reject, a peer id the header does not name, whitespace in its doc id or
+    word, its word under another root in ``root_of``, or its peer at its
+    ``share`` in ``held``; the rows before it fill both."""
+    _, word, root, peer_id = fields
     if not is_root(root):
         return f"root {root!r} is not a normalized Arabic word of 3 or 4 letters"
     if peer_id not in peer_ids:
         return f"peer id {peer_id!r} is not one of {peer_ids[0]}..{peer_ids[-1]}"
-    return _spaced(("doc id", "word"), fields)
-
-
-def _second_root(fields: list[str], root_of: dict[str, str]) -> str | None:
-    """Why a ``manifest.tsv`` row cannot be filed: ``root_of``, the root of
-    each word on the rows before it, files its word under another root."""
-    _, word, root, _ = fields
+    if spaced := _spaced(("doc id", "word"), fields):
+        return spaced
     first = root_of.setdefault(word, root)
-    return None if first == root else f"word {word!r} has two roots: {first!r} and {root!r}"
-
-
-def _past_share(fields: list[str], held: dict[str, int], share: int) -> str | None:
-    """Why a ``manifest.tsv`` row cannot be filed: ``held``, the number of
-    rows of each peer before it, shows that its peer holds its ``share``."""
-    peer_id = fields[3]
-    held[peer_id] = count = held.get(peer_id, 0) + 1
-    return f"peer {peer_id} holds more than its {share} documents" if count > share else None
+    if first != root:
+        return f"word {word!r} has two roots: {first!r} and {root!r}"
+    held[peer_id] += 1
+    if held[peer_id] > share:
+        return f"peer {peer_id} holds more than its {share} documents"
+    return None
 
 
 def _bad_query(fields: list[str], roots: dict[str, str]) -> str | None:
@@ -623,85 +620,88 @@ def _bad_query(fields: list[str], roots: dict[str, str]) -> str | None:
     return _spaced(("query id", "query word"), fields)
 
 
+def _sound(manifest: CorpusManifest, peer_ids: tuple[str, ...], share: int) -> bool:
+    """Whether every row passes ``_checked_rows`` and ``_bad_document``, by
+    scans of columns and sets (whitespace in a doc id or word splits its
+    column's text; an empty or spaced root or peer id is no root or known peer;
+    with the count right, a peer past its share leaves another under it), then
+    as the lexicon is built, which raises on a word filed under two roots."""
+    doc_ids, words = manifest.doc_ids, manifest.doc_words
+    ids = set(doc_ids)
+    if (
+        "" in ids or len(ids) != len(doc_ids) or "" in words
+        or any(text.split() != [text] for text in map("".join, (doc_ids, words)))
+        or not all(map(is_root, manifest.roots))
+        or Counter(manifest.doc_peers) != Counter(dict.fromkeys(peer_ids, share))
+    ):
+        return False
+    try:
+        manifest.lexicon
+    except ValueError:
+        return False
+    return True
+
+
 @gc_paused
 def load_manifest(corpus_dir: str | Path) -> CorpusManifest:
     """Reload a generated corpus from its manifest and query files.
 
+    Every row rule is checked on the whole manifest at once (``_sound``); only
+    a manifest that fails is read again and walked with the one row rule,
+    ``_bad_document``, which names its first bad line, whatever the fault.
+
     Raises:
         CorpusSpecError: a file is not UTF-8, is empty or does not start
-            with its header line, the manifest header lacks a field, holds a
+            with its header line, a header field repeats or is not
+            ``key=value``, the manifest header lacks a field, holds a
             non-integer count or counts that ``CorpusSpec.validate`` rejects,
-            the query file's header fields differ from the manifest's,
-            a row has the wrong field count or an empty field, a doc id or
-            a query id repeats, the manifest holds no documents or a number
-            other than ``roots x words_per_root``, a doc id or word holds
-            whitespace, a root is not a normalized Arabic word of 3 or 4
+            the manifest holds no documents or a number other than
+            ``roots x words_per_root``, a row has the wrong field count or an
+            empty field, a doc id or a query id repeats, a doc id or word
+            holds whitespace, a root is not a normalized Arabic word of 3 or 4
             letters, a peer id is not one of the header's ``peer-1..peer-N``,
-            a peer holds more than ``roots_per_peer x words_per_root``
-            documents, ``queries.tsv`` holds no queries, a query word is not
-            one Arabic word, a query root has no documents, a query id or
-            word holds whitespace, or a word is filed under two roots (found
-            as the lexicon is built, before the return); the message names
-            the file, and the line if any.
+            a word is filed under two roots, a peer holds more than
+            ``roots_per_peer x words_per_root`` documents, the query file's
+            header fields differ from the manifest's, ``queries.tsv`` holds
+            no queries, a query word is not one Arabic word, a query root has
+            no documents, or a query id or word holds whitespace; the message
+            names the file, and the line if any.
     """
     corpus_dir = Path(corpus_dir)
-    manifest_path = corpus_dir / MANIFEST_NAME
-    manifest_lines = _read_text(manifest_path).split("\n")
-    fields = _parse_header(manifest_lines, manifest_path, MANIFEST)
+    path = corpus_dir / MANIFEST_NAME
+    lines = _read_text(path).split("\n")
+    fields = _parse_header(lines, path, MANIFEST)
     spec = CorpusSpec(**{
-        name: _header_field(fields, key, manifest_path, int) for key, name in _SPEC_HEADER.items()
+        name: _header_field(fields, key, path, int) for key, name in _SPEC_HEADER.items()
     })
-    patterns_version = _header_field(fields, "patterns", manifest_path)
+    patterns_version = _header_field(fields, "patterns", path)
     try:
         spec.validate()
     except CorpusSpecError as err:
-        raise CorpusSpecError(f"{manifest_path}:1: {err}") from None
-    columns, roots, peers = _columns(manifest_path, manifest_lines)
-    if not columns[0]:
-        raise CorpusSpecError(f"{manifest_path}: no documents after the header line")
-    known = spec.peer_ids()
-    doc_ids = set(columns[0])
-    # whitespace in a doc id or word splits its column's text; an empty or
-    # spaced root or peer id is no root or known peer: no pass over the rows
-    spaced = any(text.split() != [text] for text in map("".join, columns[:2]))
-    unsound = "" in doc_ids or "" in columns[1] or not peers.keys() <= set(known)
-    if unsound or spaced or not all(map(is_root, roots)) or len(doc_ids) != len(columns[0]):
-        _checked_rows(
-            manifest_path, manifest_lines, MANIFEST, lambda row: _bad_document(row, known)
-        )
-    if len(columns[0]) != spec.total_documents:
-        raise CorpusSpecError(
-            f"{manifest_path}: {len(columns[0])} documents, header says"
-            f" roots={spec.root_count} x words_per_root={spec.words_per_root}"
-            f" = {spec.total_documents}"
-        )
+        raise CorpusSpecError(f"{path}:1: {err}") from None
+    parsed = _columns(lines)
+    del lines  # freed before the lexicon is built, and read again only to name a bad line
+    if parsed:
+        columns, roots = parsed
+        if not columns[0]:
+            raise CorpusSpecError(f"{path}: no documents after the header line")
+        if len(columns[0]) != spec.total_documents:
+            raise CorpusSpecError(
+                f"{path}: {len(columns[0])} documents, header says roots={spec.root_count}"
+                f" x words_per_root={spec.words_per_root} = {spec.total_documents}"
+            )
+        manifest = CorpusManifest(spec, columns, tuple(sorted(roots)), (), patterns_version)
+    known, share = spec.peer_ids(), spec.roots_per_peer * spec.words_per_root
+    if not (parsed and _sound(manifest, known, share)):
+        root_of: dict[str, str] = {}
+        held: Counter = Counter()
+        # raises, naming the first bad line
+        _checked_rows(path, _read_text(path).split("\n"), MANIFEST,
+                      lambda row: _bad_document(row, known, share, root_of, held))
     _, rows = read_table(
         corpus_dir / QUERIES_NAME, QUERIES, fields, lambda row: _bad_query(row, roots)
     )
-    manifest = CorpusManifest(
-        spec=spec,
-        columns=columns,
-        roots=tuple(sorted(roots)),
-        queries=tuple(QueryEntry(*row) for row in rows),
-        patterns_version=patterns_version,
-    )
-    # every peer is known and all hold peer_count x share documents, so a peer
-    # off its share means one past it
-    share = spec.roots_per_peer * spec.words_per_root
-    if any(n != share for n in Counter(manifest.doc_peers).values()):
-        held: dict[str, int] = {}
-        _checked_rows(
-            manifest_path, manifest_lines, MANIFEST, lambda row: _past_share(row, held, share)
-        )
-    # the lines are freed before the lexicon is built, and read again only to name a bad line
-    del manifest_lines
-    try:
-        manifest.lexicon
-    except ValueError:
-        seen: dict[str, str] = {}
-        lines = _read_text(manifest_path).split("\n")
-        _checked_rows(manifest_path, lines, MANIFEST, lambda row: _second_root(row, seen))
-        raise
+    manifest.queries = tuple(QueryEntry(*row) for row in rows)
     return manifest
 
 

@@ -44,7 +44,7 @@ from __future__ import annotations
 from itertools import repeat
 from typing import Iterable, NamedTuple
 
-from .corpus import CorpusManifest, DocIds, gc_paused
+from .corpus import CorpusManifest, DocIds
 from .index import IndexMode
 from .morphology import RootLexicon
 from .search import P2P_ADVANCED, P2P_SIMPLE, Query, SearchOutcome, SearchResult, resolve
@@ -99,7 +99,6 @@ class Overlay:
         self.lexicon = lexicon
 
 
-@gc_paused
 def build_overlay(manifest: CorpusManifest, mode: IndexMode) -> Overlay:
     """Build the overlay's tables from the manifest's columns: each
     super-peer's children are one contiguous block of peers, peer-1..peer-k

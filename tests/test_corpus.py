@@ -8,9 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rootsearch import corpus
 from rootsearch.corpus import (
     ANCHOR_ROOTS,
+    CorpusManifest,
     CorpusSpec,
+    Document,
     MANIFEST_NAME,
     QUERIES_NAME,
     gc_paused,
@@ -21,6 +24,7 @@ from rootsearch.corpus import (
     tree_digest,
 )
 from rootsearch.errors import CorpusSpecError, UnknownRoot
+from rootsearch.index import IndexMode, build_index
 from rootsearch.morphology import DerivationPattern, PatternInventory, is_root
 from tests.conftest import MICRO_SPEC
 
@@ -128,11 +132,37 @@ class TestFilesOnDisk:
 
 
 class TestGcPaused:
-    def test_build_runs_with_the_collector_off_then_restores_it(self, tmp_path):
+    """The three builds that make one tracked object per row run paused:
+    ``load_manifest``, ``CorpusManifest.documents`` and ``build_index``."""
+
+    def test_build_runs_with_the_collector_off_then_restores_it(
+        self, micro_corpus, monkeypatch
+    ):
+        corpus_dir, _ = micro_corpus
         assert gc_paused(gc.isenabled)() is False
         assert gc.isenabled()
-        generate_corpus(MICRO_SPEC, tmp_path / "c")
-        assert gc.isenabled()
+        # the collector's state as each build reads its input
+        states = []
+        read_text = corpus._read_text
+
+        def reading(path):
+            states.append(gc.isenabled())
+            return read_text(path)
+
+        def rows_read(rows):
+            for row in rows:
+                states.append(gc.isenabled())
+                yield row
+
+        monkeypatch.setattr(corpus, "_read_text", reading)
+        manifest = load_manifest(corpus_dir)  # reads manifest.tsv, then queries.tsv
+        assert states == [False, False] and gc.isenabled()
+        manifest.doc_ids = rows_read(manifest.doc_ids)  # a generator, read in the build
+        rows = manifest.documents
+        assert states[2:] == [False] * len(rows) and gc.isenabled()
+        del states[:]
+        build_index(rows_read(rows), IndexMode.SIMPLE, manifest.lexicon)
+        assert states == [False] * len(rows) and gc.isenabled()
 
     def test_failed_load_restores_the_collector(self, micro_corpus, tmp_path):
         corpus_dir, _ = micro_corpus
@@ -141,13 +171,22 @@ class TestGcPaused:
         with pytest.raises(CorpusSpecError, match="empty file"):
             load_manifest(tmp_path / "c")
         assert gc.isenabled()
+        manifest = load_manifest(corpus_dir)
+        manifest.doc_words = None
+        with pytest.raises(TypeError):
+            manifest.documents
+        assert gc.isenabled()
+        with pytest.raises(ValueError, match="not in lexicon"):
+            build_index([Document("d0", "زخرف", "زخرف", "peer-1")], IndexMode.ADVANCED,
+                        manifest.lexicon)
+        assert gc.isenabled()
 
-    def test_collector_the_caller_disabled_stays_off(self, micro_corpus, tmp_path):
+    def test_collector_the_caller_disabled_stays_off(self, micro_corpus):
         corpus_dir, _ = micro_corpus
         gc.disable()
         try:
-            generate_corpus(MICRO_SPEC, tmp_path / "c")
-            load_manifest(corpus_dir).lexicon
+            manifest = load_manifest(corpus_dir)
+            build_index(manifest.documents, IndexMode.ADVANCED, manifest.lexicon)
             assert not gc.isenabled()
         finally:
             gc.enable()
@@ -155,6 +194,11 @@ class TestGcPaused:
     def test_wrapped_name_and_doc_are_kept(self):
         assert load_manifest.__name__ == "load_manifest"
         assert load_manifest.__doc__.startswith("Reload a generated corpus")
+        assert build_index.__name__ == "build_index"
+        assert build_index.__doc__.startswith("Build an index over ``docs``")
+        documents = CorpusManifest.documents.fget
+        assert documents.__name__ == "documents"
+        assert documents.__doc__.startswith("The columns zipped into rows")
 
 
 class TestMicroCorpus:
@@ -438,6 +482,48 @@ class TestLoadManifest:
             load_manifest(tmp_path / "c")
         assert str(info.value) == f"{path}:1: {message}"
 
+    @pytest.mark.parametrize(
+        "part, problem",
+        [
+            ("seed=7", "header field 'seed' repeats"),
+            ("junk", "header field 'junk' is not key=value"),
+        ],
+        ids=["repeated-key", "no-equals-sign"],
+    )
+    @pytest.mark.parametrize("name", [MANIFEST_NAME, QUERIES_NAME])
+    def test_repeated_or_malformed_header_field_names_line_1(
+        self, tiny_corpus, tmp_path, part, problem, name
+    ):
+        # appended to the queries file alone, or to both files, where the
+        # manifest's is read first; the last of two fields no longer wins
+        shutil.copytree(tiny_corpus, tmp_path / "c")
+        for changed in {name, QUERIES_NAME}:
+            path = tmp_path / "c" / changed
+            lines = path.read_text("utf-8").splitlines()
+            lines[0] += f"\t{part}"
+            path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(CorpusSpecError) as info:
+            load_manifest(tmp_path / "c")
+        assert str(info.value) == f"{tmp_path / 'c' / name}:1: {problem}"
+
+    @pytest.mark.parametrize("change", ["extra-row", "missing-row"])
+    def test_document_count_is_checked_before_the_rows(self, tiny_corpus, tmp_path, change):
+        # an extra copy of line 2, under a new doc id, puts peer-1 past its
+        # share on line 7; the count is named first, with no line
+        shutil.copytree(tiny_corpus, tmp_path / "c")
+        path = tmp_path / "c" / MANIFEST_NAME
+        lines = path.read_text("utf-8").splitlines()
+        if change == "extra-row":
+            lines.insert(2, "d99999\t" + lines[1].split("\t", 1)[1])
+        else:
+            del lines[2]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(CorpusSpecError) as info:
+            load_manifest(tmp_path / "c")
+        assert str(info.value) == (
+            f"{path}: {len(lines) - 1} documents, header says roots=4 x words_per_root=5 = 20"
+        )
+
     def test_repeated_query_id_names_both_lines(self, tiny_corpus, tmp_path):
         shutil.copytree(tiny_corpus, tmp_path / "c")
         path = tmp_path / "c" / QUERIES_NAME
@@ -523,6 +609,36 @@ def _manifest_faults(draw, documents, peer_ids):
     return rows, line
 
 
+# the faults that make their own row bad, whatever the other rows hold
+_ROW_FAULTS = ("bad-root", "bad-peer", "whitespace", "empty-field", "field-count")
+
+
+@st.composite
+def _two_faults(draw, documents, peer_ids):
+    """The rows of ``documents``, split into fields, with a fault of a drawn
+    row-local kind at each of two drawn rows, and the line of the first."""
+    rows = [list(doc) for doc in documents]
+    at = draw(st.lists(st.integers(0, len(rows) - 1), min_size=2, max_size=2, unique=True))
+    for i in at:
+        fields = rows[i]
+        kind = draw(st.sampled_from(_ROW_FAULTS))
+        if kind == "bad-root":
+            fields[2] = draw(_cells.filter(lambda cell: not is_root(cell)))
+        elif kind == "bad-peer":
+            fields[3] = draw(_cells.filter(lambda cell: cell not in peer_ids))
+        elif kind == "whitespace":
+            column = draw(st.integers(0, 1))
+            k = draw(st.integers(0, len(fields[column])))
+            space = draw(st.sampled_from(_FIELD_SPACES))
+            fields[column] = fields[column][:k] + space + fields[column][k:]
+        elif kind == "empty-field":
+            fields[draw(st.integers(0, 3))] = ""
+        else:
+            width = draw(st.sampled_from([1, 2, 3, 5, 6]))
+            rows[i] = (fields + draw(st.lists(_cells, min_size=2, max_size=2)))[:width]
+    return rows, min(at) + 2
+
+
 class TestLoadManifestFaults:
     """``load_manifest`` finds faults by scans of sets and of the columns, and
     names their line with ``_checked_rows``: the two agree on one fault of
@@ -555,6 +671,22 @@ class TestLoadManifestFaults:
             assert loaded.roots == manifest.roots
             assert loaded.patterns_version == manifest.patterns_version
             return
+        with pytest.raises(CorpusSpecError) as info:
+            load_manifest(corpus_dir)
+        assert str(info.value).startswith(f"{path}:{line}: ")
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_of_two_faults_the_first_line_is_named(self, corpus, data):
+        # a field-count fault on a later row does not win over another fault
+        corpus_dir, manifest, header = corpus
+        path = corpus_dir / MANIFEST_NAME
+        rows, line = data.draw(
+            _two_faults(manifest.documents, manifest.spec.peer_ids()), label="faults"
+        )
+        path.write_text(
+            "\n".join([header, *("\t".join(row) for row in rows)]) + "\n", encoding="utf-8"
+        )
         with pytest.raises(CorpusSpecError) as info:
             load_manifest(corpus_dir)
         assert str(info.value).startswith(f"{path}:{line}: ")
