@@ -35,8 +35,8 @@ manifest's ``docs_by_root``, ``docs_by_word`` and ``peers_of_root`` are one
 pass each over two columns, built on first use. ``load_manifest`` splits
 the rows a chunk at a time, sharing one string per distinct root and peer
 id, and checks every row rule on the whole file at once, the lexicon built
-with them; only a file that fails is walked, once, with the one row rule
-``_bad_document``, so the first bad line is named whatever its fault.
+with them; only a file that fails, or whose row count is off, is walked, once,
+with the one row rule ``_bad_document``, so the first bad line is named.
 
 ``generate_corpus`` writes ``manifest.tsv`` last, after the bodies and
 ``queries.tsv``, so a run that fails on a body leaves no loadable manifest
@@ -647,24 +647,25 @@ def load_manifest(corpus_dir: str | Path) -> CorpusManifest:
     """Reload a generated corpus from its manifest and query files.
 
     Every row rule is checked on the whole manifest at once (``_sound``); only
-    a manifest that fails is read again and walked with the one row rule,
-    ``_bad_document``, which names its first bad line, whatever the fault.
+    a manifest that fails, or whose document count is off, is read again and
+    walked with the one row rule, ``_bad_document``, which names its first bad
+    line, whatever the fault. The count is named only when every row passes.
 
     Raises:
-        CorpusSpecError: a file is not UTF-8, is empty or does not start
-            with its header line, a header field repeats or is not
-            ``key=value``, the manifest header lacks a field, holds a
-            non-integer count or counts that ``CorpusSpec.validate`` rejects,
-            the manifest holds no documents or a number other than
+        CorpusSpecError: a file is not UTF-8, is empty or does not start with
+            its header line, a header field repeats or is not ``key=value``,
+            the manifest header lacks a field, holds a non-integer count or
+            counts that ``CorpusSpec.validate`` rejects, the manifest holds no
+            documents or, with every row passing, a number other than
             ``roots x words_per_root``, a row has the wrong field count or an
             empty field, a doc id or a query id repeats, a doc id or word
             holds whitespace, a root is not a normalized Arabic word of 3 or 4
             letters, a peer id is not one of the header's ``peer-1..peer-N``,
             a word is filed under two roots, a peer holds more than
             ``roots_per_peer x words_per_root`` documents, the query file's
-            header fields differ from the manifest's, ``queries.tsv`` holds
-            no queries, a query word is not one Arabic word, a query root has
-            no documents, or a query id or word holds whitespace; the message
+            header fields differ from the manifest's, ``queries.tsv`` holds no
+            queries, a query word is not one Arabic word, a query root has no
+            documents, or a query id or word holds whitespace; the message
             names the file, and the line if any.
     """
     corpus_dir = Path(corpus_dir)
@@ -685,19 +686,20 @@ def load_manifest(corpus_dir: str | Path) -> CorpusManifest:
         columns, roots = parsed
         if not columns[0]:
             raise CorpusSpecError(f"{path}: no documents after the header line")
-        if len(columns[0]) != spec.total_documents:
+        manifest = CorpusManifest(spec, columns, tuple(sorted(roots)), (), patterns_version)
+    counted = parsed and len(columns[0]) == spec.total_documents
+    known, share = spec.peer_ids(), spec.roots_per_peer * spec.words_per_root
+    if not (counted and _sound(manifest, known, share)):
+        root_of: dict[str, str] = {}
+        held: Counter = Counter()
+        # raises, naming the first bad line, if a row breaks a rule
+        _checked_rows(path, _read_text(path).split("\n"), MANIFEST,
+                      lambda row: _bad_document(row, known, share, root_of, held))
+        if not counted:
             raise CorpusSpecError(
                 f"{path}: {len(columns[0])} documents, header says roots={spec.root_count}"
                 f" x words_per_root={spec.words_per_root} = {spec.total_documents}"
             )
-        manifest = CorpusManifest(spec, columns, tuple(sorted(roots)), (), patterns_version)
-    known, share = spec.peer_ids(), spec.roots_per_peer * spec.words_per_root
-    if not (parsed and _sound(manifest, known, share)):
-        root_of: dict[str, str] = {}
-        held: Counter = Counter()
-        # raises, naming the first bad line
-        _checked_rows(path, _read_text(path).split("\n"), MANIFEST,
-                      lambda row: _bad_document(row, known, share, root_of, held))
     _, rows = read_table(
         corpus_dir / QUERIES_NAME, QUERIES, fields, lambda row: _bad_query(row, roots)
     )

@@ -141,12 +141,16 @@ def make_record(
     s_relevant: Iterable[str],
     peers_contacted: int | None = None,
 ) -> EvalRecord:
-    """The record of one query, from one intersection of the two sets. A
-    tuple is taken to be sorted and duplicate-free, as answers and postings
-    are; another iterable is made one."""
+    """The record of one query, from one intersection of the two sets, or none
+    when the found tuple is the relevant one (a root-aware answer is the very
+    ``docs_by_root`` tuple). A tuple is taken to be sorted and duplicate-free,
+    as answers and postings are; another iterable is made one."""
     s_found = s_found if type(s_found) is tuple else tuple(sorted(set(s_found)))
     s_relevant = s_relevant if type(s_relevant) is tuple else tuple(sorted(set(s_relevant)))
-    hits = len(frozenset(s_relevant).intersection(s_found))
+    if s_found is s_relevant:
+        hits = len(s_found)
+    else:
+        hits = len(frozenset(s_relevant).intersection(s_found))
     return EvalRecord(query_id, word, hits, s_found, s_relevant, peers_contacted)
 
 

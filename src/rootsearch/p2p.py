@@ -35,9 +35,9 @@ In ADVANCED mode the payload still carries every root-mate term, which no
 node reads. All terms of one query share its root, which is why the default
 block assignment forwards to exactly one peer.
 
-The loop logs plain tuples and types them as ``OverlayMessage``s once, at
-the end. A message's number is its place in the log: ``format_message_log``
-numbers the lines 1..n.
+The loop logs plain tuples, and the outcome keeps them in a ``MessageLog``,
+which types each as an ``OverlayMessage`` only when it is read. A message's
+number is its place in the log: ``format_message_log`` numbers the lines 1..n.
 """
 from __future__ import annotations
 
@@ -74,6 +74,24 @@ class OverlayMessage(NamedTuple):
     src: str
     dst: str
     payload: tuple[str, ...]
+
+
+class MessageLog(tuple):
+    """A routed query's messages as the drain loop's plain tuples, each typed as
+    an ``OverlayMessage`` when an index or an iteration reads it; a slice is a
+    ``MessageLog``. ``==``, ``len``, ``in`` and hashing use the plain tuples."""
+
+    __slots__ = ()
+
+    def __getitem__(self, i):
+        item = tuple.__getitem__(self, i)
+        return MessageLog(item) if type(i) is slice else tuple.__new__(OverlayMessage, item)
+
+    def __iter__(self):
+        return map(tuple.__new__, repeat(OverlayMessage), tuple.__iter__(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
 
 
 class Overlay:
@@ -159,7 +177,7 @@ def p2p_search(query: Query, overlay: Overlay, origin: str) -> SearchOutcome:
         key = query.normalized
         terms, expanded, degraded = (key,), (), False
 
-    # (kind, src, dst, payload) tuples, typed as OverlayMessages at the end
+    # (kind, src, dst, payload) tuples, kept as they are in the outcome's MessageLog
     log = [(KIND_QUERY_UP, origin, parent, terms)]
     send = log.append
     # super-peer id -> (requester, number of answers expected, answers so far)
@@ -193,8 +211,7 @@ def p2p_search(query: Query, overlay: Overlay, origin: str) -> SearchOutcome:
                 send((KIND_RESULTS_BACK, dst, requester, answer))
 
     result = tuple.__new__(SearchResult, (log[-1][3], expanded, degraded))
-    messages = tuple(map(tuple.__new__, repeat(OverlayMessage), log))
-    return tuple.__new__(SearchOutcome, (result, messages, contacted))
+    return tuple.__new__(SearchOutcome, (result, MessageLog(log), contacted))
 
 
 def format_message_log(messages: tuple[OverlayMessage, ...]) -> str:

@@ -506,22 +506,36 @@ class TestLoadManifest:
             load_manifest(tmp_path / "c")
         assert str(info.value) == f"{tmp_path / 'c' / name}:1: {problem}"
 
-    @pytest.mark.parametrize("change", ["extra-row", "missing-row"])
-    def test_document_count_is_checked_before_the_rows(self, tiny_corpus, tmp_path, change):
-        # an extra copy of line 2, under a new doc id, puts peer-1 past its
-        # share on line 7; the count is named first, with no line
+    @pytest.mark.parametrize("extra", ["copy-of-line-3", "valid-row"])
+    def test_an_extra_row_names_its_line(self, tiny_corpus, tmp_path, extra):
+        # a copy of line 3 repeats its doc id; line 2 under a new doc id passes
+        # every other rule, but puts peer-1 past its share
         shutil.copytree(tiny_corpus, tmp_path / "c")
         path = tmp_path / "c" / MANIFEST_NAME
         lines = path.read_text("utf-8").splitlines()
-        if change == "extra-row":
-            lines.insert(2, "d99999\t" + lines[1].split("\t", 1)[1])
+        if extra == "copy-of-line-3":
+            lines.append(lines[2])
+            doc_id = lines[2].split("\t", 1)[0]
+            message = f"doc id {doc_id!r} repeats line 3"
         else:
-            del lines[2]
+            lines.append("d99999\t" + lines[1].split("\t", 1)[1])
+            message = "peer peer-1 holds more than its 5 documents"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(CorpusSpecError) as info:
+            load_manifest(tmp_path / "c")
+        assert str(info.value) == f"{path}:22: {message}"
+
+    def test_a_missing_row_is_named_by_the_count(self, tiny_corpus, tmp_path):
+        # every row left passes, so the count is named, with no line
+        shutil.copytree(tiny_corpus, tmp_path / "c")
+        path = tmp_path / "c" / MANIFEST_NAME
+        lines = path.read_text("utf-8").splitlines()
+        del lines[2]
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         with pytest.raises(CorpusSpecError) as info:
             load_manifest(tmp_path / "c")
         assert str(info.value) == (
-            f"{path}: {len(lines) - 1} documents, header says roots=4 x words_per_root=5 = 20"
+            f"{path}: 19 documents, header says roots=4 x words_per_root=5 = 20"
         )
 
     def test_repeated_query_id_names_both_lines(self, tiny_corpus, tmp_path):

@@ -103,6 +103,21 @@ class TestRecords:
         assert rec.s_found and not rec.s_relevant
         assert rec.recall == Fraction(1)
 
+    def test_found_tuple_that_is_the_relevant_tuple_hits_every_id(self):
+        relevant = ("d1", "d2", "d3")
+        rec = make_record("q0", "لعب", relevant, relevant)
+        assert rec.hits == len(relevant) == 3
+        # another tuple, even an equal one, is counted by intersection
+        assert make_record("q0", "لعب", tuple(list(relevant)), relevant) == rec
+        assert make_record("q0", "لعب", ("d1", "d9"), relevant).hits == 1
+
+    def test_root_aware_answers_are_the_relevant_tuples(self, micro_report):
+        # the records whose hits are counted without an intersection
+        for engine in (EXPANDED, P2P_ADVANCED):
+            for rec in micro_report.records[engine]:
+                assert rec.s_found is rec.s_relevant
+                assert rec.hits == len(rec.s_relevant)
+
     def test_stored_values_recompute_exactly(self, micro_report):
         for engine in micro_report.engine_names:
             for rec in micro_report.records[engine]:

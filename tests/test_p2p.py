@@ -15,6 +15,7 @@ from rootsearch.p2p import (
     KIND_QUERY_FORWARD,
     KIND_QUERY_UP,
     KIND_RESULTS_BACK,
+    MessageLog,
     Overlay,
     OverlayMessage,
     build_overlay,
@@ -366,16 +367,59 @@ def _message_line(*fields):
     return ("\t".join(fields) + "\n").encode("utf-8")
 
 
-@pytest.fixture(scope="module")
-def routed_outcomes(manifest, noisy_words, overlay_simple, overlay_advanced):
-    """Every manifest query and noisy word, through both overlays from every origin."""
+def _routed_queries(manifest, noisy_words, overlays):
+    """(query, overlay, origin) for every manifest query and noisy word,
+    through each overlay from every origin."""
     words = [entry.word for entry in manifest.queries] + noisy_words
     return [
-        p2p_search(Query.parse(f"w{i}", word), overlay, origin)
-        for overlay in (overlay_simple, overlay_advanced)
+        (Query.parse(f"w{i}", word), overlay, origin)
+        for overlay in overlays
         for origin in sorted(overlay.peers)
         for i, word in enumerate(words)
     ]
+
+
+@pytest.fixture(scope="module")
+def routed_outcomes(manifest, noisy_words, overlay_simple, overlay_advanced):
+    """Every manifest query and noisy word, through both overlays from every origin."""
+    return [
+        p2p_search(*case)
+        for case in _routed_queries(manifest, noisy_words, (overlay_simple, overlay_advanced))
+    ]
+
+
+class TestTypedOnRead:
+    """An outcome's ``MessageLog`` stores the drain loop's plain tuples and
+    types a message as an ``OverlayMessage`` only when it is read."""
+
+    def test_every_read_gives_overlay_messages(self, routed_outcomes):
+        for outcome in routed_outcomes:
+            log = outcome.messages
+            assert type(log) is MessageLog
+            assert type(log[0]) is OverlayMessage and type(log[-1]) is OverlayMessage
+            assert type(log[1:]) is MessageLog
+            assert all(type(m) is OverlayMessage for m in log)
+            assert all(type(m) is OverlayMessage for m in log[1:])
+            assert [log[i] for i in range(-len(log), len(log))] == list(log) * 2
+
+    def test_the_stored_items_are_plain_tuples(self, routed_outcomes):
+        # typing every message as it is logged is the cost the log avoids
+        for outcome in routed_outcomes:
+            stored = [tuple.__getitem__(outcome.messages, i) for i in range(len(outcome.messages))]
+            assert {type(item) for item in stored} == {tuple}
+
+    def test_reads_equal_the_reference_router(
+        self, manifest, noisy_words, overlay_simple, overlay_advanced, routed_outcomes
+    ):
+        cases = _routed_queries(manifest, noisy_words, (overlay_simple, overlay_advanced))
+        assert len(cases) == len(routed_outcomes)
+        for case, outcome in zip(cases, routed_outcomes):
+            reference = reference_p2p_search(*case).messages
+            assert type(reference[0]) is OverlayMessage
+            assert outcome.messages == reference and tuple(outcome.messages) == reference
+            assert hash(outcome.messages) == hash(reference)
+            assert reference[-1] in outcome.messages
+            assert format_message_log(outcome.messages) == format_message_log(reference)
 
 
 class TestGoldenMessageLog:
