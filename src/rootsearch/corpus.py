@@ -10,7 +10,6 @@ Layout on disk, under the chosen corpus directory:
                             document, after a ``#`` header carrying the
                             generation parameters and seed
     queries.tsv             one ``query_id TAB word TAB root`` per query
-    <peer_id>/<doc_id>.txt  document body: the single word
 
 Peer assignment is structural, not random: the selected roots are sorted
 canonically and dealt to peers in contiguous blocks of ``roots_per_peer``;
@@ -38,12 +37,12 @@ id, and checks every row rule on the whole file at once, the lexicon built
 with them; only a file that fails, or whose row count is off, is walked, once,
 with the one row rule ``_bad_document``, so the first bad line is named.
 
-``generate_corpus`` writes ``manifest.tsv`` last, after the bodies and
-``queries.tsv``, so a run that fails on a body leaves no loadable manifest
-in a fresh directory. ``gc_paused`` keeps the cyclic garbage collector off
-in the three builds that make one tracked object per row: ``load_manifest``,
-the manifest's ``documents`` and ``index.build_index``; in a CLI process
-``cli.entry`` keeps it off throughout.
+``generate_corpus`` writes ``manifest.tsv`` last, after ``queries.tsv``, so
+a run that fails leaves no loadable manifest in a fresh directory.
+``gc_paused`` keeps the cyclic garbage collector off in the three builds that
+make one tracked object per row: ``load_manifest``, the manifest's
+``documents`` and ``index.build_index``; in a CLI process ``cli.entry`` keeps
+it off throughout.
 """
 from __future__ import annotations
 
@@ -60,7 +59,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence, TypeVar
 from .errors import CorpusSpecError
 from .morphology import DerivationPattern, PatternInventory, RootLexicon, bad_template
 from .morphology import derive, extract_root, is_root
-from .normalize import normalize
+from .normalize import is_normalized, normalize
 
 DEFAULT_SEED = 2011
 
@@ -287,7 +286,8 @@ def generate_corpus(
     inventory: PatternInventory | None = None,
     root_pool: tuple[str, ...] = ROOT_INVENTORY,
 ) -> CorpusManifest:
-    """Generate documents, manifest and query set under ``out_dir``.
+    """Generate a corpus: ``queries.tsv``, then ``manifest.tsv``, under
+    ``out_dir``, both under one header line made from the spec.
 
     Raises:
         CorpusSpecError: a spec invariant is violated, the packaged pattern
@@ -346,41 +346,15 @@ def generate_corpus(
         queries=tuple(queries),
         patterns_version=inventory.version,
     )
-    _write_corpus(manifest, Path(out_dir))
-    return manifest
-
-
-def _write_corpus(manifest: CorpusManifest, out_dir: Path) -> None:
-    """Write the bodies, then the query file, then the manifest, both files
-    under one header line made from the spec.
-
-    Each body is one ``os.open``/``os.write``/``os.close`` on a path built as
-    one string: a ``Path`` join and a text wrapper per one-word file cost
-    more user CPU than the write itself.
-    """
+    out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for peer_id in manifest.spec.peer_ids():
-        (out_dir / peer_id).mkdir(exist_ok=True)
-    base = os.fspath(out_dir)
-    flags = os.O_WRONLY | os.O_CREAT | os.O_TRUNC
-    for doc_id, word, peer_id in zip(manifest.doc_ids, manifest.doc_words, manifest.doc_peers):
-        path = f"{base}/{peer_id}/{doc_id}.txt"
-        body = f"{word}\n".encode()
-        fd = os.open(path, flags, 0o666)
-        try:
-            written = os.write(fd, body)
-        finally:
-            os.close(fd)
-        if written != len(body):
-            raise OSError(f"{path}: wrote {written} of {len(body)} bytes")
-
-    header = {key: getattr(manifest.spec, name) for key, name in _SPEC_HEADER.items()}
-    header["patterns"] = manifest.patterns_version
+    header = {key: getattr(spec, name) for key, name in _SPEC_HEADER.items()}
+    header["patterns"] = inventory.version
     write_tsv(out_dir / QUERIES_NAME, QUERIES, header,
-              (f"{q.query_id}\t{q.word}\t{q.root}" for q in manifest.queries))
+              (f"{q.query_id}\t{q.word}\t{q.root}" for q in queries))
     write_tsv(out_dir / MANIFEST_NAME, MANIFEST, header,
-              map("\t".join, zip(manifest.doc_ids, manifest.doc_words, manifest.doc_roots,
-                                 manifest.doc_peers)))
+              map("\t".join, zip(doc_ids, doc_words, doc_roots, doc_peers)))
+    return manifest
 
 
 def _header_line(magic: str, fields: dict[str, object]) -> str:
@@ -586,8 +560,9 @@ def _bad_document(
 ) -> str | None:
     """Why a ``manifest.tsv`` row cannot be loaded: a root ``derive`` would
     reject, a peer id the header does not name, whitespace in its doc id or
-    word, its word under another root in ``root_of``, or its peer at its
-    ``share`` in ``held``; the rows before it fill both."""
+    word, a word ``normalize`` would change, its word under another root in
+    ``root_of``, or its peer at its ``share`` in ``held``; the rows before it
+    fill both."""
     _, word, root, peer_id = fields
     if not is_root(root):
         return f"root {root!r} is not a normalized Arabic word of 3 or 4 letters"
@@ -595,6 +570,8 @@ def _bad_document(
         return f"peer id {peer_id!r} is not one of {peer_ids[0]}..{peer_ids[-1]}"
     if spaced := _spaced(("doc id", "word"), fields):
         return spaced
+    if not is_normalized(word):
+        return f"word {word!r} is not a normalized Arabic word"
     first = root_of.setdefault(word, root)
     if first != root:
         return f"word {word!r} has two roots: {first!r} and {root!r}"
@@ -622,15 +599,17 @@ def _bad_query(fields: list[str], roots: dict[str, str]) -> str | None:
 
 def _sound(manifest: CorpusManifest, peer_ids: tuple[str, ...], share: int) -> bool:
     """Whether every row passes ``_checked_rows`` and ``_bad_document``, by
-    scans of columns and sets (whitespace in a doc id or word splits its
-    column's text; an empty or spaced root or peer id is no root or known peer;
-    with the count right, a peer past its share leaves another under it), then
-    as the lexicon is built, which raises on a word filed under two roots."""
+    scans of columns and sets (whitespace in a doc id splits its column's text;
+    the word column's text is normalized only if each word is; an empty or
+    spaced root or peer id is no root or known peer; with the count right, a
+    peer past its share leaves another under it), then as the lexicon is built,
+    which raises on a word filed under two roots."""
     doc_ids, words = manifest.doc_ids, manifest.doc_words
     ids = set(doc_ids)
+    ids_text, words_text = map("".join, (doc_ids, words))
     if (
         "" in ids or len(ids) != len(doc_ids) or "" in words
-        or any(text.split() != [text] for text in map("".join, (doc_ids, words)))
+        or ids_text.split() != [ids_text] or not is_normalized(words_text)
         or not all(map(is_root, manifest.roots))
         or Counter(manifest.doc_peers) != Counter(dict.fromkeys(peer_ids, share))
     ):
@@ -659,14 +638,15 @@ def load_manifest(corpus_dir: str | Path) -> CorpusManifest:
             documents or, with every row passing, a number other than
             ``roots x words_per_root``, a row has the wrong field count or an
             empty field, a doc id or a query id repeats, a doc id or word
-            holds whitespace, a root is not a normalized Arabic word of 3 or 4
-            letters, a peer id is not one of the header's ``peer-1..peer-N``,
-            a word is filed under two roots, a peer holds more than
-            ``roots_per_peer x words_per_root`` documents, the query file's
-            header fields differ from the manifest's, ``queries.tsv`` holds no
-            queries, a query word is not one Arabic word, a query root has no
-            documents, or a query id or word holds whitespace; the message
-            names the file, and the line if any.
+            holds whitespace, a word is not normalized, a root is not a
+            normalized Arabic word of 3 or 4 letters, a peer id is not one of
+            the header's ``peer-1..peer-N``, a word is filed under two roots,
+            a peer holds more than ``roots_per_peer x words_per_root``
+            documents, the query file's header fields differ from the
+            manifest's, ``queries.tsv`` holds no queries, a query word is not
+            one Arabic word, a query root has no documents, or a query id or
+            word holds whitespace; the message names the file, and the line if
+            any.
     """
     corpus_dir = Path(corpus_dir)
     path = corpus_dir / MANIFEST_NAME

@@ -46,8 +46,8 @@ def micro_args(tmp_path):
 class TestGenCorpus:
     def test_micro_corpus_files_and_digest(self, micro_args, capsys):
         corpus = micro_args
-        assert len(list(corpus.rglob("*.txt"))) == 6
-        assert (corpus / "manifest.tsv").exists()
+        assert sorted(p.name for p in corpus.iterdir()) == ["manifest.tsv", "queries.tsv"]
+        assert len(load_manifest(corpus).doc_ids) == 6
 
     def test_prints_digest(self, tmp_path, capsys):
         code = main(["gen-corpus", "--roots", "2", "--words", "3", "--out", str(tmp_path / "c")])

@@ -100,35 +100,28 @@ class TestDefaultCorpus:
 
 
 class TestFilesOnDisk:
-    def test_one_file_per_document(self, corpus_dir, manifest):
-        files = list(corpus_dir.rglob("*.txt"))
-        assert len(files) == 10_000
-
-    def test_layout_and_bodies_match_manifest(self, corpus_dir, manifest):
-        for doc in manifest.documents:
-            path = corpus_dir / doc.peer_id / f"{doc.doc_id}.txt"
-            assert path.read_text("utf-8").strip() == doc.word
-
     def test_manifest_and_queries_present(self, corpus_dir):
-        assert (corpus_dir / MANIFEST_NAME).exists()
-        assert (corpus_dir / QUERIES_NAME).exists()
+        # a corpus is exactly its two TSV files
+        assert sorted(p.name for p in corpus_dir.iterdir()) == [MANIFEST_NAME, QUERIES_NAME]
 
     def test_default_corpus_bytes_are_pinned(self, corpus_dir):
         # every path and byte, trailing newlines and encoding included
         assert tree_digest(corpus_dir) == (
-            "245a3c6c33d0bd81388f1e3a3884ad0ba2e7c7280c4884283733ab393fb73d74"
+            "52c7b9321534289afa853218cdfd3f74b0c3536c0ace89aba0d6b307e21eb305"
         )
         assert manifest_digest(corpus_dir) == (
             "abda0ffc775531ef5cda8e8ab380eb724d630f047a0d15db6db2b758c937b272"
         )
 
-    def test_failed_body_write_leaves_no_manifest(self, tmp_path):
-        blocked = tmp_path / "c" / "peer-1" / "d00000.txt"
+    def test_failed_write_leaves_no_manifest(self, tmp_path):
+        # a directory where queries.tsv goes: the .part file cannot be renamed onto it
+        blocked = tmp_path / "c" / QUERIES_NAME
         blocked.mkdir(parents=True)
         with pytest.raises(OSError) as info:
             generate_corpus(MICRO_SPEC, tmp_path / "c")
         assert str(blocked) in str(info.value)
         assert not (tmp_path / "c" / MANIFEST_NAME).exists()
+        assert not (tmp_path / "c" / f"{QUERIES_NAME}.part").exists()
 
 
 class TestGcPaused:
@@ -418,6 +411,27 @@ class TestLoadManifest:
             load_manifest(tmp_path / "c")
         assert str(info.value) == f"{path}:3: expected 4 tab-separated fields, got 3"
 
+    @pytest.mark.parametrize(
+        "edit",
+        [lambda w: w[:1] + "\u064e" + w[1:], lambda w: w + "ة", lambda w: w[:1] + "ـ" + w[1:],
+         lambda w: "hello"],
+        ids=["diacritic", "taa-marbuta", "tatweel", "latin"],
+    )
+    def test_word_normalize_would_change_names_its_line(self, tiny_corpus, tmp_path, edit):
+        # normalize folds the query of that word onto another key, so the
+        # document could never be found by its own word
+        shutil.copytree(tiny_corpus, tmp_path / "c")
+        path = tmp_path / "c" / MANIFEST_NAME
+        lines = path.read_text("utf-8").splitlines()
+        doc_id, word, rest = lines[3].split("\t", 2)
+        lines[3] = "\t".join([doc_id, edit(word), rest])
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(CorpusSpecError) as info:
+            load_manifest(tmp_path / "c")
+        assert str(info.value) == (
+            f"{path}:4: word {edit(word)!r} is not a normalized Arabic word"
+        )
+
     def test_whitespace_only_line_is_skipped(self, tiny_corpus, tmp_path):
         shutil.copytree(tiny_corpus, tmp_path / "c")
         path = tmp_path / "c" / MANIFEST_NAME
@@ -565,9 +579,11 @@ _FIELD_SPACES = (
     "\x0b\x0c\x1c\x1d\x1e\x1f\x85 \xa0\u1680\u2028\u2029\u202f\u205f\u3000"
     + "".join(map(chr, range(0x2000, 0x200B)))
 )
+# what ``normalize`` deletes or folds, and a letter outside the Arabic block
+_UNNORMALIZED = ("\u064e", "\u0670", "ـ", "ة", "ى", "أ", "x")
 _FAULTS = (
     "none", "field-count", "empty-field", "whitespace", "line-separator", "repeated-doc-id",
-    "bad-root", "bad-peer", "moved-peer", "two-roots",
+    "bad-root", "bad-peer", "moved-peer", "two-roots", "unnormalized",
 )
 
 
@@ -599,6 +615,8 @@ def _manifest_faults(draw, documents, peer_ids):
         at = draw(st.integers(0, len(fields[column])))
         separator = draw(st.sampled_from(_LINE_SEPARATORS))
         fields[column] = fields[column][:at] + separator + fields[column][at:]
+    elif kind == "unnormalized":
+        fields[1] = _unnormalized(draw, fields[1])
     elif kind == "repeated-doc-id":
         fields[0] = rows[draw(st.integers(0, i - 1))][0]
     elif kind == "bad-root":
@@ -623,8 +641,14 @@ def _manifest_faults(draw, documents, peer_ids):
     return rows, line
 
 
+def _unnormalized(draw, word):
+    """``word`` with a drawn character of ``_UNNORMALIZED`` at a drawn place."""
+    at = draw(st.integers(0, len(word)))
+    return word[:at] + draw(st.sampled_from(_UNNORMALIZED)) + word[at:]
+
+
 # the faults that make their own row bad, whatever the other rows hold
-_ROW_FAULTS = ("bad-root", "bad-peer", "whitespace", "empty-field", "field-count")
+_ROW_FAULTS = ("bad-root", "bad-peer", "whitespace", "unnormalized", "empty-field", "field-count")
 
 
 @st.composite
@@ -645,6 +669,8 @@ def _two_faults(draw, documents, peer_ids):
             k = draw(st.integers(0, len(fields[column])))
             space = draw(st.sampled_from(_FIELD_SPACES))
             fields[column] = fields[column][:k] + space + fields[column][k:]
+        elif kind == "unnormalized":
+            fields[1] = _unnormalized(draw, fields[1])
         elif kind == "empty-field":
             fields[draw(st.integers(0, 3))] = ""
         else:

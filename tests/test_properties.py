@@ -3,9 +3,10 @@ groupings and the overlay peers against row-by-row references, normalization, qu
 parsing, the light stemmer, the 4-place rendering of exact fractions and
 the integer means of an evaluation against plain
 dict/set/regex/split/scan/Fraction references over generated inputs, plus
-normalization's idempotence, the light stemmer's length floor and the error
+normalization's idempotence, the light stemmer's length floor, the error
 contract: every error a bad word, template or pattern file raises is a
-ValueError."""
+ValueError, and the load contract: an edited corpus is rejected, naming its
+file, or every document is found by its own word."""
 
 import math
 import re
@@ -18,21 +19,25 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rootsearch.corpus import (
+    MANIFEST_NAME,
     PATTERNS,
+    QUERIES_NAME,
     CorpusManifest,
     CorpusSpec,
     Document,
     _bad_query,
     generate_corpus,
+    load_manifest,
     load_patterns,
     postings,
 )
+from rootsearch.errors import CorpusSpecError
 from rootsearch.evaluation import EvalReport, build_engines, fixed4, make_record, write_report
-from rootsearch.index import IndexMode, build_index
+from rootsearch.index import IndexMode
 from rootsearch.morphology import DerivationPattern, RootLexicon, derive, light_stem
 from rootsearch.normalize import is_normalized, match_word, normalize
 from rootsearch.p2p import build_overlay
-from rootsearch.search import BASELINE, Query
+from rootsearch.search import BASELINE, EXPANDED, Query
 
 # small alphabets, so that generated words and roots often repeat
 _words = st.text(alphabet="ابتث", min_size=1, max_size=3)
@@ -89,12 +94,11 @@ def _row_postings(docs, field, value="doc_id"):
 
 
 @st.composite
-def _layouts(draw):
-    """A small corpus shape and its peer layout: None for the generator's
-    block layout, else a permutation of its peer column."""
+def _specs(draw):
+    """A small corpus shape."""
     peers = draw(st.integers(1, 4))
     roots_per_peer = draw(st.integers(1, 2))
-    spec = CorpusSpec(
+    return CorpusSpec(
         root_count=peers * roots_per_peer,
         words_per_root=draw(st.integers(1, 4)),
         peer_count=peers,
@@ -102,6 +106,13 @@ def _layouts(draw):
         roots_per_peer=roots_per_peer,
         seed=draw(st.integers(0, 99)),
     )
+
+
+@st.composite
+def _layouts(draw):
+    """A small corpus shape and its peer layout: None for the generator's
+    block layout, else a permutation of its peer column."""
+    spec = draw(_specs())
     return spec, draw(st.none() | st.permutations(range(spec.total_documents)))
 
 
@@ -126,9 +137,8 @@ def test_column_groupings_and_overlay_peers_match_row_references(layout):
         assert lexicon.words_of(root) == words
         assert all(lexicon.root_of(word) == root for word in words)
     (baseline,) = build_engines(manifest, [BASELINE])
-    reference = build_index(docs, IndexMode.SIMPLE, lexicon)
-    assert baseline.index.entries == reference.entries
-    assert baseline.index.root_postings == reference.root_postings
+    assert baseline.index.entries == _row_postings(docs, "word")
+    assert baseline.index.root_postings == _row_postings(docs, "root")
     for mode, field, corpus_wide in (
         (IndexMode.SIMPLE, "word", manifest.docs_by_word),
         (IndexMode.ADVANCED, "root", manifest.docs_by_root),
@@ -450,3 +460,68 @@ def test_every_error_that_escapes_is_a_value_error(call_and_args):
         return
     # derive refuses every drawn pair: the root's length is never the slot count
     assert call is not derive, ascii(args)
+
+
+# what a load-contract edit inserts or deletes: the tab, a CR (read as a line
+# end), U+2028 (a character of a field), a diacritic, taa marbuta and tatweel
+_EDIT_CHARS = ("\t", "\r", "\u2028", "\u064e", "ة", "ـ")
+_EDITS = st.tuples(
+    st.sampled_from([MANIFEST_NAME, QUERIES_NAME]),
+    st.sampled_from(["insert", "delete", "duplicate", "swap", "drop"]),
+    st.integers(0, 40),  # a line, modulo the file's line count
+    st.integers(0, 40),  # a place in that line, modulo its length
+    st.sampled_from(_EDIT_CHARS),
+)
+
+
+def _edit(text, kind, line, at, char):
+    """``text`` with one edit: ``char`` inserted, one of ``_EDIT_CHARS``
+    deleted, or a line duplicated, swapped with the one before or dropped."""
+    lines = text.split("\n")
+    line %= len(lines)
+    held = lines[line]
+    if kind == "insert":
+        at %= len(held) + 1
+        lines[line] = held[:at] + char + held[at:]
+    elif kind == "delete":
+        places = [i for i, c in enumerate(held) if c in _EDIT_CHARS]
+        if places:
+            at = places[at % len(places)]
+            lines[line] = held[:at] + held[at + 1:]
+    elif kind == "duplicate":
+        lines.insert(line, held)
+    elif kind == "swap":
+        lines[line - 1], lines[line] = held, lines[line - 1]
+    else:
+        del lines[line]
+    return "\n".join(lines)
+
+
+@settings(max_examples=300, deadline=None)
+@given(spec=_specs(), edits=st.lists(_EDITS, min_size=1, max_size=3))
+# a fatha in line 2's word and a taa marbuta in line 3's: a doc id and its tab
+# are 7 characters
+@example(spec=CorpusSpec(4, 5, 4, 2, 1), edits=[(MANIFEST_NAME, "insert", 1, 8, "\u064e")])
+@example(spec=CorpusSpec(4, 5, 4, 2, 1), edits=[(MANIFEST_NAME, "insert", 2, 9, "ة")])
+def test_an_edited_corpus_is_rejected_by_name_or_answerable(spec, edits):
+    """The load contract: whatever ``load_manifest`` returns, each document's
+    own word finds it by exact search, and its root group by expansion;
+    whatever it rejects, the error starts with the file, and the line if any."""
+    with tempfile.TemporaryDirectory() as out:
+        corpus_dir = Path(out)
+        generate_corpus(spec, corpus_dir)
+        for name, kind, line, at, char in edits:
+            path = corpus_dir / name
+            # bytes, so that an inserted "\r" stays one for the next edit
+            path.write_bytes(_edit(path.read_bytes().decode(), kind, line, at, char).encode())
+        try:
+            loaded = load_manifest(corpus_dir)
+        except CorpusSpecError as err:
+            files = "|".join(re.escape(str(corpus_dir / n)) for n in (MANIFEST_NAME, QUERIES_NAME))
+            assert re.match(rf"(?:{files})(?::\d+)?: ", str(err)), str(err)
+            return
+    baseline, expanded = build_engines(loaded, [BASELINE, EXPANDED])
+    for doc in loaded.documents:
+        query = Query.parse(doc.doc_id, doc.word)
+        assert doc.doc_id in baseline.run(query).result.found, doc
+        assert expanded.run(query).result.found == loaded.docs_by_root[doc.root], doc
