@@ -37,8 +37,10 @@ id, and checks every row rule on the whole file at once, the lexicon built
 with them; only a file that fails, or whose row count is off, is walked, once,
 with the one row rule ``_bad_document``, so the first bad line is named.
 
-``generate_corpus`` writes ``manifest.tsv`` last, after ``queries.tsv``, so
-a run that fails leaves no loadable manifest in a fresh directory.
+``generate_corpus`` prepares each template once per run, derives each root's
+words in one ``morphology.derivations`` pass, and writes ``manifest.tsv``
+last, after ``queries.tsv``, so a run that fails leaves no loadable manifest
+in a fresh directory.
 ``gc_paused`` keeps the cyclic garbage collector off in the three builds that
 make one tracked object per row: ``load_manifest``, the manifest's
 ``documents`` and ``index.build_index``; in a CLI process ``cli.entry`` keeps
@@ -58,7 +60,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence, TypeVar
 
 from .errors import CorpusSpecError
 from .morphology import DerivationPattern, PatternInventory, RootLexicon, bad_template
-from .morphology import derive, extract_root, is_root
+from .morphology import derivations, extract_root, is_root, prepare
 from .normalize import is_normalized, normalize
 
 DEFAULT_SEED = 2011
@@ -271,7 +273,7 @@ def _select_roots(spec: CorpusSpec, pool: tuple[str, ...], rng: random.Random) -
     return anchors + rng.sample(others, spec.root_count - len(anchors))
 
 
-def _disambiguate(word: str, used: dict[str, str]) -> str:
+def _disambiguate(word: str, used: set[str]) -> str:
     for repeat in itertools.count(1):
         for clitic in _DISAMBIGUATION_CLITICS:
             candidate = word + clitic * repeat
@@ -295,6 +297,7 @@ def generate_corpus(
             than the template inventory can supply, the root pool is shorter
             than ``root_count``, or a template pair produced the same surface
             form for one root (a broken template set).
+        ValueError: ``derive``'s, for a pooled root or a drawn template.
         OSError: a file could not be written; the message names its path.
     """
     spec.validate()
@@ -311,13 +314,13 @@ def generate_corpus(
     query_width = max(3, len(str(spec.root_count - 1)))
     doc_words, doc_roots, doc_peers = [], [], []
     queries: list[QueryEntry] = []
-    used: dict[str, str] = {}
+    used: set[str] = set()
+    # rng.sample draws by position, so a list of prepared patterns gets the same draws
+    prepared = list(map(prepare, inventory.patterns))
     for root_index, root in enumerate(roots):
-        chosen = rng.sample(inventory.patterns, spec.words_per_root)
-        words: list[str] = []
-        raw_surfaces: set[str] = set()
-        for pattern in chosen:
-            word = derive(root, pattern)
+        chosen = rng.sample(prepared, spec.words_per_root)
+        words, raw_surfaces = [], set()
+        for (pattern, _, _), word in zip(chosen, derivations(root, chosen)):
             # two templates yielding one surface for one root is a broken
             # template set; a clash with an already-claimed word (another
             # root, or a disambiguated sibling) just gets a clitic appended
@@ -329,7 +332,7 @@ def generate_corpus(
             raw_surfaces.add(word)
             if word in used:
                 word = _disambiguate(word, used)
-            used[word] = root
+            used.add(word)
             words.append(word)
         doc_words += words
         doc_roots += [root] * len(words)
@@ -338,7 +341,7 @@ def generate_corpus(
         queries.append(QueryEntry(f"q{root_index:0{query_width}d}", query_word, root))
 
     doc_width = max(5, len(str(spec.total_documents - 1)))
-    doc_ids = [f"d{i:0{doc_width}d}" for i in range(len(doc_words))]
+    doc_ids = list(map(f"d%0{doc_width}d".__mod__, range(len(doc_words))))
     manifest = CorpusManifest(
         spec=spec,
         columns=(doc_ids, doc_words, doc_roots, doc_peers),

@@ -4,11 +4,13 @@ A root is a string of 3 or 4 normalized Arabic consonants (e.g. لعب).
 Surface words are produced by applying derivation templates, strings with
 one ``C1``/``C2``/... slot per root consonant plus fixed prefix, infix and
 suffix letters, e.g. template ``يC1C2C3ون`` applied to لعب yields يلعبون.
-``derive`` is the one template fill, behind its root and arity checks;
-``is_root`` is the one rule for what a root is, which ``corpus`` also
-applies to every root a manifest records; ``bad_template`` is the one rule
-for what a template is, which ``corpus.load_patterns`` applies to every row
-of the pattern file. This module reads no files.
+``prepare`` reads a template once into the one template fill; ``derivations``
+checks a root once and each template's slot count as it fills, and
+``derive`` is one word of it. ``is_root`` is the one rule for what a root
+is, which ``corpus`` also applies to every root a manifest records;
+``bad_template`` is the one rule for what a template is, which
+``corpus.load_patterns`` applies to every row of the pattern file. This
+module reads no files.
 
 Root resolution is lexicon-first: the corpus manifest records every
 generated word's root, and the lexicon is built once from those (word,
@@ -20,7 +22,7 @@ from __future__ import annotations
 
 import re
 from collections import defaultdict
-from typing import NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .errors import UnknownRoot
 from .normalize import is_normalized
@@ -72,11 +74,8 @@ class DerivationPattern(NamedTuple):
     pattern_id: str
     template: str
 
-    @property
-    def arity(self) -> int:
-        """Number of root consonant slots in the template."""
-        slots = {int(m) for m in _SLOT.findall(self.template)}
-        return max(slots)
+
+Prepared = tuple[DerivationPattern, int, Callable[..., str]]
 
 
 class PatternInventory:
@@ -107,26 +106,30 @@ def is_root(root: str) -> bool:
     return len(root) in (3, 4) and is_normalized(root)
 
 
-def derive(root: str, pattern: DerivationPattern) -> str:
-    """Apply ``pattern`` to ``root``, yielding a normalized surface word.
+def prepare(pattern: DerivationPattern) -> Prepared:
+    """``pattern``, its slot count and its fill: ``fill(*root)`` puts a root's
+    n-th letter in each ``C<n>`` slot and keeps every other character."""
+    template = pattern.template.replace("{", "{{").replace("}", "}}")
+    fill = _SLOT.sub(lambda m: f"{{{int(m[1]) - 1}}}", template).format
+    return pattern, max(map(int, _SLOT.findall(template)), default=0), fill
 
-    Deterministic: the same (root, pattern) pair always yields the same word.
 
-    Raises:
-        ValueError: ``root`` is not a 3- or 4-letter normalized form, or the
-            template's slot count differs from the root's length.
-    """
+def derivations(root: str, prepared: Iterable[Prepared]) -> Iterator[str]:
+    """``root`` filled into each ``prepare``d pattern, in order; as each word
+    is asked for, a ValueError if ``root`` is not a 3- or 4-letter normalized
+    form (on the first) or the template's slot count is not the root's length."""
     if not is_root(root):
         raise ValueError(f"not a normalized 3/4-letter root: {root!r}")
-    if pattern.arity != len(root):
-        raise ValueError(
-            f"pattern {pattern.pattern_id} has {pattern.arity} slots, "
-            f"root {root!r} has {len(root)} letters"
-        )
-    word = pattern.template
-    for slot, letter in enumerate(root, start=1):
-        word = word.replace(f"C{slot}", letter)
-    return word
+    for pattern, arity, fill in prepared:
+        if arity != len(root):
+            raise ValueError(f"pattern {pattern.pattern_id} has {arity} slots, "
+                             f"root {root!r} has {len(root)} letters")
+        yield fill(*root)
+
+
+def derive(root: str, pattern: DerivationPattern) -> str:
+    """The one word ``derivations`` makes of ``root`` and ``pattern``; raises as it does."""
+    return next(derivations(root, [prepare(pattern)]))
 
 
 class RootLexicon:

@@ -1,6 +1,8 @@
 """Corpus generation: cardinalities, determinism, relevance ground truth."""
 
 import gc
+import random
+import re
 import shutil
 from collections import Counter
 
@@ -16,16 +18,18 @@ from rootsearch.corpus import (
     Document,
     MANIFEST_NAME,
     QUERIES_NAME,
+    ROOT_INVENTORY,
     gc_paused,
     generate_corpus,
     load_manifest,
+    load_patterns,
     manifest_digest,
     relevant_set,
     tree_digest,
 )
 from rootsearch.errors import CorpusSpecError, UnknownRoot
 from rootsearch.index import IndexMode, build_index
-from rootsearch.morphology import DerivationPattern, PatternInventory, is_root
+from rootsearch.morphology import DerivationPattern, PatternInventory, derive, is_root
 from tests.conftest import MICRO_SPEC
 
 
@@ -111,6 +115,21 @@ class TestFilesOnDisk:
         )
         assert manifest_digest(corpus_dir) == (
             "abda0ffc775531ef5cda8e8ab380eb724d630f047a0d15db6db2b758c937b272"
+        )
+
+    def test_a_corpus_with_clitic_fixups_is_pinned(self, tmp_path, monkeypatch):
+        # 50 of the 100 templates for all 120 packaged roots: two words clash with
+        # another root's and take a clitic, the second past a variant already held
+        fixups = []
+        disambiguate = corpus._disambiguate
+        monkeypatch.setattr(corpus, "_disambiguate",
+                            lambda word, used: fixups.append(disambiguate(word, used)) or fixups[-1])
+        spec = CorpusSpec(root_count=120, words_per_root=50, roots_per_peer=30, seed=1)
+        manifest = generate_corpus(spec, tmp_path)
+        assert [w[-2:] for w in fixups] == ["ها", "هم"]
+        assert set(fixups) <= set(manifest.doc_words)
+        assert manifest_digest(tmp_path) == (
+            "3bc1baeddd3db2c33290fb47148d6df18bd85879eb57dad2eee834ca15d7f063"
         )
 
     def test_failed_write_leaves_no_manifest(self, tmp_path):
@@ -229,6 +248,34 @@ class TestDeterminism:
         assert tree_digest(tmp_path / "a") != tree_digest(tmp_path / "b")
 
 
+def _drawn(spec, pool, inventory):
+    """The generator's draws, replayed: each selected root in sorted order with
+    the templates drawn for it, in order. Per root the generator makes one
+    ``rng.sample`` of the templates and one ``rng.randrange`` for the query word."""
+    rng = random.Random(spec.seed)
+    for root in sorted(corpus._select_roots(spec, pool, rng)):
+        yield root, rng.sample(inventory.patterns, spec.words_per_root)
+        rng.randrange(spec.words_per_root)
+
+
+def _first_error(spec, pool, inventory):
+    """The error of the first (root, template) in drawn order that ``derive``
+    rejects or that repeats a surface of its root's earlier templates."""
+    for root, chosen in _drawn(spec, pool, inventory):
+        surfaces = set()
+        for pattern in chosen:
+            try:
+                word = derive(root, pattern)
+            except ValueError as err:
+                return err
+            if word in surfaces:
+                return CorpusSpecError(
+                    f"root {root}: pattern {pattern.pattern_id} repeats an earlier surface form {word!r}"
+                )
+            surfaces.add(word)
+    raise AssertionError("every draw derives")
+
+
 class TestGenerationErrors:
     def test_insufficient_roots(self, tmp_path):
         spec = CorpusSpec(
@@ -310,6 +357,46 @@ class TestGenerationErrors:
         assert len(set(words)) == 6
         for doc in manifest.documents:
             assert manifest.lexicon.root_of(doc.word) == doc.root
+
+    @staticmethod
+    def _raised(out, spec, pool, inventory):
+        """What ``generate_corpus`` raises, checked against ``_first_error``;
+        neither corpus file is written."""
+        expected = _first_error(spec, pool, inventory)
+        with pytest.raises(ValueError) as info:
+            generate_corpus(spec, out, inventory, pool)
+        assert (type(info.value), str(info.value)) == (type(expected), str(expected))
+        assert not (out / MANIFEST_NAME).exists()
+        assert not (out / QUERIES_NAME).exists()
+        return info.value
+
+    def test_a_non_root_in_the_pool(self, tmp_path, patterns):
+        # a taa marbuta is no normalized letter; sorted, the word comes after three roots
+        pool = ("كتب", "درس", "لعب", "هرة")
+        error = self._raised(tmp_path, CorpusSpec(4, 5, 4, 2, 1), pool, patterns)
+        assert str(error) == "not a normalized 3/4-letter root: 'هرة'"
+
+    def test_a_4_letter_root_against_3_slot_templates(self, tmp_path, patterns):
+        pool = ("دحرج", "كتب", "درس", "علم")
+        error = self._raised(tmp_path, CorpusSpec(4, 5, 4, 2, 1), pool, patterns)
+        assert re.fullmatch(r"pattern \S+ has 3 slots, root 'دحرج' has 4 letters", str(error))
+
+    def test_the_first_failing_template_in_drawn_order_decides(self, tmp_path):
+        # a and b make one surface and c has four slots: c raises if it is drawn
+        # before the later of a and b, and that one's repeat raises otherwise
+        inventory = PatternInventory("t", (
+            DerivationPattern("a", "مC1C2C3"),
+            DerivationPattern("b", "مC1C2C3"),
+            DerivationPattern("c", "C1C2C3C4"),
+            DerivationPattern("d", "تC1C2C3"),
+        ))
+        spec = CorpusSpec(root_count=1, words_per_root=4, peer_count=1, superpeer_count=1,
+                          roots_per_peer=1)
+        kinds = {
+            type(self._raised(tmp_path / str(seed), spec._replace(seed=seed), ("كتب",), inventory))
+            for seed in range(12)
+        }
+        assert kinds == {ValueError, CorpusSpecError}
 
 
 class TestRelevantSet:

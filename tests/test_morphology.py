@@ -11,6 +11,7 @@ from rootsearch.morphology import (
     derive,
     extract_root,
     light_stem,
+    prepare,
 )
 from rootsearch.normalize import normalize
 
@@ -36,7 +37,7 @@ class TestPatternInventory:
         assert patterns.version == "v1"
 
     def test_all_templates_are_triliteral(self, patterns):
-        assert all(p.arity == 3 for p in patterns.patterns)
+        assert all(prepare(p)[1] == 3 for p in patterns.patterns)
 
     def test_rejects_gapped_or_missing_slots(self):
         assert bad_template("C1C3") == "template 'C1C3' numbers its slots with gaps"
@@ -121,7 +122,7 @@ class TestDerive:
 
     def test_quadriliteral_root_with_four_slot_template(self):
         quad = DerivationPattern("q1", "يC1C2C3C4")
-        assert quad.arity == 4
+        assert prepare(quad)[1] == 4
         assert derive("دحرج", quad) == "يدحرج"
 
     def test_arity_mismatch(self, patterns):

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from rootsearch.corpus import CorpusSpec, generate_corpus
+from rootsearch.corpus import CorpusSpec, generate_corpus, manifest_digest
 from rootsearch.normalize import is_normalized, match_word, normalize
 from rootsearch.search import Query
 
@@ -118,3 +118,6 @@ class TestUnchangedWordsSkipTheTranslate:
         manifest = generate_corpus(spec, tmp_path, root_pool=_synthetic_pool(20, 3))
         self._assert_unchanged(doc.word for doc in manifest.documents)
         self._assert_unchanged(query.word for query in manifest.queries)
+        assert manifest_digest(tmp_path) == (
+            "45d058b09f45a8ee2ceb1e2b9a5296e77fab794e4dcbd7ffda47f4e8a9276096"
+        )

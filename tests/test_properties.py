@@ -5,8 +5,9 @@ the integer means of an evaluation against plain
 dict/set/regex/split/scan/Fraction references over generated inputs, plus
 normalization's idempotence, the light stemmer's length floor, the error
 contract: every error a bad word, template or pattern file raises is a
-ValueError, and the load contract: an edited corpus is rejected, naming its
-file, or every document is found by its own word."""
+ValueError, the template fill against a ``str.replace`` reference, and the
+load contract: an edited corpus is rejected, naming its file, or every
+document is found by its own word, routed or not."""
 
 import math
 import re
@@ -34,9 +35,16 @@ from rootsearch.corpus import (
 from rootsearch.errors import CorpusSpecError
 from rootsearch.evaluation import EvalReport, build_engines, fixed4, make_record, write_report
 from rootsearch.index import IndexMode
-from rootsearch.morphology import DerivationPattern, RootLexicon, derive, light_stem
+from rootsearch.morphology import (
+    DerivationPattern,
+    RootLexicon,
+    derivations,
+    derive,
+    light_stem,
+    prepare,
+)
 from rootsearch.normalize import is_normalized, match_word, normalize
-from rootsearch.p2p import build_overlay
+from rootsearch.p2p import build_overlay, p2p_search
 from rootsearch.search import BASELINE, EXPANDED, Query
 
 # small alphabets, so that generated words and roots often repeat
@@ -402,6 +410,46 @@ def test_integer_means_match_the_fraction_sums(counts):
     assert report.mean_recall(BASELINE) == mean_r
 
 
+# what a template holds besides its slots: letters, a bare C, the digits 0 and 1
+# (after a bare C: C0 is no slot, C1 is slot 1), and braces, which str.format reads
+_TEMPLATE_PIECES = st.sampled_from(["ا", "م", "ت", "ون", "C", "0", "1", "{", "}", "{0}", "}{"])
+
+
+@st.composite
+def _roots_and_templates(draw):
+    """A 3- or 4-letter root and 1-3 templates, each with every one of its
+    slots C1..Cn at least once, some twice, among literal pieces."""
+    root = draw(st.text(alphabet="ابتجدرسعكلمنهوي", min_size=3, max_size=4))
+    slots = [f"C{k}" for k in range(1, len(root) + 1)]
+    templates = []
+    for _ in range(draw(st.integers(1, 3))):
+        pieces = slots + draw(st.lists(st.sampled_from(slots), max_size=2))
+        pieces += draw(st.lists(_TEMPLATE_PIECES, max_size=6))
+        templates.append("".join(draw(st.permutations(pieces))))
+    return root, templates
+
+
+def _filled_by_replace(root, template):
+    """The template fill as one ``str.replace`` pass per slot, C1 first."""
+    for slot, letter in enumerate(root, start=1):
+        template = template.replace(f"C{slot}", letter)
+    return template
+
+
+@settings(max_examples=300, deadline=None)
+@given(_roots_and_templates())
+@example(("لعب", ["CC1C2C3C", "{C1}C2{0}C3}{"]))
+@example(("دحرج", ["C1C2C3C4", "C12C2C3C4C0"]))
+def test_the_prepared_fill_is_derive(root_and_templates):
+    root, templates = root_and_templates
+    patterns = [DerivationPattern(f"p{i}", t) for i, t in enumerate(templates)]
+    prepared = list(map(prepare, patterns))
+    for pattern, (same, arity, fill) in zip(patterns, prepared):
+        assert same is pattern and arity == len(root)
+        assert fill(*root) == derive(root, pattern) == _filled_by_replace(root, pattern.template)
+    assert list(derivations(root, prepared)) == [derive(root, p) for p in patterns]
+
+
 @st.composite
 def _wrong_arity(draw):
     """A root and a template whose slot count is not the root's length; the
@@ -505,7 +553,8 @@ def _edit(text, kind, line, at, char):
 @example(spec=CorpusSpec(4, 5, 4, 2, 1), edits=[(MANIFEST_NAME, "insert", 2, 9, "ة")])
 def test_an_edited_corpus_is_rejected_by_name_or_answerable(spec, edits):
     """The load contract: whatever ``load_manifest`` returns, each document's
-    own word finds it by exact search, and its root group by expansion;
+    own word finds it by exact search, and its root group by expansion, and
+    both overlays answer as the centralized engines from every origin;
     whatever it rejects, the error starts with the file, and the line if any."""
     with tempfile.TemporaryDirectory() as out:
         corpus_dir = Path(out)
@@ -521,7 +570,16 @@ def test_an_edited_corpus_is_rejected_by_name_or_answerable(spec, edits):
             assert re.match(rf"(?:{files})(?::\d+)?: ", str(err)), str(err)
             return
     baseline, expanded = build_engines(loaded, [BASELINE, EXPANDED])
+    routed = [
+        (baseline, build_overlay(loaded, IndexMode.SIMPLE)),
+        (expanded, build_overlay(loaded, IndexMode.ADVANCED)),
+    ]
     for doc in loaded.documents:
         query = Query.parse(doc.doc_id, doc.word)
         assert doc.doc_id in baseline.run(query).result.found, doc
         assert expanded.run(query).result.found == loaded.docs_by_root[doc.root], doc
+        # each routed engine answers as its centralized one, from every origin
+        for engine, overlay in routed:
+            central = engine.run(query).result
+            for origin in loaded.spec.peer_ids():
+                assert p2p_search(query, overlay, origin).result == central, (doc, origin)
